@@ -105,8 +105,19 @@ def select_J(
     Per curve, BIC(J) = m log(RSS/m) + J log(m) with m subdomain points;
     the sample uses the lower median of the per-curve minimizers, snapped
     down to the nearest odd value >= 3. The basis is rescaled to
-    basis_domain (default: the sample's full grid domain). Candidate sizes
-    whose design loses numerical rank are dropped from the sweep.
+    basis_domain (default: the sample's full grid domain).
+
+    The candidate designs are nested column prefixes of the largest one,
+    so a single reduced QR, design = Q R with z = Q^T y, gives every RSS:
+    RSS_J = RSS_max + sum_{k >= J} z_k^2, where RSS_max = ||y - Q z||^2 is
+    formed from the residual itself. Forming RSS_J as ||y||^2 minus the
+    leading z_k^2 instead would leave rounding noise of order eps ||y||^2,
+    above the RSS floor, and break the ties between exact fits at random.
+
+    The sweep stops at the first candidate whose design loses numerical
+    rank, with the rule np.linalg.lstsq applies: the smallest singular
+    value is <= eps max(m, J) times the largest. The singular values of a
+    design prefix are those of the leading J x J block of R.
     """
     if J_max < 3 or J_max % 2 == 0:
         raise ArgumentError(f"J_max must be odd and >= 3, got {J_max}")
@@ -121,20 +132,24 @@ def select_J(
     design_full = eval_basis(BasisSpec(candidates[-1], basis_domain), pts)
     y = sample.values[:, idx].T  # m x n
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(y**2, axis=0), _RSS_ABS_FLOOR)
-    bic_rows = []
+    q, r = np.linalg.qr(design_full)
     kept = []
     for J in candidates:
-        design = design_full[:, :J]
-        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < J:
+        sv = np.linalg.svd(r[:J, :J], compute_uv=False)
+        if sv[-1] <= np.finfo(float).eps * max(m, J) * sv[0]:
             break  # larger candidates only get worse conditioned
-        rss = np.maximum(np.sum((y - design @ coef) ** 2, axis=0), floor)
-        bic_rows.append(m * np.log(rss / m) + J * np.log(m))
         kept.append(J)
     if not kept:
         raise NumericalError("rank-deficient basis design at the smallest J")
-    bics = np.array(bic_rows)
-    best = np.array([kept[k] for k in np.argmin(bics, axis=0)])
+    z = q.T @ y
+    rss_full = np.sum((y - q @ z) ** 2, axis=0)
+    # tail[k] = sum_{k' >= k} z_k'^2, with a zero row for the full design.
+    tail = np.zeros((z.shape[0] + 1, z.shape[1]))
+    tail[:-1] = np.cumsum((z**2)[::-1], axis=0)[::-1]
+    Js = np.array(kept)
+    rss = np.maximum(rss_full + tail[Js], floor)
+    bics = m * np.log(rss / m) + Js[:, None] * np.log(m)
+    best = Js[np.argmin(bics, axis=0)]
     lower_median = int(np.sort(best)[(sample.n - 1) // 2])
     if lower_median % 2 == 0:
         lower_median -= 1

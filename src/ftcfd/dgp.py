@@ -11,7 +11,7 @@ component for exercising the order-2 back-transform estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr

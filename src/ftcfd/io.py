@@ -51,18 +51,31 @@ def parse_sample_csv(text: str) -> FunctionalSample:
         raise ParseError(f"bad grid header: {exc}", line=1) from None
     p = grid.p
     values = []
+    empty = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != p + 1:
             raise ParseError(f"expected {p + 1} fields, got {len(row)}", line=lineno)
+        cells = row[1:]
         try:
-            vals = [np.nan if cell == "" else float(cell) for cell in row[1:]]
+            vals = [np.nan if cell == "" else float(cell) for cell in cells]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
         values.append(vals)
+        empty.append(cells.count(""))
     if not values:
         raise ParseError("no curve rows")
+    values = np.array(values)
+    # Only empty cells are gaps: a written nan or inf is malformed, not missing.
+    bad = np.flatnonzero(np.count_nonzero(~np.isfinite(values), axis=1) != empty)
+    if bad.size:
+        i = int(bad[0])
+        row = rows[i + 1]
+        j = next(j for j in range(p) if row[j + 1] and not np.isfinite(values[i, j]))
+        raise ParseError(
+            f"non-finite value {row[j + 1]!r} in field {j + 2}", line=i + 2
+        )
     try:
-        return FunctionalSample.from_values(grid, np.array(values))
+        return FunctionalSample.from_values(grid, values)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

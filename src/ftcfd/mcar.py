@@ -11,7 +11,7 @@ residual (model-based) bootstrap. The rejection set is classified as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from ftcfd.basis import BasisSpec, eval_basis, project, select_J
-from ftcfd.core import FunctionalSample, make_grid
+from ftcfd.basis import (
+    _RSS_ABS_FLOOR,
+    _RSS_REL_FLOOR,
+    BasisSpec,
+    _subdomain_indices,
+    eval_basis,
+    project,
+    select_J,
+)
+from ftcfd.core import FunctionalSample, make_grid, summarize_observation
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ArgumentError, NumericalError
 
@@ -153,3 +161,56 @@ def test_select_j_validates_j_max():
     s = FunctionalSample.from_values(g, np.ones((2, 11)))
     with pytest.raises(ArgumentError):
         select_J(s, (0.0, 1.0), 4)
+
+
+def _select_j_reference(sample, subdomain, J_max, basis_domain):
+    """select_J as one lstsq solve per candidate size, stopping at rank loss."""
+    idx = _subdomain_indices(sample, subdomain)
+    m = idx.size
+    candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
+    pts = sample.grid.points[idx]
+    design_full = eval_basis(BasisSpec(candidates[-1], basis_domain), pts)
+    y = sample.values[:, idx].T
+    floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(y**2, axis=0), _RSS_ABS_FLOOR)
+    bic_rows, kept = [], []
+    for J in candidates:
+        design = design_full[:, :J]
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        if rank < J:
+            break
+        rss = np.maximum(np.sum((y - design @ coef) ** 2, axis=0), floor)
+        bic_rows.append(m * np.log(rss / m) + J * np.log(m))
+        kept.append(J)
+    best = np.array([kept[k] for k in np.argmin(np.array(bic_rows), axis=0)])
+    lower_median = int(np.sort(best)[(sample.n - 1) // 2])
+    if lower_median % 2 == 0:
+        lower_median -= 1
+    return max(lower_median, 3)
+
+
+@pytest.mark.parametrize("kind", ["DepDis", "DepCon", "IndDis", "IndCon"])
+@pytest.mark.parametrize("n", [50, 150])
+def test_select_j_matches_lstsq_sweep_on_dgp_draws(kind, n):
+    for rep in range(3):
+        sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=501, seed=(810, rep)))
+        lo, hi = float(sample.grid.points[0]), float(sample.grid.points[-1])
+        sub = (lo, summarize_observation(sample).d_min)
+        assert select_J(sample, sub, 51, (lo, hi)) == _select_j_reference(
+            sample, sub, 51, (lo, hi)
+        )
+
+
+# Short subdomains where the design prefixes lose numerical rank part-way
+# through the sweep, so the rank rule decides which candidates compete.
+@pytest.mark.parametrize(
+    "p, hi, J_max, noise",
+    [(201, 0.1, 51, 1e-2), (101, 0.2, 51, 1.0), (501, 0.03, 31, 1e-2)],
+)
+def test_select_j_matches_lstsq_sweep_where_rank_breaks(p, hi, J_max, noise):
+    g = make_grid(p, 0.0, 1.0)
+    rng = np.random.default_rng(0)
+    curves = rng.standard_normal((40, 7)) @ eval_basis(BasisSpec(7, (0, 1)), g.points).T
+    s = FunctionalSample.from_values(g, curves + noise * rng.standard_normal((40, p)))
+    assert select_J(s, (0.0, hi), J_max, (0.0, 1.0)) == _select_j_reference(
+        s, (0.0, hi), J_max, (0.0, 1.0)
+    )

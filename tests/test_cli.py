@@ -44,6 +44,15 @@ def test_empty_input_exits_with_data_code(tmp_path, capsys):
     assert "ftcfd:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "test"])
+def test_non_finite_cell_exits_with_data_code(tmp_path, capsys, command):
+    path = tmp_path / "inf.csv"
+    path.write_text("t,0,0.5,1\ncurve_1,1,2,3\ncurve_2,1,inf,\n")
+    out = ["--out", str(tmp_path / "est")] if command == "estimate" else []
+    assert main([command, str(path)] + out) == EXIT_DATA
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_with_usage_code(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--dgp", "DepDis", "--n", "5", "--frobnicate"])

@@ -67,6 +67,13 @@ def test_parse_missing_cells_become_mask():
     assert np.array_equal(s.mask, [[True, False, True]])
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
+def test_parse_rejects_non_finite_observed_cell(cell):
+    with pytest.raises(ParseError) as err:
+        parse_sample_csv(f"t,0,0.5,1\ncurve_1,1,,3\ncurve_2,1,{cell},3\n")
+    assert err.value.line == 3
+
+
 def test_parse_rejects_header_only():
     with pytest.raises(ParseError):
         parse_sample_csv("t,0,0.5,1\n")
