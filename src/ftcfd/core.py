@@ -45,8 +45,15 @@ class Grid:
         return (self.points[-1] - self.points[0]) / (self.points.size - 1)
 
     def index_of(self, t: float) -> int:
-        """Index of the grid point nearest to t (anchor snapping)."""
-        return int(np.argmin(np.abs(self.points - t)))
+        """Index of the grid point nearest to t (anchor snapping).
+
+        t must be finite and lie within h/2 of [t_1, t_p].
+        """
+        pts = self.points
+        half = 0.5 * self.h
+        if not (np.isfinite(t) and pts[0] - half <= t <= pts[-1] + half):
+            raise ArgumentError(f"{t} is not on the grid [{pts[0]}, {pts[-1]}]")
+        return int(np.argmin(np.abs(pts - t)))
 
 
 def make_grid(p: int, a: float, b: float) -> Grid:

@@ -3,11 +3,20 @@
 The classical estimators average observed values pointwise (0/0 = NaN).
 Their back-transformed counterparts estimate derivative means/covariances,
 which stay unbiased when the missing mechanism depends only on low-order
-polynomial components, and integrate them back from an anchor region where
-the full sample is observed.
+polynomial components, and integrate them back from an anchor block [l, u]
+where the full sample is observed.
+
+With P taking the value at clip(t, [l, u]) and W the trapezoid integral
+from clip(t, [l, u]) to t, every back-transform is one linear operator
+
+    M_K = [P, WP, ..., W^(K-1) P, W^K],
+
+so ftc_mean = M_K mu and ftc_cov = M_K S M_K^T, where mu stacks the
+derivative means of orders 0..K and S[a][b] is the pairwise-complete
+covariance of orders a and b.
 
 All estimators are pure functions of the sample; undefined cells propagate
-as NaN and cumulative integrals stop at the first undefined cell in each
+as NaN and every integral stops at the first undefined cell in each
 direction.
 """
 
@@ -72,19 +81,11 @@ def differentiate(sample: FunctionalSample) -> FunctionalSample:
     return FunctionalSample(sample.grid, np.where(mask, d, np.nan), mask)
 
 
-def _derivative_chain(sample, K, supplied=None):
-    """Samples of derivative orders 0..K; supplied[k-1] overrides order k."""
+def _derivative_chain(sample: FunctionalSample, K: int) -> list[FunctionalSample]:
+    """Samples of derivative orders 0..K."""
     chain = [sample]
-    for k in range(1, K + 1):
-        if supplied is not None and len(supplied) >= k and supplied[k - 1] is not None:
-            ds = supplied[k - 1]
-            if ds.mask.shape != sample.mask.shape or not np.array_equal(
-                ds.mask, sample.mask
-            ):
-                raise ArgumentError("supplied derivative sample must share the mask")
-            chain.append(ds)
-        else:
-            chain.append(differentiate(chain[-1]))
+    for _ in range(K):
+        chain.append(differentiate(chain[-1]))
     return chain
 
 
@@ -96,29 +97,30 @@ def _mean_vec(sample: FunctionalSample) -> np.ndarray:
         return np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
 
 
-def mean_est(sample: FunctionalSample, k: int = 0, derivatives=None) -> MeanEstimate:
+def mean_est(sample: FunctionalSample, k: int = 0) -> MeanEstimate:
     """Pointwise average of order-k derivative values over observed curves."""
     if k < 0:
         raise ArgumentError("derivative order must be >= 0")
-    chain = _derivative_chain(sample, k, derivatives)
-    return MeanEstimate(sample.grid, _mean_vec(chain[k]), order=k)
+    return MeanEstimate(sample.grid, _mean_vec(_derivative_chain(sample, k)[k]), order=k)
 
 
-def _centered(sample: FunctionalSample, mu: np.ndarray) -> np.ndarray:
+def _centered(sample: FunctionalSample) -> np.ndarray:
     with np.errstate(invalid="ignore"):
-        return np.where(sample.mask, sample.values - mu, 0.0)
+        return np.where(sample.mask, sample.values - _mean_vec(sample), 0.0)
 
 
-def _cov_mat(sample_l, sample_k, mu_l, mu_k) -> np.ndarray:
-    a = _centered(sample_l, mu_l)
-    b = _centered(sample_k, mu_k)
-    maskf = sample_l.mask.astype(float)
+def _pair_counts(mask: np.ndarray) -> np.ndarray:
+    """Number of curves observing both s and t; NaN where there is none."""
+    maskf = mask.astype(float)
     counts = maskf.T @ maskf
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, (a.T @ b) / np.maximum(counts, 1.0), np.nan)
+    return np.where(counts > 0, counts, np.nan)
 
 
-def cov_est(sample: FunctionalSample, l: int = 0, k: int = 0, derivatives=None) -> CovEstimate:
+def _cov_mat(sample_l, sample_k, counts) -> np.ndarray:
+    return (_centered(sample_l).T @ _centered(sample_k)) / counts
+
+
+def cov_est(sample: FunctionalSample, l: int = 0, k: int = 0) -> CovEstimate:
     """Pairwise-complete covariance of order-(l, k) derivative values.
 
     Centering uses the observed-subset means of matching orders; the
@@ -126,56 +128,38 @@ def cov_est(sample: FunctionalSample, l: int = 0, k: int = 0, derivatives=None) 
     """
     if l < 0 or k < 0:
         raise ArgumentError("derivative orders must be >= 0")
-    chain = _derivative_chain(sample, max(l, k), derivatives)
-    mu = [_mean_vec(s) for s in chain]
-    return CovEstimate(
-        sample.grid, _cov_mat(chain[l], chain[k], mu[l], mu[k]), orders=(l, k)
-    )
+    chain = _derivative_chain(sample, max(l, k))
+    values = _cov_mat(chain[l], chain[k], _pair_counts(sample.mask))
+    return CovEstimate(sample.grid, values, orders=(l, k))
 
 
-def cum_int(values, grid: Grid, anchor: int) -> np.ndarray:
-    """Signed trapezoidal cumulative integral from the anchor grid index.
+def _integrate(v, h: float, l: int, u: int, axis: int = 0) -> np.ndarray:
+    """W along `axis`: trapezoid integral of v from clip(t, [l, u]) to t.
 
-    F[j] approximates the integral of `values` from t_anchor to t_j, so
-    F[anchor] = 0 and F is negative-signed below the anchor when the
-    integrand is positive. Integration stops at the first NaN in each
-    direction (NaN beyond).
+    Zero on the block [l, u]; beyond u a cumulative sum from u, below l a
+    negated one from l. NaN stops each integral at the first undefined cell.
     """
-    v = np.asarray(values, dtype=float)
-    p = v.size
-    if not 0 <= anchor < p:
-        raise ArgumentError(f"anchor index {anchor} out of range")
-    if np.isnan(v[anchor]):
-        raise ArgumentError("anchor cell is undefined")
-    h = grid.h
-    out = np.full(p, np.nan)
-    out[anchor] = 0.0
-    if anchor < p - 1:
-        out[anchor + 1:] = np.cumsum(0.5 * h * (v[anchor:-1] + v[anchor + 1:]))
-    if anchor > 0:
-        seg = 0.5 * h * (v[:anchor] + v[1: anchor + 1])
-        out[:anchor] = -np.cumsum(seg[::-1])[::-1]
+    v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+    out = np.zeros_like(v)
+    if u < v.shape[0] - 1:
+        out[u + 1:] = np.cumsum(0.5 * h * (v[u:-1] + v[u + 1:]), axis=0)
+    if l > 0:
+        seg = 0.5 * h * (v[:l] + v[1: l + 1])
+        out[:l] = -np.cumsum(seg[::-1], axis=0)[::-1]
+    return np.moveaxis(out, 0, axis)
+
+
+def _backtransform(levels, h: float, l: int, u: int, axis: int = 0) -> np.ndarray:
+    """M_K along `axis`, levels[k] holding order k, in Horner form.
+
+    P levels[0] + W (P levels[1] + ... + W (P levels[K-1] + W levels[K])),
+    where P takes the value at clip(t, [l, u]).
+    """
+    clip = np.clip(np.arange(levels[0].shape[axis]), l, u)
+    out = levels[-1]
+    for m in reversed(levels[:-1]):
+        out = np.take(m, clip, axis=axis) + _integrate(out, h, l, u, axis)
     return out
-
-
-def _cum_int_axis1(m: np.ndarray, grid: Grid, anchor: int) -> np.ndarray:
-    """cum_int applied to each row of a matrix (no anchor-cell check)."""
-    p = m.shape[1]
-    h = grid.h
-    out = np.full_like(m, np.nan)
-    out[:, anchor] = np.where(np.isnan(m[:, anchor]), np.nan, 0.0)
-    if anchor < p - 1:
-        out[:, anchor + 1:] = np.cumsum(
-            0.5 * h * (m[:, anchor:-1] + m[:, anchor + 1:]), axis=1
-        )
-    if anchor > 0:
-        seg = 0.5 * h * (m[:, :anchor] + m[:, 1: anchor + 1])
-        out[:, :anchor] = -np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
-    return out
-
-
-def _cum_int_axis0(m: np.ndarray, grid: Grid, anchor: int) -> np.ndarray:
-    return _cum_int_axis1(m.T, grid, anchor).T
 
 
 def _anchor_run(sample: FunctionalSample, j_f: int) -> tuple[int, int]:
@@ -194,202 +178,65 @@ def _anchor_run(sample: FunctionalSample, j_f: int) -> tuple[int, int]:
     return l, u
 
 
-def _require_interval(sample: FunctionalSample):
-    summ = summarize_observation(sample)
-    if not summ.interval_pattern:
-        raise ArgumentError(
-            "sample does not have the interval observation pattern; "
-            "use the *_general estimators with an explicit anchor"
-        )
-    if summ.d_f_candidates.size == 0:
-        raise ArgumentError("no grid point is observed for the full sample")
-    return summ
+def _anchored_chain(sample: FunctionalSample, d_f, K: int):
+    """Derivative chain 0..K, anchor index and its fully observed block [l, u].
 
-
-def _mean_levels(chain, grid: Grid, K: int, l: int, u: int) -> np.ndarray:
-    """Back-transform the order-K derivative mean down to order 0.
-
-    On the fully observed block [l, u] each level uses the classical mean
-    of the matching order; outside, the previous level is integrated from
-    the block edge with the classical mean there as boundary value.
+    Without d_f the sample must have the interval pattern and the anchor
+    is d_min, the last fully observed grid point.
     """
-    p = grid.p
-    mu = [_mean_vec(s) for s in chain]
-    cur = mu[K]
-    for k in range(K, 0, -1):
-        nxt = np.full(p, np.nan)
-        nxt[l: u + 1] = mu[k - 1][l: u + 1]
-        if u < p - 1:
-            nxt[u + 1:] = cum_int(cur, grid, u)[u + 1:] + mu[k - 1][u]
-        if l > 0:
-            nxt[:l] = cum_int(cur, grid, l)[:l] + mu[k - 1][l]
-        cur = nxt
-    return cur
-
-
-def ftc_mean(sample: FunctionalSample, derivatives=None) -> MeanEstimate:
-    """Integral-back-transform mean estimator for interval-pattern samples.
-
-    Equals the classical mean on the fully observed block [t_1, d_min];
-    beyond d_min it integrates the derivative mean from the anchor.
-    """
-    summ = _require_interval(sample)
-    u = int(summ.d_f_candidates[-1])
-    chain = _derivative_chain(sample, 1, derivatives)
-    values = _mean_levels(chain, sample.grid, 1, 0, u)
-    return MeanEstimate(sample.grid, values, order=0, anchor=float(sample.grid.points[u]))
-
-
-def ftc_mean_general(sample: FunctionalSample, d_f: float, derivatives=None) -> MeanEstimate:
-    """Back-transform mean anchored at any fully observed grid point d_f.
-
-    d_f is snapped to the nearest grid point; the anchor block is grown to
-    the maximal fully observed run around it, so interval-pattern samples
-    with d_f = d_min reproduce ftc_mean bit for bit.
-    """
-    j_f = sample.grid.index_of(d_f)
-    l, u = _anchor_run(sample, j_f)
-    chain = _derivative_chain(sample, 1, derivatives)
-    values = _mean_levels(chain, sample.grid, 1, l, u)
-    return MeanEstimate(sample.grid, values, order=0, anchor=float(sample.grid.points[j_f]))
-
-
-def ftc_mean_recursive(
-    sample: FunctionalSample, K: int, d_f: float, derivatives=None
-) -> MeanEstimate:
-    """K-fold back-transform for missingness tied to the first K monomials."""
     if K < 1:
         raise ArgumentError("K must be >= 1")
     if int(sample.mask.sum(axis=1).min()) < K + 2:
         raise ArgumentError(
             f"order-{K} stencils need >= {K + 2} observed points per curve"
         )
-    j_f = sample.grid.index_of(d_f)
+    if d_f is None:
+        summ = summarize_observation(sample)
+        if not summ.interval_pattern:
+            raise ArgumentError(
+                "sample does not have the interval observation pattern; "
+                "pass an explicit anchor d_f (--d-f)"
+            )
+        j_f = int(summ.d_f_candidates[-1])
+    else:
+        j_f = sample.grid.index_of(d_f)
     l, u = _anchor_run(sample, j_f)
-    chain = _derivative_chain(sample, K, derivatives)
-    values = _mean_levels(chain, sample.grid, K, l, u)
+    return _derivative_chain(sample, K), j_f, l, u
+
+
+def ftc_mean(sample: FunctionalSample, d_f=None, K: int = 1) -> MeanEstimate:
+    """K-fold back-transform mean M_K mu anchored at d_f (default d_min).
+
+    d_f is snapped to the nearest grid point, which must be observed by
+    every curve; the block [l, u] is the maximal fully observed run around
+    it, where the estimate equals the classical mean.
+    """
+    chain, j_f, l, u = _anchored_chain(sample, d_f, K)
+    values = _backtransform([_mean_vec(s) for s in chain], sample.grid.h, l, u)
     return MeanEstimate(sample.grid, values, order=0, anchor=float(sample.grid.points[j_f]))
 
 
-def _assemble_cov(s11, s10, s01, s00, grid: Grid, l: int, u: int) -> np.ndarray:
-    """One back-transform level of the covariance surface.
+def ftc_cov(sample: FunctionalSample, d_f=None, K: int = 1) -> CovEstimate:
+    """K-fold back-transform covariance M_K S M_K^T anchored at d_f.
 
-    With a_s = clip(s, [l, u]) and a_t likewise, assembles
-
-        out(s,t) = double integral of s11 over [a_s,s] x [a_t,t]
-                 + integral of s10(., a_t) over [a_s,s]
-                 + integral of s01(a_s, .) over [a_t,t]
-                 + s00(a_s, a_t),
-
-    which collapses to s00 on the fully observed block and to the
-    four-case anchored formula elsewhere.
+    Anchoring as in ftc_mean. The pair counts are shared by all blocks of
+    S, since differentiation keeps the mask.
     """
-    p = grid.p
-    clip = np.clip(np.arange(p), l, u)
-    out = s00[np.ix_(clip, clip)].copy()
-
-    if u < p - 1:
-        cu = _cum_int_axis1(s01, grid, u)
-        out[:, u + 1:] += cu[clip, u + 1:]
-        du = _cum_int_axis0(s10, grid, u)
-        out[u + 1:, :] += du[u + 1:, :][:, clip]
-        inner = _cum_int_axis1(s11, grid, u)
-        out[u + 1:, u + 1:] += _cum_int_axis0(inner, grid, u)[u + 1:, u + 1:]
-    if l > 0:
-        cl = _cum_int_axis1(s01, grid, l)
-        out[:, :l] += cl[clip, :l]
-        dl = _cum_int_axis0(s10, grid, l)
-        out[:l, :] += dl[:l, :][:, clip]
-        inner = _cum_int_axis1(s11, grid, l)
-        out[:l, :l] += _cum_int_axis0(inner, grid, l)[:l, :l]
-        if u < p - 1:
-            inner_u = _cum_int_axis1(s11, grid, u)
-            out[:l, u + 1:] += _cum_int_axis0(inner_u, grid, l)[:l, u + 1:]
-            inner_l = _cum_int_axis1(s11, grid, l)
-            out[u + 1:, :l] += _cum_int_axis0(inner_l, grid, u)[u + 1:, :l]
-    return out
-
-
-def _backtransform_axis0(mats, grid: Grid, l: int, u: int) -> np.ndarray:
-    """Back-transform the first (row) index of a derivative-order ladder.
-
-    mats[i] estimates the order-(k+i, j) surface; the last entry is the
-    highest order and is integrated down level by level, keeping the
-    classical values on the fully observed row block [l, u] and anchoring
-    each integral at the block edges.
-    """
-    p = mats[-1].shape[0]
-    cur = mats[-1]
-    for m in reversed(mats[:-1]):
-        nxt = np.full_like(cur, np.nan)
-        nxt[l: u + 1, :] = m[l: u + 1, :]
-        if u < p - 1:
-            nxt[u + 1:, :] = _cum_int_axis0(cur, grid, u)[u + 1:, :] + m[u, :]
-        if l > 0:
-            nxt[:l, :] = _cum_int_axis0(cur, grid, l)[:l, :] + m[l, :]
-        cur = nxt
-    return cur
-
-
-def _cov_levels(chain, grid: Grid, K: int, l: int, u: int) -> np.ndarray:
-    """Back-transform the order-(K, K) covariance down to order (0, 0).
-
-    One anchored four-term assembly per level. The boundary cross terms of
-    level k are themselves back-transformed in their off-anchor argument
-    from order K down to k: an off-anchor factor of order below K still
-    carries selection-dependent components, so using the classical
-    order-(k, k-1) estimate directly would leave an O(1) bias for K >= 2.
-    """
-    mu = [_mean_vec(s) for s in chain]
-    cache = {}
-
-    def cmat(a, b):
-        if (a, b) not in cache:
-            cache[(a, b)] = _cov_mat(chain[a], chain[b], mu[a], mu[b])
-        return cache[(a, b)]
-
-    cur = cmat(K, K)
-    for k in range(K, 0, -1):
-        s10 = _backtransform_axis0(
-            [cmat(j, k - 1) for j in range(k, K + 1)], grid, l, u
-        )
-        cur = _assemble_cov(cur, s10, s10.T, cmat(k - 1, k - 1), grid, l, u)
-    return cur
-
-
-def ftc_cov(sample: FunctionalSample, derivatives=None) -> CovEstimate:
-    """Integral-back-transform covariance for interval-pattern samples."""
-    summ = _require_interval(sample)
-    u = int(summ.d_f_candidates[-1])
-    chain = _derivative_chain(sample, 1, derivatives)
-    values = _cov_levels(chain, sample.grid, 1, 0, u)
-    return CovEstimate(sample.grid, values, orders=(0, 0), anchor=float(sample.grid.points[u]))
-
-
-def ftc_cov_general(sample: FunctionalSample, d_f: float, derivatives=None) -> CovEstimate:
-    """Back-transform covariance anchored at any fully observed grid point."""
-    j_f = sample.grid.index_of(d_f)
-    l, u = _anchor_run(sample, j_f)
-    chain = _derivative_chain(sample, 1, derivatives)
-    values = _cov_levels(chain, sample.grid, 1, l, u)
-    return CovEstimate(sample.grid, values, orders=(0, 0), anchor=float(sample.grid.points[j_f]))
-
-
-def ftc_cov_recursive(
-    sample: FunctionalSample, K: int, d_f: float, derivatives=None
-) -> CovEstimate:
-    """K-fold covariance back-transform; one anchored level per order."""
-    if K < 1:
-        raise ArgumentError("K must be >= 1")
-    if int(sample.mask.sum(axis=1).min()) < K + 2:
-        raise ArgumentError(
-            f"order-{K} stencils need >= {K + 2} observed points per curve"
-        )
-    j_f = sample.grid.index_of(d_f)
-    l, u = _anchor_run(sample, j_f)
-    chain = _derivative_chain(sample, K, derivatives)
-    values = _cov_levels(chain, sample.grid, K, l, u)
-    return CovEstimate(sample.grid, values, orders=(0, 0), anchor=float(sample.grid.points[j_f]))
+    chain, j_f, l, u = _anchored_chain(sample, d_f, K)
+    counts = _pair_counts(sample.mask)
+    S = {}
+    for a in range(K + 1):
+        for b in range(a + 1):
+            S[a, b] = _cov_mat(chain[a], chain[b], counts)
+            S[b, a] = S[a, b].T
+    h = sample.grid.h
+    cols = [
+        _backtransform([S[a, b] for a in range(K + 1)], h, l, u, axis=0)
+        for b in range(K + 1)
+    ]
+    values = _backtransform(cols, h, l, u, axis=1)
+    anchor = float(sample.grid.points[j_f])
+    return CovEstimate(sample.grid, values, orders=(0, 0), anchor=anchor)
 
 
 def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.ndarray]:

@@ -311,22 +311,6 @@ def write_experiment_csv(result: ExperimentResult, path) -> None:
                 )
 
 
-def _ftc_pair(sample: FunctionalSample, d_f):
-    """(ftc_mean, ftc_cov), anchored automatically or at an explicit d_f."""
-    summ = summarize_observation(sample)
-    if d_f is not None:
-        return (
-            estimators.ftc_mean_general(sample, d_f),
-            estimators.ftc_cov_general(sample, d_f),
-        )
-    if not summ.interval_pattern:
-        raise ArgumentError(
-            "sample does not follow the interval observation pattern; "
-            "pass an explicit anchor via --d-f"
-        )
-    return estimators.ftc_mean(sample), estimators.ftc_cov(sample)
-
-
 def estimate_cmd(sample: FunctionalSample, out_dir, d_f=None, fpc_scores=False):
     """Write classical and back-transform mean/covariance estimate files.
 
@@ -336,7 +320,8 @@ def estimate_cmd(sample: FunctionalSample, out_dir, d_f=None, fpc_scores=False):
     os.makedirs(out_dir, exist_ok=True)
     mean_cl = estimators.mean_est(sample, 0)
     cov_cl = estimators.cov_est(sample, 0, 0)
-    mean_ftc, cov_ftc = _ftc_pair(sample, d_f)
+    mean_ftc = estimators.ftc_mean(sample, d_f)
+    cov_ftc = estimators.ftc_cov(sample, d_f)
     grid = sample.grid
     written = []
 

@@ -38,21 +38,22 @@ def read_sample_csv(path) -> FunctionalSample:
 
 
 def parse_sample_csv(text: str) -> FunctionalSample:
-    rows = list(csv.reader(_io.StringIO(text)))
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
+    reader = csv.reader(_io.StringIO(text))
+    # Number rows by their source line before dropping blank ones.
+    rows = [(reader.line_num, r) for r in reader if r]
     if not rows:
         raise ParseError("empty input")
-    header = rows[0]
-    if not header or header[0] != "t":
-        raise ParseError("header must start with 't'", line=1)
+    header_line, header = rows[0]
+    if header[0] != "t":
+        raise ParseError("header must start with 't'", line=header_line)
     try:
         grid = Grid(np.array([float(x) for x in header[1:]]))
     except ValueError as exc:
-        raise ParseError(f"bad grid header: {exc}", line=1) from None
+        raise ParseError(f"bad grid header: {exc}", line=header_line) from None
     p = grid.p
     values = []
     empty = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != p + 1:
             raise ParseError(f"expected {p + 1} fields, got {len(row)}", line=lineno)
         cells = row[1:]
@@ -69,11 +70,9 @@ def parse_sample_csv(text: str) -> FunctionalSample:
     bad = np.flatnonzero(np.count_nonzero(~np.isfinite(values), axis=1) != empty)
     if bad.size:
         i = int(bad[0])
-        row = rows[i + 1]
+        lineno, row = rows[i + 1]
         j = next(j for j in range(p) if row[j + 1] and not np.isfinite(values[i, j]))
-        raise ParseError(
-            f"non-finite value {row[j + 1]!r} in field {j + 2}", line=i + 2
-        )
+        raise ParseError(f"non-finite value {row[j + 1]!r} in field {j + 2}", line=lineno)
     try:
         return FunctionalSample.from_values(grid, values)
     except ValueError as exc:

@@ -16,11 +16,7 @@ from ftcfd.core import FunctionalSample, make_grid
 from ftcfd.estimators import (
     cov_est,
     ftc_cov,
-    ftc_cov_general,
-    ftc_cov_recursive,
     ftc_mean,
-    ftc_mean_general,
-    ftc_mean_recursive,
     mean_est,
 )
 from ftcfd.harness import (
@@ -291,9 +287,9 @@ def test_criterion_8_higher_order_back_transform():
         )
 
     base_ok = nan_eq(
-        ftc_mean_recursive(s, 1, anchor).values, ftc_mean_general(s, anchor).values
+        ftc_mean(s, anchor, 1).values, ftc_mean(s, anchor).values
     ) and nan_eq(
-        ftc_cov_recursive(s, 1, anchor).values, ftc_cov_general(s, anchor).values
+        ftc_cov(s, anchor, 1).values, ftc_cov(s, anchor).values
     )
 
     # two-fold estimators remove a missing mechanism tied to the first two
@@ -310,11 +306,11 @@ def test_criterion_8_higher_order_back_transform():
         sm, dm, _ = dgp.draw_v2_sample(n, p=p, seed=(13, r))
         am = float(dm.min())
         acc_m_cl += mean_est(sm, 0).values
-        acc_m_k2 += ftc_mean_recursive(sm, 2, am).values
+        acc_m_k2 += ftc_mean(sm, am, 2).values
         sc, dc, _ = dgp.draw_v2_sample(n, p=p, seed=(14, r))
         ac = float(dc.min())
         acc_c_cl += cov_est(sc, 0, 0).values
-        acc_c_k2 += ftc_cov_recursive(sc, 2, ac).values
+        acc_c_k2 += ftc_cov(sc, ac, 2).values
 
     def isb1(a, truth):
         return float(np.trapezoid((a / reps - truth) ** 2, dx=g.h))

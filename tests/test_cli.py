@@ -122,3 +122,40 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_USAGE
     assert "wibble" in capsys.readouterr().err
+
+
+def _write_rows(path, rows):
+    lines = ["t," + ",".join(str(i / 10) for i in range(11))]
+    for i, row in enumerate(rows, start=1):
+        lines.append(f"curve_{i}," + ",".join("" if v is None else repr(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_estimate_non_interval_sample_needs_explicit_anchor(tmp_path, capsys):
+    # Curves 2 and 3 miss their beginnings, so there is no interval pattern;
+    # grid points 0.3 to 0.8 are observed by every curve.
+    path = tmp_path / "s.csv"
+    base = [float(v) for v in range(11)]
+    _write_rows(
+        path,
+        [
+            base,
+            [None, None] + [2 * v for v in base[2:]],
+            [None, None, None] + [v * v for v in base[3:9]] + [None, None],
+        ],
+    )
+    out = ["--out", str(tmp_path / "est")]
+    assert main(["estimate", str(path)] + out) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "interval" in err and "explicit anchor" in err and "--d-f" in err
+    assert main(["estimate", str(path), "--d-f", "0.5"] + out) == EXIT_OK
+    assert (tmp_path / "est" / "cov_ftc.csv").exists()
+
+
+@pytest.mark.parametrize("d_f", ["nan", "7"])
+def test_estimate_rejects_off_grid_anchor(tmp_path, capsys, d_f):
+    path = tmp_path / "full.csv"
+    _write_rows(path, [[float(v) for v in range(11)], [float(v * v) for v in range(11)]])
+    argv = ["estimate", str(path), "--out", str(tmp_path / "est"), "--d-f", d_f]
+    assert main(argv) == EXIT_USAGE
+    assert "not on the grid" in capsys.readouterr().err

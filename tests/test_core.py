@@ -41,6 +41,19 @@ def test_grid_rejects_non_equidistant_points():
         Grid(np.array([0.0, 0.5, 0.5, 1.0]))
 
 
+def test_index_of_snaps_within_half_a_step():
+    g = make_grid(11, 0.0, 1.0)
+    assert g.index_of(0.34) == 3
+    assert g.index_of(-0.05) == 0
+    assert g.index_of(1.05) == 10
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -0.06, 1.06, 7.0])
+def test_index_of_rejects_off_grid_points(t):
+    with pytest.raises(ArgumentError):
+        make_grid(11, 0.0, 1.0).index_of(t)
+
+
 def test_sample_syncs_nan_with_mask():
     g = make_grid(3, 0.0, 1.0)
     values = np.array([[1.0, 2.0, 3.0]])

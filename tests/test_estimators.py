@@ -7,16 +7,12 @@ from ftcfd import dgp
 from ftcfd.core import FunctionalSample, make_grid
 from ftcfd.errors import ArgumentError
 from ftcfd.estimators import (
+    _integrate,
     cov_est,
-    cum_int,
     differentiate,
     fpca_scores,
     ftc_cov,
-    ftc_cov_general,
-    ftc_cov_recursive,
     ftc_mean,
-    ftc_mean_general,
-    ftc_mean_recursive,
     mean_est,
 )
 
@@ -153,30 +149,30 @@ def _fourier5(points):
     return eval_basis(BasisSpec(5, (0.0, 1.0)), points)
 
 
-# --- cum_int ------------------------------------------------------------
+# --- cumulative integral ------------------------------------------------
 
 
 def test_cum_int_constant():
     g = make_grid(11, 0.0, 1.0)
-    f = cum_int(np.ones(11), g, 0)
+    f = _integrate(np.ones(11), g.h, 0, 0)
     assert np.allclose(f, g.points, atol=1e-14)
 
 
 def test_cum_int_exact_on_linear_integrand():
     g = make_grid(501, 0.0, 1.0)
-    f = cum_int(2 * g.points, g, 0)
+    f = _integrate(2 * g.points, g.h, 0, 0)
     assert np.allclose(f, g.points**2, atol=1e-12)
 
 
 def test_cum_int_cosine_accuracy():
     g = make_grid(501, 0.0, 1.0)
-    f = cum_int(np.cos(2 * np.pi * g.points), g, 0)
+    f = _integrate(np.cos(2 * np.pi * g.points), g.h, 0, 0)
     assert np.abs(f - np.sin(2 * np.pi * g.points) / (2 * np.pi)).max() < 5e-6
 
 
 def test_cum_int_signed_below_anchor():
     g = make_grid(11, 0.0, 1.0)
-    f = cum_int(np.ones(11), g, 10)
+    f = _integrate(np.ones(11), g.h, 10, 10)
     assert f[10] == 0.0
     assert f[0] == pytest.approx(-1.0)
 
@@ -184,15 +180,9 @@ def test_cum_int_signed_below_anchor():
 def test_cum_int_stops_at_undefined_cells():
     g = make_grid(5, 0.0, 1.0)
     v = np.array([1.0, 1.0, 1.0, np.nan, 1.0])
-    f = cum_int(v, g, 0)
+    f = _integrate(v, g.h, 0, 0)
     assert not np.isnan(f[2])
     assert np.isnan(f[3]) and np.isnan(f[4])
-
-
-def test_cum_int_rejects_undefined_anchor():
-    g = make_grid(5, 0.0, 1.0)
-    with pytest.raises(ArgumentError):
-        cum_int(np.array([np.nan, 1.0, 1.0, 1.0, 1.0]), g, 0)
 
 
 # --- ftc_mean / ftc_cov -------------------------------------------------
@@ -250,20 +240,21 @@ def test_ftc_cov_anchor_value_matches_classical():
     assert ftc_cov(sample).values[j, j] == cov_est(sample, 0, 0).values[j, j]
 
 
-# --- generalized anchors ------------------------------------------------
+# --- explicit anchors ---------------------------------------------------
 
 
 def test_general_mean_reduces_to_interval_version():
+    # Without d_f the anchor is d_min; naming it explicitly changes nothing.
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=8))
     a = ftc_mean(sample).values
-    b = ftc_mean_general(sample, float(d.min())).values
+    b = ftc_mean(sample, float(d.min())).values
     assert _nan_equal(a, b)
 
 
 def test_general_cov_reduces_to_interval_version():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=9))
     a = ftc_cov(sample).values
-    b = ftc_cov_general(sample, float(d.min())).values
+    b = ftc_cov(sample, float(d.min())).values
     assert np.nanmax(np.abs(a - b)) < 1e-10
 
 
@@ -272,13 +263,13 @@ def test_general_mean_any_anchor_under_full_observation():
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = mean_est(full, 0).values
     for d_f in (0.1, 0.5, 0.9):
-        assert np.abs(ftc_mean_general(full, d_f).values - cl).max() < 1e-4
+        assert np.abs(ftc_mean(full, d_f).values - cl).max() < 1e-4
 
 
 def test_general_rejects_anchor_without_full_observation():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=80, p=101, seed=11))
     with pytest.raises(ArgumentError):
-        ftc_mean_general(sample, 0.75)
+        ftc_mean(sample, 0.75)
 
 
 def test_general_mean_mirrored_design_unbiased():
@@ -291,7 +282,7 @@ def test_general_mean_mirrored_design_unbiased():
     for r in range(reps):
         s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(9, r)))
         mirrored = FunctionalSample(g, s.values[:, ::-1].copy(), s.mask[:, ::-1].copy())
-        acc_f += ftc_mean_general(mirrored, 1.0).values
+        acc_f += ftc_mean(mirrored, 1.0).values
         acc_c += mean_est(mirrored, 0).values
     isb_f = np.trapezoid((acc_f / reps - truth) ** 2, dx=g.h)
     isb_c = np.trapezoid((acc_c / reps - truth) ** 2, dx=g.h)
@@ -301,39 +292,25 @@ def test_general_mean_mirrored_design_unbiased():
 
 def test_general_cov_symmetry():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("IndCon", n=50, p=101, seed=12))
-    c = ftc_cov_general(sample, float(d.min())).values
+    c = ftc_cov(sample, float(d.min())).values
     assert np.nanmax(np.abs(c - c.T)) < 1e-8
 
 
-# --- recursive back-transforms ------------------------------------------
-
-
-def test_recursive_mean_base_case_bit_matches():
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=13))
-    a = ftc_mean_general(sample, float(d.min())).values
-    b = ftc_mean_recursive(sample, 1, float(d.min())).values
-    assert _nan_equal(a, b)
-
-
-def test_recursive_cov_base_case_bit_matches():
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=14))
-    a = ftc_cov_general(sample, float(d.min())).values
-    b = ftc_cov_recursive(sample, 1, float(d.min())).values
-    assert _nan_equal(a, b)
+# --- order-K back-transforms --------------------------------------------
 
 
 def test_recursive_mean_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=15))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = mean_est(full, 0).values
-    assert np.abs(ftc_mean_recursive(full, 2, 0.5).values - cl).max() < 1e-3
+    assert np.abs(ftc_mean(full, 0.5, 2).values - cl).max() < 1e-3
 
 
 def test_recursive_cov_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=16))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = cov_est(full, 0, 0).values
-    assert np.abs(ftc_cov_recursive(full, 2, 0.5).values - cl).max() < 5e-2
+    assert np.abs(ftc_cov(full, 0.5, 2).values - cl).max() < 5e-2
 
 
 def test_recursive_mean_removes_second_order_dependence():
@@ -347,8 +324,8 @@ def test_recursive_mean_removes_second_order_dependence():
         s, d, _ = dgp.draw_v2_sample(n, p=p, seed=(13, r))
         anchor = float(d.min())
         acc["cl"] += mean_est(s, 0).values
-        acc["k1"] += ftc_mean_recursive(s, 1, anchor).values
-        acc["k2"] += ftc_mean_recursive(s, 2, anchor).values
+        acc["k1"] += ftc_mean(s, anchor, 1).values
+        acc["k2"] += ftc_mean(s, anchor, 2).values
     isb = {
         key: float(np.trapezoid((a / reps - truth) ** 2, dx=g.h))
         for key, a in acc.items()
@@ -367,7 +344,7 @@ def test_recursive_cov_removes_second_order_dependence():
     for r in range(reps):
         s, d, _ = dgp.draw_v2_sample(n, p=p, seed=(14, r))
         acc_cl += cov_est(s, 0, 0).values
-        acc_k2 += ftc_cov_recursive(s, 2, float(d.min())).values
+        acc_k2 += ftc_cov(s, float(d.min()), 2).values
 
     def isb(a):
         b = (a / reps - truth) ** 2
@@ -382,7 +359,82 @@ def test_recursive_requires_enough_observed_points():
     vals = np.tile(g.points, (2, 1))
     s = _interval_sample(g, vals, [1.0, 2.5 / 9.0])  # second curve: 3 points
     with pytest.raises(ArgumentError):
-        ftc_mean_recursive(s, 2, 0.1)
+        ftc_mean(s, 0.1, 2)
+
+
+# --- dense-operator oracle ------------------------------------------------
+
+# Per curve: first and last observed grid index on a 41-point grid. Curve 0
+# observes everything in the first three, so every pair count is positive.
+_BLOCKS = {
+    "interval": ([0] * 8, [40, 20, 25, 31, 22, 38, 27, 35]),
+    "interior": ([0, 5, 8, 3, 10, 2, 7, 9], [40, 30, 35, 28, 33, 38, 31, 29]),
+    "ends_at_tp": ([0, 5, 8, 3, 10, 2, 7, 9], [40] * 8),
+    # No curve observes both ends: pair counts vanish in two corners.
+    "corners": ([0, 0, 0, 0, 12, 14, 16, 18], [24, 26, 28, 30, 40, 40, 40, 40]),
+}
+
+
+def _band_sample(name, seed=22):
+    lo, hi = (np.asarray(x)[:, None] for x in _BLOCKS[name])
+    g = make_grid(41, 0.0, 1.0)
+    x = g.points
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((lo.size, 3)) @ np.vstack([np.ones(41), np.sin(3 * x), x**2])
+    idx = np.arange(41)
+    mask = (idx >= lo) & (idx <= hi)
+    return FunctionalSample(g, np.where(mask, vals, np.nan), mask)
+
+
+def _dense_operator(sample, K):
+    """M_K = [P, WP, ..., W^(K-1) P, W^K] as a dense matrix, and its row support."""
+    full = sample.mask.all(axis=0)
+    block = np.flatnonzero(full)
+    l, u = int(block[0]), int(block[-1])
+    assert full[l: u + 1].all()
+    p, h = sample.grid.p, sample.grid.h
+    clip = np.clip(np.arange(p), l, u)
+    P = np.zeros((p, p))
+    P[np.arange(p), clip] = 1.0
+    W = np.zeros((p, p))
+    for i, a in enumerate(clip):
+        lo, hi = min(a, i), max(a, i)
+        if lo < hi:
+            W[i, lo: hi + 1] = h
+            W[i, [lo, hi]] = h / 2
+            W[i] *= np.sign(i - a)
+    Wk = [np.linalg.matrix_power(W, k) for k in range(K + 1)]
+    M = np.hstack([Wk[k] @ P for k in range(K)] + [Wk[K]])
+    return M, (P != 0) | (W != 0)
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("name", ["interval", "interior", "ends_at_tp"])
+def test_ftc_estimators_equal_dense_operator(name, K):
+    s = _band_sample(name)
+    M, _ = _dense_operator(s, K)
+    mu = np.concatenate([mean_est(s, k).values for k in range(K + 1)])
+    S = np.block([[cov_est(s, a, b).values for b in range(K + 1)] for a in range(K + 1)])
+    want_mean, want_cov = M @ mu, M @ S @ M.T
+    got_mean, got_cov = ftc_mean(s, 0.5, K).values, ftc_cov(s, 0.5, K).values
+    assert np.abs(got_mean - want_mean).max() <= 1e-10 * np.abs(want_mean).max()
+    assert np.abs(got_cov - want_cov).max() <= 1e-10 * np.abs(want_cov).max()
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
+    # (s, t) is undefined iff [clip s, s] x [clip t, t] holds a zero pair count.
+    s = _band_sample("corners")
+    M, support = _dense_operator(s, K)
+    maskf = s.mask.astype(float)
+    zero = (maskf.T @ maskf == 0).astype(float)
+    want_nan = support.astype(float) @ zero @ support.T.astype(float) > 0
+    S = np.block([[cov_est(s, a, b).values for b in range(K + 1)] for a in range(K + 1)])
+    got = ftc_cov(s, 0.5, K).values
+    assert want_nan.any() and not want_nan.all()
+    assert np.array_equal(np.isnan(got), want_nan)
+    want = M @ np.nan_to_num(S) @ M.T
+    assert np.abs(got - want)[~want_nan].max() <= 1e-10 * np.abs(want).max()
 
 
 # --- refinement rates ----------------------------------------------------

@@ -62,6 +62,18 @@ def test_parse_bad_number_reports_line():
     assert err.value.line == 3
 
 
+def test_parse_counts_blank_lines_in_line_numbers():
+    with pytest.raises(ParseError) as err:
+        parse_sample_csv("t,0,0.5,1\n\ncurve_1,1,2,3\ncurve_2,1,x,3\n")
+    assert err.value.line == 4
+    with pytest.raises(ParseError) as err:
+        parse_sample_csv("\nx,0,0.5,1\ncurve_1,1,2,3\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        parse_sample_csv("t,0,0.5,1\ncurve_1,1,2,3\n\n\ncurve_2,1,inf,3\n")
+    assert err.value.line == 5
+
+
 def test_parse_missing_cells_become_mask():
     s = parse_sample_csv("t,0,0.5,1\ncurve_1,1,,3\n")
     assert np.array_equal(s.mask, [[True, False, True]])
