@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample
+from .core import FunctionalSample, subdomain_indices
 from .errors import ArgumentError, NumericalError
 
 # Residual sums of squares below this relative level are numerical noise;
@@ -60,14 +60,9 @@ def eval_basis(spec: BasisSpec, grid_points) -> np.ndarray:
 
 
 def _subdomain_indices(sample: FunctionalSample, subdomain) -> np.ndarray:
-    lo, hi = subdomain
-    pts = sample.grid.points
-    tol = 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0)
-    idx = np.flatnonzero((pts >= lo - tol) & (pts <= hi + tol))
+    idx = subdomain_indices(sample, subdomain)
     if idx.size == 0:
         raise ArgumentError("subdomain contains no grid points")
-    if not sample.mask[:, idx].all():
-        raise ArgumentError("every curve must be fully observed on the subdomain")
     return idx
 
 

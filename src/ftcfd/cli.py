@@ -15,18 +15,26 @@ import argparse
 import os
 import sys
 
+from . import estimators
+from .core import fully_observed_prefix, summarize_observation
 from .dgp import KINDS, DgpConfig, draw_sample, draw_v2_sample
 from .errors import ArgumentError, NumericalError, ParseError
 from .harness import (
     MODE_BIAS_VARIANCE,
     MODE_TEST_SELECTION,
     ExperimentSpec,
-    estimate_cmd,
     run_experiment,
-    test_cmd,
-    write_experiment_csv,
 )
-from .io import read_sample_csv, write_coefficient_sidecar, write_sample_csv
+from .io import (
+    read_sample_csv,
+    write_coefficient_sidecar,
+    write_experiment_csv,
+    write_matrix_csv,
+    write_sample_csv,
+    write_scores_csv,
+    write_vector_csv,
+)
+from .mcar import classify_and_test
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,10 +206,33 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    """Write classical and back-transform mean/covariance estimate files.
+
+    Both mean estimates are emitted side by side so they can be overlaid
+    directly. Prints every written path.
+    """
     sample = read_sample_csv(args.input)
-    written = estimate_cmd(
-        sample, args.out, d_f=args.d_f, fpc_scores=args.fpc_scores
-    )
+    os.makedirs(args.out, exist_ok=True)
+    mean_cl = estimators.mean_est(sample, 0)
+    cov_cl = estimators.cov_est(sample, 0, 0)
+    mean_ftc = estimators.ftc_mean(sample, args.d_f)
+    cov_ftc = estimators.ftc_cov(sample, args.d_f)
+    grid = sample.grid
+    written = []
+
+    def emit(name, writer, *table):
+        path = os.path.join(args.out, name)
+        writer(path, *table)
+        written.append(path)
+
+    emit("mean_classical.csv", write_vector_csv, grid, mean_cl.values, "mean")
+    emit("mean_ftc.csv", write_vector_csv, grid, mean_ftc.values, "mean")
+    emit("cov_classical.csv", write_matrix_csv, grid, cov_cl.values)
+    emit("cov_ftc.csv", write_matrix_csv, grid, cov_ftc.values)
+    if args.fpc_scores:
+        subdomain = fully_observed_prefix(grid, summarize_observation(sample))
+        scores, explained = estimators.fpca_scores(sample, subdomain)
+        emit("fpc_scores.csv", write_scores_csv, scores, explained)
     for path in written:
         print(path)
     return EXIT_OK
@@ -209,16 +240,15 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_test(args) -> int:
     sample = read_sample_csv(args.input)
-    text = test_cmd(
-        sample,
-        out_path=args.out,
-        J_max=args.j_max,
-        alpha=args.alpha,
-        R=args.bootstrap,
-        seed=args.seed,
+    report = classify_and_test(
+        sample, J_max=args.j_max, alpha=args.alpha, R=args.bootstrap, seed=args.seed
     )
+    text = report.serialize()
     if args.out is None:
         sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return EXIT_OK
 
 

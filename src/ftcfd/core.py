@@ -28,6 +28,8 @@ class Grid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 3:
             raise ArgumentError("grid needs at least 3 points")
+        if not np.isfinite(pts).all():
+            raise ArgumentError("grid points must be finite")
         diffs = np.diff(pts)
         if np.any(diffs <= 0):
             raise ArgumentError("grid points must be strictly increasing")
@@ -144,3 +146,34 @@ def summarize_observation(sample: FunctionalSample) -> ObservationSummary:
         d_f_candidates=d_f_candidates,
         interval_pattern=interval,
     )
+
+
+def subdomain_indices(sample: FunctionalSample, subdomain) -> np.ndarray:
+    """Grid indices in subdomain = (lo, hi), which every curve must observe.
+
+    Points within 1e-12 (relative to the grid's magnitude) of a bound count
+    as inside. Callers check that enough points were selected.
+    """
+    lo, hi = subdomain
+    pts = sample.grid.points
+    tol = 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0)
+    idx = np.flatnonzero((pts >= lo - tol) & (pts <= hi + tol))
+    if not sample.mask[:, idx].all():
+        raise ArgumentError("every curve must be fully observed on the subdomain")
+    return idx
+
+
+def fully_observed_prefix(
+    grid: Grid, summary: ObservationSummary
+) -> tuple[float, float]:
+    """The subdomain (t_1, d_min) that every curve observes.
+
+    Needs the interval pattern and d_min > t_1.
+    """
+    lo = float(grid.points[0])
+    if summary.d_min is None or not summary.d_min > lo:
+        raise ArgumentError(
+            "no fully observed subdomain [t_1, d_min]: needs the interval "
+            "pattern and d_min > t_1"
+        )
+    return lo, summary.d_min

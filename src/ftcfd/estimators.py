@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, Grid, summarize_observation
+from .core import FunctionalSample, Grid, subdomain_indices, summarize_observation
 from .errors import ArgumentError
 
 
@@ -247,14 +247,9 @@ def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.nda
     (scores, explained) with explained fractions non-increasing and
     summing to 1 over the retained positive eigenvalues.
     """
-    lo, hi = subdomain
-    pts = sample.grid.points
-    tol = 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0)
-    idx = np.flatnonzero((pts >= lo - tol) & (pts <= hi + tol))
+    idx = subdomain_indices(sample, subdomain)
     if idx.size < 2:
         raise ArgumentError("subdomain contains fewer than 2 grid points")
-    if not sample.mask[:, idx].all():
-        raise ArgumentError("subdomain must be fully observed")
     h = sample.grid.h
     vals = sample.values[:, idx]
     mu = vals.mean(axis=0)

@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment runner and command implementations.
+"""Monte-Carlo experiment runner.
 
 Two experiment modes mirror the two summary tables: bias_variance computes
 integrated squared bias and integrated variance of the classical and
@@ -6,13 +6,12 @@ back-transform estimators over replicated draws; test_selection tabulates
 how often the stepdown test classifies each design as Null / V / Other.
 Both are deterministic given the spec (per-replication seeds are derived
 from the base seed and the replication index, and aggregation is ordered
-by index), so result CSVs are byte-identical across runs and across
-worker counts.
+by index), so results, and the tables ``io.write_experiment_csv`` makes of
+them, are byte-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .core import FunctionalSample, summarize_observation
 from .dgp import KINDS, DgpConfig, draw_sample, true_cov, true_mean
 from .errors import ArgumentError
-from .io import _FMT, write_matrix_csv, write_vector_csv
 from .mcar import OUTCOME_NULL, OUTCOME_OTHER, OUTCOME_V, classify_and_test
 
 WORKERS_ENV = "FTCFD_WORKERS"
@@ -253,118 +250,3 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if spec.mode == MODE_BIAS_VARIANCE:
         return run_bias_variance(spec)
     return run_test_selection(spec)
-
-
-def _metadata_lines(spec: ExperimentSpec):
-    fields = [
-        ("mode", spec.mode),
-        ("kinds", ",".join(spec.kinds)),
-        ("n", ",".join(str(n) for n in spec.n_values)),
-        ("replications", spec.replications),
-        ("p", spec.p),
-        ("J_max", spec.J_max),
-        ("alpha", spec.alpha),
-        ("R", spec.R),
-        ("seed", spec.seed),
-        ("targets", ",".join(spec.targets)),
-    ]
-    return [f"# {k}={v}" for k, v in fields]
-
-
-def write_experiment_csv(result: ExperimentResult, path) -> None:
-    """Result table with a self-describing `#` metadata header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in _metadata_lines(result.spec):
-            fh.write(line + "\n")
-        w = csv.writer(fh)
-        if result.spec.mode == MODE_BIAS_VARIANCE:
-            w.writerow(
-                [
-                    "dgp",
-                    "n",
-                    "estimator",
-                    "target",
-                    "int_sq_bias",
-                    "int_variance",
-                    "excluded_fraction",
-                    "degenerate",
-                ]
-            )
-            for c in result.cells:
-                w.writerow(
-                    [
-                        c.kind,
-                        c.n,
-                        c.estimator,
-                        c.target,
-                        _FMT % c.int_sq_bias,
-                        _FMT % c.int_variance,
-                        _FMT % c.excluded_fraction,
-                        str(c.degenerate).lower(),
-                    ]
-                )
-        else:
-            w.writerow(["dgp", "n", "null_pct", "v_pct", "other_pct"])
-            for c in result.cells:
-                w.writerow(
-                    [c.kind, c.n, _FMT % c.null_pct, _FMT % c.v_pct, _FMT % c.other_pct]
-                )
-
-
-def estimate_cmd(sample: FunctionalSample, out_dir, d_f=None, fpc_scores=False):
-    """Write classical and back-transform mean/covariance estimate files.
-
-    Both mean estimates are emitted side by side so they can be overlaid
-    directly. Returns the list of written paths.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    mean_cl = estimators.mean_est(sample, 0)
-    cov_cl = estimators.cov_est(sample, 0, 0)
-    mean_ftc = estimators.ftc_mean(sample, d_f)
-    cov_ftc = estimators.ftc_cov(sample, d_f)
-    grid = sample.grid
-    written = []
-
-    def emit(name, writer, *args):
-        path = os.path.join(out_dir, name)
-        writer(path, grid, *args)
-        written.append(path)
-
-    emit("mean_classical.csv", write_vector_csv, mean_cl.values, "mean")
-    emit("mean_ftc.csv", write_vector_csv, mean_ftc.values, "mean")
-    emit("cov_classical.csv", write_matrix_csv, cov_cl.values)
-    emit("cov_ftc.csv", write_matrix_csv, cov_ftc.values)
-    if fpc_scores:
-        summ = summarize_observation(sample)
-        lo = float(grid.points[0])
-        if summ.d_min is None or not summ.d_min > lo:
-            raise ArgumentError(
-                "principal component scores need a fully observed subdomain"
-            )
-        scores, explained = estimators.fpca_scores(sample, (lo, summ.d_min))
-        path = os.path.join(out_dir, "fpc_scores.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("# explained=" + ",".join(_FMT % e for e in explained) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["i"] + [f"score_{j + 1}" for j in range(scores.shape[1])])
-            for i in range(scores.shape[0]):
-                w.writerow([i + 1] + [_FMT % s for s in scores[i]])
-        written.append(path)
-    return written
-
-
-def test_cmd(
-    sample: FunctionalSample,
-    out_path=None,
-    J_max: int = 51,
-    alpha: float = 0.05,
-    R: int = 1000,
-    seed: int = 0,
-) -> str:
-    """Run the stepdown test and serialize the report (file or return value)."""
-    report = classify_and_test(sample, J_max=J_max, alpha=alpha, R=R, seed=seed)
-    text = report.serialize()
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text

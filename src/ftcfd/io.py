@@ -1,35 +1,57 @@
-"""CSV serialization of functional samples and gridded estimates.
+"""CSV reading of functional samples and writing of every table the package emits.
 
 Sample format: header row ``t,<t_1>,...,<t_p>``, then one row per curve
 ``curve_<i>,v_1,...,v_p`` with empty cells for missing values. UTF-8,
 ``.`` decimal separator.
+
+Every table (samples, coefficient sidecars, mean vectors, covariance
+matrices, principal component scores, experiment results) is written by
+``_write_table`` in one layout:
+
+- optional comment lines ``# <text>``, each ending in ``\\n``;
+- a header row, then one row per record, each ending in ``\\r\\n``;
+- cells separated by ``,``: text cells as given, numbers as ``%.17g``
+  (enough digits to round-trip float64 exactly), NaN as an empty cell.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .core import FunctionalSample, Grid
 from .errors import ParseError
+from .harness import MODE_BIAS_VARIANCE, ExperimentResult
 
-# Enough digits to round-trip float64 exactly.
 _FMT = "%.17g"
 
 
-def _cell(x: float) -> str:
-    return "" if np.isnan(x) else _FMT % x
+def _write_table(path, header, rows, comments=()) -> None:
+    """Write comment lines, the header and the rows in the module's layout.
+
+    Rows are lists of str and number cells, produced one at a time (numpy
+    rows via ``.tolist()``) so no whole matrix is converted at once.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        for row in chain([header], rows):
+            cells = [
+                c if isinstance(c, str) else "" if c != c else _FMT % c for c in row
+            ]
+            fh.write(",".join(cells) + "\r\n")
 
 
 def write_sample_csv(sample: FunctionalSample, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [_FMT % t for t in sample.grid.points])
-        for i in range(sample.n):
-            w.writerow([f"curve_{i + 1}"] + [_cell(v) for v in sample.values[i]])
+    _write_table(
+        path,
+        ["t"] + sample.grid.points.tolist(),
+        ([f"curve_{i}"] + row.tolist() for i, row in enumerate(sample.values, start=1)),
+    )
 
 
 def read_sample_csv(path) -> FunctionalSample:
@@ -82,26 +104,62 @@ def parse_sample_csv(text: str) -> FunctionalSample:
 def write_coefficient_sidecar(path, d: np.ndarray, xi: np.ndarray) -> None:
     """Sidecar CSV ``i,d_i,xi_1,...,xi_J`` next to a simulated sample."""
     xi = np.asarray(xi)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "d_i"] + [f"xi_{j + 1}" for j in range(xi.shape[1])])
-        for i in range(xi.shape[0]):
-            w.writerow([i + 1, _FMT % d[i]] + [_FMT % x for x in xi[i]])
+    _write_table(
+        path,
+        ["i", "d_i"] + [f"xi_{j + 1}" for j in range(xi.shape[1])],
+        ([i + 1, d[i]] + xi[i].tolist() for i in range(xi.shape[0])),
+    )
 
 
 def write_vector_csv(path, grid: Grid, values: np.ndarray, name: str = "value") -> None:
     """Grid-indexed vector (e.g. a mean estimate); empty cell = undefined."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", name])
-        for t, v in zip(grid.points, values):
-            w.writerow([_FMT % t, _cell(v)])
+    rows = zip(grid.points.tolist(), np.asarray(values).tolist())
+    _write_table(path, ["t", name], rows)
 
 
 def write_matrix_csv(path, grid: Grid, values: np.ndarray) -> None:
     """Grid-indexed matrix (covariance surface); rows are s, columns t."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s"] + [_FMT % t for t in grid.points])
-        for s, row in zip(grid.points, values):
-            w.writerow([_FMT % s] + [_cell(v) for v in row])
+    pts = grid.points.tolist()
+    _write_table(path, ["s"] + pts, ([s] + row.tolist() for s, row in zip(pts, values)))
+
+
+def write_scores_csv(path, scores: np.ndarray, explained: np.ndarray) -> None:
+    """Per-curve principal component scores ``i,score_1,...,score_k``.
+
+    The explained variance fractions go into a ``# explained=`` line.
+    """
+    _write_table(
+        path,
+        ["i"] + [f"score_{j + 1}" for j in range(scores.shape[1])],
+        ([i] + row.tolist() for i, row in enumerate(scores, start=1)),
+        comments=["explained=" + ",".join(_FMT % e for e in explained)],
+    )
+
+
+def write_experiment_csv(result: ExperimentResult, path) -> None:
+    """Result table with a self-describing ``# key=value`` header."""
+    spec = result.spec
+    comments = [
+        f"mode={spec.mode}",
+        f"kinds={','.join(spec.kinds)}",
+        f"n={','.join(str(n) for n in spec.n_values)}",
+        f"replications={spec.replications}",
+        f"p={spec.p}",
+        f"J_max={spec.J_max}",
+        f"alpha={spec.alpha}",
+        f"R={spec.R}",
+        f"seed={spec.seed}",
+        f"targets={','.join(spec.targets)}",
+    ]
+    if spec.mode == MODE_BIAS_VARIANCE:
+        header = ["dgp", "n", "estimator", "target", "int_sq_bias", "int_variance",
+                  "excluded_fraction", "degenerate"]
+        rows = (
+            [c.kind, c.n, c.estimator, c.target, c.int_sq_bias, c.int_variance,
+             c.excluded_fraction, str(c.degenerate).lower()]
+            for c in result.cells
+        )
+    else:
+        header = ["dgp", "n", "null_pct", "v_pct", "other_pct"]
+        rows = ([c.kind, c.n, c.null_pct, c.v_pct, c.other_pct] for c in result.cells)
+    _write_table(path, header, rows, comments)

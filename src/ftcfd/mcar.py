@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, project, select_J
-from .core import FunctionalSample, summarize_observation
+from .core import FunctionalSample, fully_observed_prefix, summarize_observation
 from .errors import ArgumentError, NumericalError
 
 OUTCOME_NULL = "Null"
@@ -201,9 +201,7 @@ def classify_and_test(
     summ = summarize_observation(sample)
     if not summ.interval_pattern:
         raise ArgumentError("test requires the interval observation pattern")
-    lo = float(sample.grid.points[0])
-    if summ.d_min is None or not summ.d_min > lo:
-        raise ArgumentError("fully observed subdomain must extend beyond t_1")
+    subdomain = fully_observed_prefix(sample.grid, summ)
     if np.ptp(summ.d_i) == 0.0:
         return TestReport(
             rejected=frozenset(),
@@ -215,11 +213,10 @@ def classify_and_test(
             J=0,
             degenerate_response=True,
         )
-    subdomain = (lo, summ.d_min)
     # Basis rescaled to the full grid domain: keeps finite-dimensional
     # curves finite-dimensional on the subdomain, which the BIC sweep and
     # the regression design both rely on.
-    basis_domain = (lo, float(sample.grid.points[-1]))
+    basis_domain = (subdomain[0], float(sample.grid.points[-1]))
     J = select_J(sample, subdomain, J_max, basis_domain=basis_domain)
     proj = project(sample, BasisSpec(J, basis_domain), subdomain)
     return romano_wolf(summ.d_i, proj.coefficients, alpha, R, seed)

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
+from ftcfd.basis import BasisSpec, eval_basis
 from ftcfd.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from ftcfd.core import FunctionalSample
+from ftcfd.dgp import DgpConfig, draw_sample
+from ftcfd.io import write_sample_csv
 
 
 def test_simulate_then_estimate_pipeline(tmp_path, capsys):
@@ -159,3 +164,76 @@ def test_estimate_rejects_off_grid_anchor(tmp_path, capsys, d_f):
     argv = ["estimate", str(path), "--out", str(tmp_path / "est"), "--d-f", d_f]
     assert main(argv) == EXIT_USAGE
     assert "not on the grid" in capsys.readouterr().err
+
+
+def _simulate(path, kind, n, p, seed):
+    argv = ["simulate", "--dgp", kind, "--n", str(n), "--p", str(p), "--seed", str(seed)]
+    assert main(argv + ["--out", str(path)]) == EXIT_OK
+
+
+def _mean_column(path):
+    rows = [line.split(",") for line in open(path).read().strip().splitlines()[1:]]
+    return np.array([float(r[1]) if r[1] else np.nan for r in rows])
+
+
+def test_estimate_separates_biased_and_corrected_means(tmp_path):
+    sample_path = tmp_path / "s.csv"
+    _simulate(sample_path, "DepDis", 300, 101, 12)
+    assert main(["estimate", str(sample_path), "--out", str(tmp_path)]) == EXIT_OK
+    classical = _mean_column(tmp_path / "mean_classical.csv")
+    ftc = _mean_column(tmp_path / "mean_ftc.csv")
+    assert abs(classical[-1] - ftc[-1]) > 1.0
+
+
+def test_estimate_fully_observed_estimates_agree(tmp_path, capsys):
+    sample, _, xi = draw_sample(DgpConfig("IndDis", n=40, p=101, seed=13))
+    full = FunctionalSample.from_values(
+        sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
+    )
+    sample_path = tmp_path / "full.csv"
+    write_sample_csv(full, sample_path)
+    assert main(["estimate", str(sample_path), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    classical = _mean_column(tmp_path / "mean_classical.csv")
+    ftc = _mean_column(tmp_path / "mean_ftc.csv")
+    assert np.abs(classical - ftc).max() < 1e-3
+
+
+def test_estimate_writes_component_scores(tmp_path, capsys):
+    sample_path = tmp_path / "s.csv"
+    _simulate(sample_path, "DepCon", 50, 101, 14)
+    argv = ["estimate", str(sample_path), "--out", str(tmp_path), "--fpc-scores"]
+    assert main(argv) == EXIT_OK
+    path = tmp_path / "fpc_scores.csv"
+    assert str(path) in capsys.readouterr().out.splitlines()
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# explained=")
+    assert lines[1].startswith("i,score_1")
+    assert len(lines) == 2 + 50
+
+
+@pytest.fixture(scope="module")
+def dep_dis_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dep") / "dep.csv"
+    dep, _, _ = draw_sample(DgpConfig("DepDis", n=250, p=501, seed=(71, 0)))
+    write_sample_csv(dep, path)
+    return path
+
+
+def test_test_outcomes(tmp_path, capsys, dep_dis_path):
+    report = tmp_path / "dep.txt"
+    assert main(["test", str(dep_dis_path), "--out", str(report)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert "outcome=V" in report.read_text()
+    assert main(["test", str(dep_dis_path)]) == EXIT_OK
+    assert capsys.readouterr().out == report.read_text()
+    ind, _, _ = draw_sample(DgpConfig("IndDis", n=250, p=501, seed=(73, 0)))
+    ind_path = tmp_path / "ind.csv"
+    write_sample_csv(ind, ind_path)
+    assert main(["test", str(ind_path)]) == EXIT_OK
+    assert "outcome=Null" in capsys.readouterr().out
+
+
+def test_test_j_max_does_not_change_clear_outcome(capsys, dep_dis_path):
+    assert main(["test", str(dep_dis_path), "--j-max", "41"]) == EXIT_OK
+    assert "outcome=V" in capsys.readouterr().out

@@ -41,6 +41,12 @@ def test_grid_rejects_non_equidistant_points():
         Grid(np.array([0.0, 0.5, 0.5, 1.0]))
 
 
+def test_grid_rejects_non_finite_points():
+    for pts in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [np.nan, np.nan, np.nan]):
+        with pytest.raises(ArgumentError):
+            Grid(np.array(pts))
+
+
 def test_index_of_snaps_within_half_a_step():
     g = make_grid(11, 0.0, 1.0)
     assert g.index_of(0.34) == 3

@@ -1,21 +1,15 @@
-import numpy as np
 import pytest
 
 from ftcfd import harness
-from ftcfd.basis import BasisSpec, eval_basis
-from ftcfd.core import FunctionalSample
-from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ArgumentError
 from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
     MODE_TEST_SELECTION,
     ExperimentSpec,
-    estimate_cmd,
     run_bias_variance,
     run_test_selection,
-    write_experiment_csv,
 )
-from ftcfd.harness import test_cmd as run_test_cmd
+from ftcfd.io import write_experiment_csv
 
 
 def _bv_spec(**kw):
@@ -133,53 +127,3 @@ def test_result_csv_metadata_header(tmp_path):
     assert "# mode=bias_variance" in meta
     header = lines[len(meta)]
     assert header.startswith("dgp,n,estimator,target,")
-
-
-def _mean_column(path):
-    rows = [line.split(",") for line in open(path).read().strip().splitlines()[1:]]
-    return np.array([float(r[1]) if r[1] else np.nan for r in rows])
-
-
-def test_estimate_cmd_separates_biased_and_corrected_means(tmp_path):
-    sample, _, _ = draw_sample(DgpConfig("DepDis", n=300, p=101, seed=12))
-    estimate_cmd(sample, tmp_path)
-    classical = _mean_column(tmp_path / "mean_classical.csv")
-    ftc = _mean_column(tmp_path / "mean_ftc.csv")
-    assert abs(classical[-1] - ftc[-1]) > 1.0
-
-
-def test_estimate_cmd_fully_observed_estimates_agree(tmp_path):
-    sample, _, xi = draw_sample(DgpConfig("IndDis", n=40, p=101, seed=13))
-    full = FunctionalSample.from_values(
-        sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
-    )
-    written = estimate_cmd(full, tmp_path)
-    assert len(written) == 4
-    classical = _mean_column(tmp_path / "mean_classical.csv")
-    ftc = _mean_column(tmp_path / "mean_ftc.csv")
-    assert np.abs(classical - ftc).max() < 1e-3
-
-
-def test_estimate_cmd_writes_component_scores(tmp_path):
-    sample, _, _ = draw_sample(DgpConfig("DepCon", n=50, p=101, seed=14))
-    written = estimate_cmd(sample, tmp_path, fpc_scores=True)
-    path = tmp_path / "fpc_scores.csv"
-    assert str(path) in written
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# explained=")
-    assert lines[1].startswith("i,score_1")
-    assert len(lines) == 2 + sample.n
-
-
-def test_test_cmd_outcomes(tmp_path):
-    dep, _, _ = draw_sample(DgpConfig("DepDis", n=250, p=501, seed=(71, 0)))
-    text = run_test_cmd(dep, out_path=tmp_path / "dep.txt", R=1000, seed=0)
-    assert "outcome=V" in text
-    assert (tmp_path / "dep.txt").read_text() == text
-    ind, _, _ = draw_sample(DgpConfig("IndDis", n=250, p=501, seed=(73, 0)))
-    assert "outcome=Null" in run_test_cmd(ind, R=1000, seed=0)
-
-
-def test_test_cmd_j_max_does_not_change_clear_outcome():
-    dep, _, _ = draw_sample(DgpConfig("DepDis", n=250, p=501, seed=(71, 0)))
-    assert "outcome=V" in run_test_cmd(dep, J_max=41, R=1000, seed=0)

@@ -4,12 +4,22 @@ import pytest
 from ftcfd.core import FunctionalSample, make_grid
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ParseError
+from ftcfd.harness import (
+    MODE_BIAS_VARIANCE,
+    MODE_TEST_SELECTION,
+    BiasVarianceCell,
+    ExperimentResult,
+    ExperimentSpec,
+    SelectionCell,
+)
 from ftcfd.io import (
     parse_sample_csv,
     read_sample_csv,
     write_coefficient_sidecar,
+    write_experiment_csv,
     write_matrix_csv,
     write_sample_csv,
+    write_scores_csv,
     write_vector_csv,
 )
 
@@ -79,11 +89,21 @@ def test_parse_missing_cells_become_mask():
     assert np.array_equal(s.mask, [[True, False, True]])
 
 
-@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN"])
-def test_parse_rejects_non_finite_observed_cell(cell):
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param(f"t,0,0.5,1\ncurve_1,1,,3\ncurve_2,1,{cell},3\n", 3, id=cell)
+        for cell in ["inf", "-inf", "nan", "NaN"]
+    ]
+    + [
+        pytest.param(f"{header}\ncurve_1,1,2,3\n", 1, id=header)
+        for header in ["t,0,nan,1", "t,0,1,inf", "t,nan,nan,nan"]
+    ],
+)
+def test_parse_rejects_non_finite_observed_cell(text, line):
     with pytest.raises(ParseError) as err:
-        parse_sample_csv(f"t,0,0.5,1\ncurve_1,1,,3\ncurve_2,1,{cell},3\n")
-    assert err.value.line == 3
+        parse_sample_csv(text)
+    assert err.value.line == line
 
 
 def test_parse_rejects_header_only():
@@ -113,3 +133,91 @@ def test_vector_and_matrix_csv(tmp_path):
     lines = mpath.read_text().strip().splitlines()
     assert lines[0].startswith("s,0,0.5,1")
     assert len(lines) == 4
+
+
+# One cell of each kind the format must pin: a NaN, a value %.17g writes with
+# 17 digits, a negative zero, a tiny value and a large one.
+_NAN, _TENTH, _NEG0, _TINY, _BIG = np.nan, 0.1, -0.0, 1e-300, 1.2345678901234567e17
+# The five cells in that order, as written: the NaN is the empty first cell.
+_ROW = ",0.10000000000000001,-0,1e-300,1.2345678901234566e+17"
+
+
+def _written(tmp_path, write):
+    path = tmp_path / "table.csv"
+    write(path)
+    return path.read_bytes()
+
+
+def test_table_bytes_are_pinned(tmp_path):
+    g = make_grid(5, 0.0, 1.0)
+    row = np.array([_NAN, _TENTH, _NEG0, _TINY, _BIG])
+    grid_cells = "0,0.25,0.5,0.75,1"
+
+    sample = FunctionalSample.from_values(g, np.vstack([row, np.roll(row, -1)]))
+    assert _written(tmp_path, lambda p: write_sample_csv(sample, p)) == (
+        f"t,{grid_cells}\r\n"
+        f"curve_1,{_ROW}\r\n"
+        "curve_2,0.10000000000000001,-0,1e-300,1.2345678901234566e+17,\r\n"
+    ).encode()
+
+    d = np.array([0.25])
+    sidecar = _written(tmp_path, lambda p: write_coefficient_sidecar(p, d, row[None, :]))
+    assert sidecar == f"i,d_i,xi_1,xi_2,xi_3,xi_4,xi_5\r\n1,0.25,{_ROW}\r\n".encode()
+
+    assert _written(tmp_path, lambda p: write_vector_csv(p, g, row, "mean")) == (
+        "t,mean\r\n0,\r\n0.25,0.10000000000000001\r\n0.5,-0\r\n"
+        "0.75,1e-300\r\n1,1.2345678901234566e+17\r\n"
+    ).encode()
+
+    matrix = _written(tmp_path, lambda p: write_matrix_csv(p, g, np.vstack([row] * 5)))
+    assert matrix == (
+        f"s,{grid_cells}\r\n"
+        + "".join(f"{t},{_ROW}\r\n" for t in grid_cells.split(","))
+    ).encode()
+
+    explained = np.array([0.1, 0.9])
+    scores = _written(tmp_path, lambda p: write_scores_csv(p, row[None, 1:], explained))
+    assert scores == (
+        "# explained=0.10000000000000001,0.90000000000000002\n"
+        "i,score_1,score_2,score_3,score_4\r\n"
+        "1,0.10000000000000001,-0,1e-300,1.2345678901234566e+17\r\n"
+    ).encode()
+
+
+def _metadata(mode):
+    return (
+        f"# mode={mode}\n# kinds=DepDis\n# n=5\n# replications=2\n# p=3\n"
+        "# J_max=51\n# alpha=0.1\n# R=1000\n# seed=0\n# targets=mean\n"
+    ).encode()
+
+
+def test_experiment_table_bytes_are_pinned(tmp_path):
+    spec = dict(kinds=("DepDis",), n_values=(5,), replications=2, p=3, alpha=0.1,
+                targets=("mean",))
+    bv = ExperimentResult(
+        ExperimentSpec(mode=MODE_BIAS_VARIANCE, **spec),
+        (
+            BiasVarianceCell("DepDis", 5, "classical", "mean", _TENTH, _NEG0, _TINY),
+            BiasVarianceCell("DepDis", 5, "ftc", "mean", _NAN, _BIG, 0.5, True),
+        ),
+        elapsed_seconds=1.0,
+    )
+    assert _written(tmp_path, lambda p: write_experiment_csv(bv, p)) == _metadata(
+        "bias_variance"
+    ) + (
+        b"dgp,n,estimator,target,int_sq_bias,int_variance,excluded_fraction,"
+        b"degenerate\r\n"
+        b"DepDis,5,classical,mean,0.10000000000000001,-0,1e-300,false\r\n"
+        b"DepDis,5,ftc,mean,,1.2345678901234566e+17,0.5,true\r\n"
+    )
+    sel = ExperimentResult(
+        ExperimentSpec(mode=MODE_TEST_SELECTION, **spec),
+        (SelectionCell("DepDis", 5, 100.0 / 3, _NEG0, _NAN),),
+        elapsed_seconds=1.0,
+    )
+    assert _written(tmp_path, lambda p: write_experiment_csv(sel, p)) == _metadata(
+        "test_selection"
+    ) + (
+        b"dgp,n,null_pct,v_pct,other_pct\r\n"
+        b"DepDis,5,33.333333333333336,-0,\r\n"
+    )
