@@ -214,9 +214,8 @@ def _cmd_estimate(args) -> int:
     sample = read_sample_csv(args.input)
     os.makedirs(args.out, exist_ok=True)
     mean_cl = estimators.mean_est(sample, 0)
-    cov_cl = estimators.cov_est(sample, 0, 0)
     mean_ftc = estimators.ftc_mean(sample, args.d_f)
-    cov_ftc = estimators.ftc_cov(sample, args.d_f)
+    cov_cl, cov_ftc = estimators.cov_pair(sample, args.d_f)
     grid = sample.grid
     written = []
 

@@ -13,7 +13,8 @@ from clip(t, [l, u]) to t, every back-transform is one linear operator
 
 so ftc_mean = M_K mu and ftc_cov = M_K S M_K^T, where mu stacks the
 derivative means of orders 0..K and S[a][b] is the pairwise-complete
-covariance of orders a and b.
+covariance of orders a and b. The classical covariance is S[0][0] of the
+same pass, so cov_pair returns both covariances from one computation of S.
 
 All estimators are pure functions of the sample; undefined cells propagate
 as NaN and every integral stops at the first undefined cell in each
@@ -116,8 +117,10 @@ def _pair_counts(mask: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, counts, np.nan)
 
 
-def _cov_mat(sample_l, sample_k, counts) -> np.ndarray:
-    return (_centered(sample_l).T @ _centered(sample_k)) / counts
+def _cov_mat(c_l: np.ndarray, c_k: np.ndarray, counts) -> np.ndarray:
+    # Given one array twice, numpy computes c.T @ c as a symmetric rank-k
+    # update: the block comes out exactly symmetric at half the flops.
+    return (c_l.T @ c_k) / counts
 
 
 def cov_est(sample: FunctionalSample, l: int = 0, k: int = 0) -> CovEstimate:
@@ -129,7 +132,8 @@ def cov_est(sample: FunctionalSample, l: int = 0, k: int = 0) -> CovEstimate:
     if l < 0 or k < 0:
         raise ArgumentError("derivative orders must be >= 0")
     chain = _derivative_chain(sample, max(l, k))
-    values = _cov_mat(chain[l], chain[k], _pair_counts(sample.mask))
+    cs = {o: _centered(chain[o]) for o in {l, k}}
+    values = _cov_mat(cs[l], cs[k], _pair_counts(sample.mask))
     return CovEstimate(sample.grid, values, orders=(l, k))
 
 
@@ -216,19 +220,23 @@ def ftc_mean(sample: FunctionalSample, d_f=None, K: int = 1) -> MeanEstimate:
     return MeanEstimate(sample.grid, values, order=0, anchor=float(sample.grid.points[j_f]))
 
 
-def ftc_cov(sample: FunctionalSample, d_f=None, K: int = 1) -> CovEstimate:
-    """K-fold back-transform covariance M_K S M_K^T anchored at d_f.
+def cov_pair(sample: FunctionalSample, d_f=None, K: int = 1) -> tuple[CovEstimate, CovEstimate]:
+    """(cov_est(sample), ftc_cov(sample, d_f, K)) from one pass over S.
 
-    Anchoring as in ftc_mean. The pair counts are shared by all blocks of
-    S, since differentiation keeps the mask.
+    The classical covariance is the block S[0, 0] that M_K S M_K^T starts
+    from; all blocks share one pair-count matrix (differentiation keeps the
+    mask) and one centred array per derivative order. Anchoring as in
+    ftc_mean; only the back-transform estimate carries the anchor.
     """
     chain, j_f, l, u = _anchored_chain(sample, d_f, K)
     counts = _pair_counts(sample.mask)
+    cs = [_centered(s) for s in chain]
     S = {}
     for a in range(K + 1):
         for b in range(a + 1):
-            S[a, b] = _cov_mat(chain[a], chain[b], counts)
-            S[b, a] = S[a, b].T
+            S[a, b] = _cov_mat(cs[a], cs[b], counts)
+            if a != b:
+                S[b, a] = S[a, b].T
     h = sample.grid.h
     cols = [
         _backtransform([S[a, b] for a in range(K + 1)], h, l, u, axis=0)
@@ -236,7 +244,13 @@ def ftc_cov(sample: FunctionalSample, d_f=None, K: int = 1) -> CovEstimate:
     ]
     values = _backtransform(cols, h, l, u, axis=1)
     anchor = float(sample.grid.points[j_f])
-    return CovEstimate(sample.grid, values, orders=(0, 0), anchor=anchor)
+    classical = CovEstimate(sample.grid, S[0, 0], orders=(0, 0))
+    return classical, CovEstimate(sample.grid, values, orders=(0, 0), anchor=anchor)
+
+
+def ftc_cov(sample: FunctionalSample, d_f=None, K: int = 1) -> CovEstimate:
+    """K-fold back-transform covariance M_K S M_K^T anchored at d_f (see cov_pair)."""
+    return cov_pair(sample, d_f, K)[1]
 
 
 def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.ndarray]:

@@ -125,8 +125,8 @@ def _bias_variance_rep(task):
         out["mean_classical"] = estimators.mean_est(sample, 0).values
         out["mean_ftc"] = estimators.ftc_mean(sample).values
     if "cov" in targets:
-        out["cov_classical"] = estimators.cov_est(sample, 0, 0).values
-        out["cov_ftc"] = estimators.ftc_cov(sample).values
+        classical, ftc = estimators.cov_pair(sample)
+        out["cov_classical"], out["cov_ftc"] = classical.values, ftc.values
     return out
 
 

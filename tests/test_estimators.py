@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftcfd import dgp
 from ftcfd.core import FunctionalSample, make_grid
@@ -9,6 +11,7 @@ from ftcfd.errors import ArgumentError
 from ftcfd.estimators import (
     _integrate,
     cov_est,
+    cov_pair,
     differentiate,
     fpca_scores,
     ftc_cov,
@@ -120,10 +123,18 @@ def test_cov_est_identical_curves_zero():
     assert np.nanmax(np.abs(c)) < 1e-12
 
 
-def test_cov_est_symmetric_exactly():
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=40, p=51, seed=1))
-    c = cov_est(sample, 0, 0).values
-    assert _nan_equal(c, c.T)
+# Exact symmetry needs c.T @ c from one centred buffer (a symmetric rank-k
+# update); two separately centred copies go through a general matmul, whose
+# blocking breaks the symmetry only at realistic sizes.
+@pytest.mark.parametrize(
+    "kind, n, p",
+    [("DepCon", 40, 51)]
+    + [(kind, n, 501) for kind in ("DepDis", "IndCon", "DepCon") for n in (150, 500)],
+)
+def test_cov_est_symmetric_exactly(kind, n, p):
+    sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=1))
+    for c in (cov_est(sample, 0, 0).values, cov_pair(sample)[0].values):
+        assert _nan_equal(c, c.T)
 
 
 def test_cov_est_monte_carlo_against_truth():
@@ -435,6 +446,66 @@ def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
     assert np.array_equal(np.isnan(got), want_nan)
     want = M @ np.nan_to_num(S) @ M.T
     assert np.abs(got - want)[~want_nan].max() <= 1e-10 * np.abs(want).max()
+
+
+# --- both covariances from one pass ---------------------------------------
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize(
+    "name, d_f", [("interval", None), ("interior", 0.5), ("corners", 0.5)]
+)
+def test_cov_pair_equals_separate_estimators(name, d_f, K):
+    s = _band_sample(name)
+    classical, ftc = cov_pair(s, d_f, K)
+    separate = ftc_cov(s, d_f, K)
+    assert np.array_equal(classical.values, cov_est(s, 0, 0).values, equal_nan=True)
+    assert np.array_equal(ftc.values, separate.values, equal_nan=True)
+    assert classical.anchor is None and separate.anchor is not None
+    assert ftc.anchor == separate.anchor
+
+
+def _three_point_sample():
+    g = make_grid(10, 0.0, 1.0)
+    return _interval_sample(g, np.tile(g.points, (2, 1)), [1.0, 2.5 / 9.0])
+
+
+@pytest.mark.parametrize(
+    "make, d_f, K",
+    [
+        (lambda: _band_sample("interior"), None, 1),  # not the interval pattern
+        (lambda: _band_sample("interval"), 7.0, 1),  # anchor off the grid
+        (_three_point_sample, 0.1, 2),  # order-2 stencils need 4 points
+    ],
+    ids=["non_interval", "off_grid", "too_few_points"],
+)
+def test_cov_pair_errors_match_ftc_cov(make, d_f, K):
+    s = make()
+    with pytest.raises(ArgumentError) as pair:
+        cov_pair(s, d_f, K)
+    with pytest.raises(ArgumentError) as single:
+        ftc_cov(s, d_f, K)
+    assert str(pair.value) == str(single.value)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    kind=st.sampled_from(dgp.KINDS),
+    n=st.integers(5, 40),
+    p=st.integers(21, 51),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-100.0, 100.0),
+)
+def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
+    sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))
+    shifted = FunctionalSample(sample.grid, sample.values + shift, sample.mask)
+    pairs = cov_pair(shifted), cov_pair(sample)
+    for got, want in zip(*pairs):
+        scale = np.nanmax(np.abs(want.values))
+        assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
+        assert np.nanmax(np.abs(got.values - want.values)) <= 1e-12 * (1 + abs(shift)) * scale
+    for classical, _ in pairs:
+        assert _nan_equal(classical.values, classical.values.T)
 
 
 # --- refinement rates ----------------------------------------------------

@@ -97,8 +97,9 @@ def test_result_csv_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_workers_do_not_change_results(tmp_path, monkeypatch):
-    spec = _bv_spec(replications=4)
+@pytest.mark.parametrize("targets", [("mean",), ("mean", "cov")], ids=["mean", "mean_cov"])
+def test_workers_do_not_change_results(tmp_path, monkeypatch, targets):
+    spec = _bv_spec(replications=4, targets=targets)
     seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
     monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
     write_experiment_csv(run_bias_variance(spec), seq)
