@@ -209,30 +209,29 @@ def _cmd_estimate(args) -> int:
     """Write classical and back-transform mean/covariance estimate files.
 
     Both mean estimates are emitted side by side so they can be overlaid
-    directly. Prints every written path.
+    directly. Every estimate is computed before the output directory is
+    created, so input the estimators reject leaves no files behind. Prints
+    every written path.
     """
     sample = read_sample_csv(args.input)
-    os.makedirs(args.out, exist_ok=True)
-    mean_cl = estimators.mean_est(sample, 0)
-    mean_ftc = estimators.ftc_mean(sample, args.d_f)
-    cov_cl, cov_ftc = estimators.cov_pair(sample, args.d_f)
+    m = estimators.moments(sample, args.d_f)
+    cov_cl, cov_ftc = estimators.cov_pair(m)
     grid = sample.grid
-    written = []
-
-    def emit(name, writer, *table):
-        path = os.path.join(args.out, name)
-        writer(path, *table)
-        written.append(path)
-
-    emit("mean_classical.csv", write_vector_csv, grid, mean_cl.values, "mean")
-    emit("mean_ftc.csv", write_vector_csv, grid, mean_ftc.values, "mean")
-    emit("cov_classical.csv", write_matrix_csv, grid, cov_cl.values)
-    emit("cov_ftc.csv", write_matrix_csv, grid, cov_ftc.values)
+    tables = [
+        ("mean_classical.csv", write_vector_csv, grid, m.mu[0], "mean"),
+        ("mean_ftc.csv", write_vector_csv, grid, estimators.ftc_mean(m).values, "mean"),
+        ("cov_classical.csv", write_matrix_csv, grid, cov_cl.values),
+        ("cov_ftc.csv", write_matrix_csv, grid, cov_ftc.values),
+    ]
     if args.fpc_scores:
         subdomain = fully_observed_prefix(grid, summarize_observation(sample))
         scores, explained = estimators.fpca_scores(sample, subdomain)
-        emit("fpc_scores.csv", write_scores_csv, scores, explained)
-    for path in written:
+        tables.append(("fpc_scores.csv", write_scores_csv, scores, explained))
+    os.makedirs(args.out, exist_ok=True)
+    paths = [os.path.join(args.out, name) for name, *_ in tables]
+    for path, (_, writer, *table) in zip(paths, tables):
+        writer(path, *table)
+    for path in paths:
         print(path)
     return EXIT_OK
 

@@ -9,12 +9,12 @@ where the full sample is observed.
 With P taking the value at clip(t, [l, u]) and W the trapezoid integral
 from clip(t, [l, u]) to t, every back-transform is one linear operator
 
-    M_K = [P, WP, ..., W^(K-1) P, W^K],
+    M_K = [P, WP, ..., W^(K-1) P, W^K]
 
-so ftc_mean = M_K mu and ftc_cov = M_K S M_K^T, where mu stacks the
-derivative means of orders 0..K and S[a][b] is the pairwise-complete
-covariance of orders a and b. The classical covariance is S[0][0] of the
-same pass, so cov_pair returns both covariances from one computation of S.
+applied to the moments m = moments(sample, d_f, K): ftc_mean(m) = M_K mu and
+cov_pair(m) = (S[0][0], M_K S M_K^T), where mu stacks the derivative means
+of orders 0..K (mu[0] is the classical mean) and S[a][b] is the
+pairwise-complete covariance of orders a and b (S[0][0] the classical one).
 
 All estimators are pure functions of the sample; undefined cells propagate
 as NaN and every integral stops at the first undefined cell in each
@@ -37,7 +37,6 @@ class MeanEstimate:
 
     grid: Grid
     values: np.ndarray
-    order: int
     anchor: float | None = None
 
 
@@ -47,7 +46,6 @@ class CovEstimate:
 
     grid: Grid
     values: np.ndarray
-    orders: tuple[int, int]
     anchor: float | None = None
 
 
@@ -64,10 +62,8 @@ def differentiate(sample: FunctionalSample) -> FunctionalSample:
     counts = mask.sum(axis=1)
     first = np.argmax(mask, axis=1)
     last = p - 1 - np.argmax(mask[:, ::-1], axis=1)
-    if np.any(last - first + 1 != counts):
-        raise ArgumentError("observed set of each curve must be contiguous")
-    if np.any(counts < 3):
-        raise ArgumentError("each curve needs >= 3 observed points to differentiate")
+    _reject_curves(last - first + 1 != counts, "observed set of each curve must be contiguous")
+    _reject_curves(counts < 3, "each curve needs >= 3 observed points to differentiate")
     h = sample.grid.h
     v = sample.values
     d = np.full_like(v, np.nan)
@@ -82,12 +78,10 @@ def differentiate(sample: FunctionalSample) -> FunctionalSample:
     return FunctionalSample(sample.grid, np.where(mask, d, np.nan), mask)
 
 
-def _derivative_chain(sample: FunctionalSample, K: int) -> list[FunctionalSample]:
-    """Samples of derivative orders 0..K."""
-    chain = [sample]
-    for _ in range(K):
-        chain.append(differentiate(chain[-1]))
-    return chain
+def _reject_curves(bad: np.ndarray, message: str) -> None:
+    """Raise `message` naming the first flagged curve by its 1-based row."""
+    if bad.any():
+        raise ArgumentError(f"{message} (curve {int(np.argmax(bad)) + 1})")
 
 
 def _mean_vec(sample: FunctionalSample) -> np.ndarray:
@@ -98,16 +92,14 @@ def _mean_vec(sample: FunctionalSample) -> np.ndarray:
         return np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
 
 
-def mean_est(sample: FunctionalSample, k: int = 0) -> MeanEstimate:
-    """Pointwise average of order-k derivative values over observed curves."""
-    if k < 0:
-        raise ArgumentError("derivative order must be >= 0")
-    return MeanEstimate(sample.grid, _mean_vec(_derivative_chain(sample, k)[k]), order=k)
+def mean_est(sample: FunctionalSample) -> MeanEstimate:
+    """Pointwise average of the values over the curves observing each point."""
+    return MeanEstimate(sample.grid, _mean_vec(sample))
 
 
-def _centered(sample: FunctionalSample) -> np.ndarray:
+def _centered(sample: FunctionalSample, mu: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
-        return np.where(sample.mask, sample.values - _mean_vec(sample), 0.0)
+        return np.where(sample.mask, sample.values - mu, 0.0)
 
 
 def _pair_counts(mask: np.ndarray) -> np.ndarray:
@@ -117,24 +109,17 @@ def _pair_counts(mask: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, counts, np.nan)
 
 
-def _cov_mat(c_l: np.ndarray, c_k: np.ndarray, counts) -> np.ndarray:
-    # Given one array twice, numpy computes c.T @ c as a symmetric rank-k
-    # update: the block comes out exactly symmetric at half the flops.
-    return (c_l.T @ c_k) / counts
+def cov_est(sample: FunctionalSample) -> CovEstimate:
+    """Pairwise-complete covariance of the values.
 
-
-def cov_est(sample: FunctionalSample, l: int = 0, k: int = 0) -> CovEstimate:
-    """Pairwise-complete covariance of order-(l, k) derivative values.
-
-    Centering uses the observed-subset means of matching orders; the
-    divisor is the pair count (n under full observation), 0/0 = NaN.
+    Centering uses the observed-subset means; the divisor is the pair count
+    (n under full observation), 0/0 = NaN.
     """
-    if l < 0 or k < 0:
-        raise ArgumentError("derivative orders must be >= 0")
-    chain = _derivative_chain(sample, max(l, k))
-    cs = {o: _centered(chain[o]) for o in {l, k}}
-    values = _cov_mat(cs[l], cs[k], _pair_counts(sample.mask))
-    return CovEstimate(sample.grid, values, orders=(l, k))
+    c = _centered(sample, _mean_vec(sample))
+    # numpy computes c.T @ c as a symmetric rank-k update: the result comes
+    # out exactly symmetric at half the flops.
+    values = (c.T @ c) / _pair_counts(sample.mask)
+    return CovEstimate(sample.grid, values)
 
 
 def _integrate(v, h: float, l: int, u: int, axis: int = 0) -> np.ndarray:
@@ -182,18 +167,35 @@ def _anchor_run(sample: FunctionalSample, j_f: int) -> tuple[int, int]:
     return l, u
 
 
-def _anchored_chain(sample: FunctionalSample, d_f, K: int):
-    """Derivative chain 0..K, anchor index and its fully observed block [l, u].
+@dataclass(frozen=True)
+class Moments:
+    """Derivative moments of one sample and its anchor block.
 
-    Without d_f the sample must have the interval pattern and the anchor
-    is d_min, the last fully observed grid point.
+    chain[k] is the order-k derivative sample (k = 0..K, all sharing the
+    sample's mask) and mu[k] its pointwise mean; [l, u] is the maximal fully
+    observed run of grid indices around the grid point `anchor`.
+    """
+
+    chain: tuple[FunctionalSample, ...]
+    mu: tuple[np.ndarray, ...]
+    l: int
+    u: int
+    anchor: float
+
+
+def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
+    """Derivative moments of orders 0..K, anchored at d_f (default d_min).
+
+    d_f is snapped to the nearest grid point, which must be observed by
+    every curve. Without d_f the sample must have the interval pattern and
+    the anchor is d_min, the last fully observed grid point.
     """
     if K < 1:
         raise ArgumentError("K must be >= 1")
-    if int(sample.mask.sum(axis=1).min()) < K + 2:
-        raise ArgumentError(
-            f"order-{K} stencils need >= {K + 2} observed points per curve"
-        )
+    _reject_curves(
+        sample.mask.sum(axis=1) < K + 2,
+        f"order-{K} stencils need >= {K + 2} observed points per curve",
+    )
     if d_f is None:
         summ = summarize_observation(sample)
         if not summ.interval_pattern:
@@ -205,52 +207,49 @@ def _anchored_chain(sample: FunctionalSample, d_f, K: int):
     else:
         j_f = sample.grid.index_of(d_f)
     l, u = _anchor_run(sample, j_f)
-    return _derivative_chain(sample, K), j_f, l, u
+    chain = [sample]
+    for _ in range(K):
+        chain.append(differentiate(chain[-1]))
+    mu = tuple(_mean_vec(s) for s in chain)
+    return Moments(tuple(chain), mu, l, u, float(sample.grid.points[j_f]))
 
 
-def ftc_mean(sample: FunctionalSample, d_f=None, K: int = 1) -> MeanEstimate:
-    """K-fold back-transform mean M_K mu anchored at d_f (default d_min).
+def ftc_mean(m: Moments) -> MeanEstimate:
+    """K-fold back-transform mean M_K mu.
 
-    d_f is snapped to the nearest grid point, which must be observed by
-    every curve; the block [l, u] is the maximal fully observed run around
-    it, where the estimate equals the classical mean.
+    On the block [l, u] it equals the classical mean m.mu[0].
     """
-    chain, j_f, l, u = _anchored_chain(sample, d_f, K)
-    values = _backtransform([_mean_vec(s) for s in chain], sample.grid.h, l, u)
-    return MeanEstimate(sample.grid, values, order=0, anchor=float(sample.grid.points[j_f]))
+    grid = m.chain[0].grid
+    values = _backtransform(m.mu, grid.h, m.l, m.u)
+    return MeanEstimate(grid, values, anchor=m.anchor)
 
 
-def cov_pair(sample: FunctionalSample, d_f=None, K: int = 1) -> tuple[CovEstimate, CovEstimate]:
-    """(cov_est(sample), ftc_cov(sample, d_f, K)) from one pass over S.
+def cov_pair(m: Moments) -> tuple[CovEstimate, CovEstimate]:
+    """(cov_est(sample), M_K S M_K^T) from one pass over S.
 
     The classical covariance is the block S[0, 0] that M_K S M_K^T starts
     from; all blocks share one pair-count matrix (differentiation keeps the
-    mask) and one centred array per derivative order. Anchoring as in
-    ftc_mean; only the back-transform estimate carries the anchor.
+    mask) and one centred array per derivative order. Only the
+    back-transform estimate carries the anchor.
     """
-    chain, j_f, l, u = _anchored_chain(sample, d_f, K)
-    counts = _pair_counts(sample.mask)
-    cs = [_centered(s) for s in chain]
+    grid, K = m.chain[0].grid, len(m.chain) - 1
+    counts = _pair_counts(m.chain[0].mask)
+    cs = [_centered(s, mu) for s, mu in zip(m.chain, m.mu)]
     S = {}
     for a in range(K + 1):
         for b in range(a + 1):
-            S[a, b] = _cov_mat(cs[a], cs[b], counts)
+            # For a == b numpy computes c.T @ c as a symmetric rank-k
+            # update: the block comes out exactly symmetric at half the flops.
+            S[a, b] = (cs[a].T @ cs[b]) / counts
             if a != b:
                 S[b, a] = S[a, b].T
-    h = sample.grid.h
     cols = [
-        _backtransform([S[a, b] for a in range(K + 1)], h, l, u, axis=0)
+        _backtransform([S[a, b] for a in range(K + 1)], grid.h, m.l, m.u, axis=0)
         for b in range(K + 1)
     ]
-    values = _backtransform(cols, h, l, u, axis=1)
-    anchor = float(sample.grid.points[j_f])
-    classical = CovEstimate(sample.grid, S[0, 0], orders=(0, 0))
-    return classical, CovEstimate(sample.grid, values, orders=(0, 0), anchor=anchor)
-
-
-def ftc_cov(sample: FunctionalSample, d_f=None, K: int = 1) -> CovEstimate:
-    """K-fold back-transform covariance M_K S M_K^T anchored at d_f (see cov_pair)."""
-    return cov_pair(sample, d_f, K)[1]
+    values = _backtransform(cols, grid.h, m.l, m.u, axis=1)
+    classical = CovEstimate(grid, S[0, 0])
+    return classical, CovEstimate(grid, values, anchor=m.anchor)
 
 
 def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +265,9 @@ def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.nda
         raise ArgumentError("subdomain contains fewer than 2 grid points")
     h = sample.grid.h
     vals = sample.values[:, idx]
-    mu = vals.mean(axis=0)
-    cov = cov_est(sample, 0, 0).values[np.ix_(idx, idx)]
-    eigvals, eigvecs = np.linalg.eigh(h * cov)
+    # Every curve observes the subdomain, so each pair count there is n.
+    c = vals - vals.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(h * (c.T @ c / sample.n))
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     # Relative cut within the spectrum plus an absolute cut against the data
@@ -281,6 +280,6 @@ def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.nda
         # Degenerate sample (all curves identical on the subdomain).
         return np.zeros((sample.n, 0)), np.zeros(0)
     # Eigenfunctions phi = v / sqrt(h) are L2-normalized on the subdomain.
-    scores = np.sqrt(h) * (vals - mu) @ eigvecs
+    scores = np.sqrt(h) * c @ eigvecs
     explained = eigvals / eigvals.sum()
     return scores, explained

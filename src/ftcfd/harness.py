@@ -120,12 +120,13 @@ def _rep_seed(seed: int, rep: int) -> int:
 def _bias_variance_rep(task):
     kind, n, p, seed, rep, targets = task
     sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=p, seed=(seed, rep)))
+    m = estimators.moments(sample)
     out = {}
     if "mean" in targets:
-        out["mean_classical"] = estimators.mean_est(sample, 0).values
-        out["mean_ftc"] = estimators.ftc_mean(sample).values
+        out["mean_classical"] = m.mu[0]
+        out["mean_ftc"] = estimators.ftc_mean(m).values
     if "cov" in targets:
-        classical, ftc = estimators.cov_pair(sample)
+        classical, ftc = estimators.cov_pair(m)
         out["cov_classical"], out["cov_ftc"] = classical.values, ftc.values
     return out
 

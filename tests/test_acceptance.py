@@ -15,9 +15,10 @@ from ftcfd import dgp
 from ftcfd.core import FunctionalSample, make_grid
 from ftcfd.estimators import (
     cov_est,
-    ftc_cov,
+    cov_pair,
     ftc_mean,
     mean_est,
+    moments,
 )
 from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
@@ -154,7 +155,7 @@ def test_criterion_6_pointwise_bias_matches_analytic_value():
         dgp.DgpConfig("DepDis", n=10_000, p=501, seed=(1, 0))
     )
     j = sample.grid.index_of(0.75)
-    bias = mean_est(sample, 0).values[j] - dgp.true_mean(0.75)
+    bias = mean_est(sample).values[j] - dgp.true_mean(0.75)
     target = math.sqrt(20.0 / math.pi)
     dev = bias - target
     _report(
@@ -179,13 +180,13 @@ def test_criterion_7_estimator_and_test_properties():
     checks.append(
         (
             "block equality",
-            np.array_equal(ftc_mean(s).values[block], mean_est(s, 0).values[block]),
+            np.array_equal(ftc_mean(moments(s)).values[block], mean_est(s).values[block]),
         )
     )
 
     # symmetry of the back-transform covariance
     s2, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=6))
-    c = ftc_cov(s2).values
+    c = cov_pair(moments(s2))[1].values
     checks.append(("cov symmetry <= 1e-8", np.nanmax(np.abs(c - c.T)) <= 1e-8))
 
     # level-shift invariance
@@ -194,7 +195,7 @@ def test_criterion_7_estimator_and_test_properties():
         (
             "shift invariance",
             np.allclose(
-                ftc_mean(shifted).values, ftc_mean(s).values + 3.0,
+                ftc_mean(moments(shifted)).values, ftc_mean(moments(s)).values + 3.0,
                 equal_nan=True, atol=1e-9,
             ),
         )
@@ -211,7 +212,7 @@ def test_criterion_7_estimator_and_test_properties():
 
     def mean_err(p):
         sm = identical_curve_sample(p)
-        return np.nanmax(np.abs(ftc_mean(sm).values - mean_est(sm, 0).values))
+        return np.nanmax(np.abs(ftc_mean(moments(sm)).values - mean_est(sm).values))
 
     r_mean = mean_err(101) / mean_err(201)
     checks.append((f"mean h^2 rate (ratio {r_mean:.2f})", 3.0 <= r_mean <= 5.0))
@@ -228,7 +229,8 @@ def test_criterion_7_estimator_and_test_properties():
             + 0.3 * np.cos(4 * np.pi * g.points)
             + g.points**2
         )
-        return ftc_cov(_interval_sample(g, 2.0 + coef[:, None] * psi[None, :], d)).values
+        sample = _interval_sample(g, 2.0 + coef[:, None] * psi[None, :], d)
+        return cov_pair(moments(sample))[1].values
 
     a, b, cc = cov_est_at(101), cov_est_at(201), cov_est_at(401)
     r_cov = np.nanmax(np.abs(a - b[::2, ::2])) / np.nanmax(np.abs(b - cc[::2, ::2]))
@@ -240,7 +242,7 @@ def test_criterion_7_estimator_and_test_properties():
         errs = np.empty(reps)
         for r in range(reps):
             sm, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(7, r)))
-            errs[r] = ftc_mean(sm).values[150] - truth
+            errs[r] = ftc_mean(moments(sm)).values[150] - truth
         return float(np.sqrt(np.mean(errs**2)))
 
     r_n = rmse(125) / rmse(500)
@@ -287,9 +289,9 @@ def test_criterion_8_higher_order_back_transform():
         )
 
     base_ok = nan_eq(
-        ftc_mean(s, anchor, 1).values, ftc_mean(s, anchor).values
+        ftc_mean(moments(s, anchor, 1)).values, ftc_mean(moments(s, anchor)).values
     ) and nan_eq(
-        ftc_cov(s, anchor, 1).values, ftc_cov(s, anchor).values
+        cov_pair(moments(s, anchor, 1))[1].values, cov_pair(moments(s, anchor))[1].values
     )
 
     # two-fold estimators remove a missing mechanism tied to the first two
@@ -305,12 +307,12 @@ def test_criterion_8_higher_order_back_transform():
     for r in range(reps):
         sm, dm, _ = dgp.draw_v2_sample(n, p=p, seed=(13, r))
         am = float(dm.min())
-        acc_m_cl += mean_est(sm, 0).values
-        acc_m_k2 += ftc_mean(sm, am, 2).values
+        acc_m_cl += mean_est(sm).values
+        acc_m_k2 += ftc_mean(moments(sm, am, 2)).values
         sc, dc, _ = dgp.draw_v2_sample(n, p=p, seed=(14, r))
         ac = float(dc.min())
-        acc_c_cl += cov_est(sc, 0, 0).values
-        acc_c_k2 += ftc_cov(sc, ac, 2).values
+        acc_c_cl += cov_est(sc).values
+        acc_c_k2 += cov_pair(moments(sc, ac, 2))[1].values
 
     def isb1(a, truth):
         return float(np.trapezoid((a / reps - truth) ** 2, dx=g.h))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ftcfd import estimators
 from ftcfd.basis import BasisSpec, eval_basis
 from ftcfd.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from ftcfd.core import FunctionalSample
@@ -136,19 +137,19 @@ def _write_rows(path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+_BASE = [float(v) for v in range(11)]
+# Curves 2 and 3 miss their beginnings, so there is no interval pattern;
+# grid points 0.3 to 0.8 are observed by every curve.
+_NON_INTERVAL_ROWS = [
+    _BASE,
+    [None, None] + [2 * v for v in _BASE[2:]],
+    [None, None, None] + [v * v for v in _BASE[3:9]] + [None, None],
+]
+
+
 def test_estimate_non_interval_sample_needs_explicit_anchor(tmp_path, capsys):
-    # Curves 2 and 3 miss their beginnings, so there is no interval pattern;
-    # grid points 0.3 to 0.8 are observed by every curve.
     path = tmp_path / "s.csv"
-    base = [float(v) for v in range(11)]
-    _write_rows(
-        path,
-        [
-            base,
-            [None, None] + [2 * v for v in base[2:]],
-            [None, None, None] + [v * v for v in base[3:9]] + [None, None],
-        ],
-    )
+    _write_rows(path, _NON_INTERVAL_ROWS)
     out = ["--out", str(tmp_path / "est")]
     assert main(["estimate", str(path)] + out) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -164,6 +165,50 @@ def test_estimate_rejects_off_grid_anchor(tmp_path, capsys, d_f):
     argv = ["estimate", str(path), "--out", str(tmp_path / "est"), "--d-f", d_f]
     assert main(argv) == EXIT_USAGE
     assert "not on the grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, extra, code, message",
+    [
+        (_NON_INTERVAL_ROWS, [], EXIT_USAGE, "explicit anchor"),
+        # The estimates succeed; only the scores' subdomain is missing.
+        (
+            _NON_INTERVAL_ROWS,
+            ["--d-f", "0.5", "--fpc-scores"],
+            EXIT_USAGE,
+            "no fully observed subdomain",
+        ),
+        (_NON_INTERVAL_ROWS, ["--d-f", "7"], EXIT_USAGE, "not on the grid"),
+        (
+            [_BASE, _BASE[:2] + [None] + _BASE[3:]],
+            ["--d-f", "0.5"],
+            EXIT_USAGE,
+            "observed set of each curve must be contiguous (curve 2)",
+        ),
+        ([_BASE, _BASE[:5] + [float("inf")] + _BASE[6:]], [], EXIT_DATA, "line 3"),
+    ],
+    ids=["no_anchor", "no_score_subdomain", "off_grid", "gap", "parse"],
+)
+def test_failed_estimate_leaves_no_output(tmp_path, capsys, rows, extra, code, message):
+    path, out = tmp_path / "s.csv", tmp_path / "est"
+    _write_rows(path, rows)
+    assert main(["estimate", str(path), "--out", str(out)] + extra) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_estimate_differentiates_once_per_order(tmp_path, monkeypatch):
+    calls = []
+    differentiate = estimators.differentiate
+    monkeypatch.setattr(
+        estimators, "differentiate", lambda s: calls.append(s) or differentiate(s)
+    )
+    sample_path = tmp_path / "s.csv"
+    _simulate(sample_path, "DepCon", 30, 41, 15)
+    argv = ["estimate", str(sample_path), "--out", str(tmp_path / "est"), "--fpc-scores"]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1  # K = 1
 
 
 def _simulate(path, kind, n, p, seed):

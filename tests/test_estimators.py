@@ -14,9 +14,9 @@ from ftcfd.estimators import (
     cov_pair,
     differentiate,
     fpca_scores,
-    ftc_cov,
     ftc_mean,
     mean_est,
+    moments,
 )
 
 
@@ -36,7 +36,7 @@ def test_mean_est_fully_observed():
     g = make_grid(5, 0.0, 1.0)
     vals = np.arange(10.0).reshape(2, 5)
     s = FunctionalSample.from_values(g, vals)
-    assert np.allclose(mean_est(s, 0).values, vals.mean(axis=0))
+    assert np.allclose(mean_est(s).values, vals.mean(axis=0))
 
 
 def test_mean_est_single_observer():
@@ -44,13 +44,13 @@ def test_mean_est_single_observer():
     s = FunctionalSample.from_values(
         g, np.array([[1.0, 2.0, 7.0], [3.0, 4.0, np.nan]])
     )
-    assert mean_est(s, 0).values[2] == 7.0
+    assert mean_est(s).values[2] == 7.0
 
 
 def test_mean_est_undefined_where_nobody_observed():
     g = make_grid(4, 0.0, 1.0)
     s = _interval_sample(g, np.ones((3, 4)), [1 / 3, 1 / 3, 2 / 3])
-    assert np.isnan(mean_est(s, 0).values[3])
+    assert np.isnan(mean_est(s).values[3])
 
 
 def test_mean_est_selection_bias_at_three_quarters():
@@ -59,7 +59,7 @@ def test_mean_est_selection_bias_at_three_quarters():
     reps = 100
     for r in range(reps):
         s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=500, p=101, seed=(100, r)))
-        acc += mean_est(s, 0).values[75]
+        acc += mean_est(s).values[75]
     assert abs(acc / reps - target) < 0.25
 
 
@@ -91,16 +91,25 @@ def test_differentiate_preserves_mask():
 
 
 def test_differentiate_rejects_non_contiguous():
+    # The error names the first offending curve by its 1-based row.
     g = make_grid(5, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.array([[1.0, np.nan, 2.0, 3.0, 4.0]]))
-    with pytest.raises(ArgumentError):
+    s = FunctionalSample.from_values(
+        g, np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 2.0, 3.0, 4.0]])
+    )
+    with pytest.raises(ArgumentError, match=r"must be contiguous \(curve 2\)$"):
         differentiate(s)
 
 
 def test_differentiate_rejects_short_runs():
     g = make_grid(5, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.array([[1.0, 2.0, np.nan, np.nan, np.nan]]))
-    with pytest.raises(ArgumentError):
+    s = FunctionalSample.from_values(
+        g,
+        np.array(
+            [[0.0, 1.0, 2.0, np.nan, np.nan]]
+            + 2 * [[1.0, 2.0, np.nan, np.nan, np.nan]]
+        ),
+    )
+    with pytest.raises(ArgumentError, match=r">= 3 observed points .* \(curve 2\)$"):
         differentiate(s)
 
 
@@ -113,13 +122,13 @@ def test_cov_est_fully_observed_divisor_n():
     vals = rng.standard_normal((6, 4))
     s = FunctionalSample.from_values(g, vals)
     expected = np.cov(vals.T, bias=True)
-    assert np.allclose(cov_est(s, 0, 0).values, expected, atol=1e-12)
+    assert np.allclose(cov_est(s).values, expected, atol=1e-12)
 
 
 def test_cov_est_identical_curves_zero():
     g = make_grid(6, 0.0, 1.0)
     s = _interval_sample(g, np.tile(np.sin(g.points), (5, 1)), [1.0, 0.6, 0.8, 1.0, 0.6])
-    c = cov_est(s, 0, 0).values
+    c = cov_est(s).values
     assert np.nanmax(np.abs(c)) < 1e-12
 
 
@@ -133,7 +142,7 @@ def test_cov_est_identical_curves_zero():
 )
 def test_cov_est_symmetric_exactly(kind, n, p):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=1))
-    for c in (cov_est(sample, 0, 0).values, cov_pair(sample)[0].values):
+    for c in (cov_est(sample).values, cov_pair(moments(sample))[0].values):
         assert _nan_equal(c, c.T)
 
 
@@ -150,7 +159,7 @@ def test_cov_est_monte_carlo_against_truth():
         ) * rng.standard_normal((500, 5))
         vals = xi @ _fourier5(g.points).T
         s = FunctionalSample.from_values(g, vals)
-        acc += cov_est(s, 0, 0).values
+        acc += cov_est(s).values
     assert np.abs(acc / reps - truth).max() < 1.5
 
 
@@ -202,14 +211,14 @@ def test_cum_int_stops_at_undefined_cells():
 def test_ftc_mean_equals_classical_under_full_observation():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=501, seed=2))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    diff = ftc_mean(full).values - mean_est(full, 0).values
+    diff = ftc_mean(moments(full)).values - mean_est(full).values
     assert np.abs(diff).max() < 1e-4
 
 
 def test_ftc_mean_matches_classical_on_observed_block():
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=50, p=101, seed=3))
-    m_ftc = ftc_mean(sample).values
-    m_cl = mean_est(sample, 0).values
+    m_ftc = ftc_mean(moments(sample)).values
+    m_cl = mean_est(sample).values
     block = sample.mask.all(axis=0)
     assert np.array_equal(m_ftc[block], m_cl[block])
 
@@ -218,13 +227,13 @@ def test_ftc_mean_rejects_non_interval_pattern():
     g = make_grid(5, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.array([[np.nan, 1.0, 2.0, 3.0, 4.0]]))
     with pytest.raises(ArgumentError):
-        ftc_mean(s)
+        ftc_mean(moments(s))
 
 
 def test_ftc_cov_equals_classical_under_full_observation():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=40, p=201, seed=4))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    diff = ftc_cov(full).values - cov_est(full, 0, 0).values
+    diff = cov_pair(moments(full))[1].values - cov_est(full).values
     assert np.abs(diff).max() < 1e-2
 
 
@@ -236,19 +245,19 @@ def test_ftc_cov_identical_curves_is_zero():
     curve = np.sin(2 * np.pi * g.points) + g.points
     s = _interval_sample(g, np.tile(curve, (20, 1)), d)
     # zero up to quadrature error of the separately integrated moment terms
-    assert np.nanmax(np.abs(ftc_cov(s).values)) < 1e-5
+    assert np.nanmax(np.abs(cov_pair(moments(s))[1].values)) < 1e-5
 
 
 def test_ftc_cov_symmetry():
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=6))
-    c = ftc_cov(sample).values
+    c = cov_pair(moments(sample))[1].values
     assert np.nanmax(np.abs(c - c.T)) < 1e-8
 
 
 def test_ftc_cov_anchor_value_matches_classical():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=40, p=101, seed=7))
     j = sample.grid.index_of(float(d.min()))
-    assert ftc_cov(sample).values[j, j] == cov_est(sample, 0, 0).values[j, j]
+    assert cov_pair(moments(sample))[1].values[j, j] == cov_est(sample).values[j, j]
 
 
 # --- explicit anchors ---------------------------------------------------
@@ -257,30 +266,30 @@ def test_ftc_cov_anchor_value_matches_classical():
 def test_general_mean_reduces_to_interval_version():
     # Without d_f the anchor is d_min; naming it explicitly changes nothing.
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=8))
-    a = ftc_mean(sample).values
-    b = ftc_mean(sample, float(d.min())).values
+    a = ftc_mean(moments(sample)).values
+    b = ftc_mean(moments(sample, float(d.min()))).values
     assert _nan_equal(a, b)
 
 
 def test_general_cov_reduces_to_interval_version():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=9))
-    a = ftc_cov(sample).values
-    b = ftc_cov(sample, float(d.min())).values
+    a = cov_pair(moments(sample))[1].values
+    b = cov_pair(moments(sample, float(d.min())))[1].values
     assert np.nanmax(np.abs(a - b)) < 1e-10
 
 
 def test_general_mean_any_anchor_under_full_observation():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=10))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    cl = mean_est(full, 0).values
+    cl = mean_est(full).values
     for d_f in (0.1, 0.5, 0.9):
-        assert np.abs(ftc_mean(full, d_f).values - cl).max() < 1e-4
+        assert np.abs(ftc_mean(moments(full, d_f)).values - cl).max() < 1e-4
 
 
 def test_general_rejects_anchor_without_full_observation():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=80, p=101, seed=11))
     with pytest.raises(ArgumentError):
-        ftc_mean(sample, 0.75)
+        ftc_mean(moments(sample, 0.75))
 
 
 def test_general_mean_mirrored_design_unbiased():
@@ -293,8 +302,8 @@ def test_general_mean_mirrored_design_unbiased():
     for r in range(reps):
         s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(9, r)))
         mirrored = FunctionalSample(g, s.values[:, ::-1].copy(), s.mask[:, ::-1].copy())
-        acc_f += ftc_mean(mirrored, 1.0).values
-        acc_c += mean_est(mirrored, 0).values
+        acc_f += ftc_mean(moments(mirrored, 1.0)).values
+        acc_c += mean_est(mirrored).values
     isb_f = np.trapezoid((acc_f / reps - truth) ** 2, dx=g.h)
     isb_c = np.trapezoid((acc_c / reps - truth) ** 2, dx=g.h)
     assert isb_f <= 0.05
@@ -303,7 +312,7 @@ def test_general_mean_mirrored_design_unbiased():
 
 def test_general_cov_symmetry():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("IndCon", n=50, p=101, seed=12))
-    c = ftc_cov(sample, float(d.min())).values
+    c = cov_pair(moments(sample, float(d.min())))[1].values
     assert np.nanmax(np.abs(c - c.T)) < 1e-8
 
 
@@ -313,15 +322,15 @@ def test_general_cov_symmetry():
 def test_recursive_mean_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=15))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    cl = mean_est(full, 0).values
-    assert np.abs(ftc_mean(full, 0.5, 2).values - cl).max() < 1e-3
+    cl = mean_est(full).values
+    assert np.abs(ftc_mean(moments(full, 0.5, 2)).values - cl).max() < 1e-3
 
 
 def test_recursive_cov_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=16))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    cl = cov_est(full, 0, 0).values
-    assert np.abs(ftc_cov(full, 0.5, 2).values - cl).max() < 5e-2
+    cl = cov_est(full).values
+    assert np.abs(cov_pair(moments(full, 0.5, 2))[1].values - cl).max() < 5e-2
 
 
 def test_recursive_mean_removes_second_order_dependence():
@@ -334,9 +343,9 @@ def test_recursive_mean_removes_second_order_dependence():
     for r in range(reps):
         s, d, _ = dgp.draw_v2_sample(n, p=p, seed=(13, r))
         anchor = float(d.min())
-        acc["cl"] += mean_est(s, 0).values
-        acc["k1"] += ftc_mean(s, anchor, 1).values
-        acc["k2"] += ftc_mean(s, anchor, 2).values
+        acc["cl"] += mean_est(s).values
+        acc["k1"] += ftc_mean(moments(s, anchor, 1)).values
+        acc["k2"] += ftc_mean(moments(s, anchor, 2)).values
     isb = {
         key: float(np.trapezoid((a / reps - truth) ** 2, dx=g.h))
         for key, a in acc.items()
@@ -354,8 +363,8 @@ def test_recursive_cov_removes_second_order_dependence():
     acc_k2 = np.zeros((p, p))
     for r in range(reps):
         s, d, _ = dgp.draw_v2_sample(n, p=p, seed=(14, r))
-        acc_cl += cov_est(s, 0, 0).values
-        acc_k2 += ftc_cov(s, float(d.min()), 2).values
+        acc_cl += cov_est(s).values
+        acc_k2 += cov_pair(moments(s, float(d.min()), 2))[1].values
 
     def isb(a):
         b = (a / reps - truth) ** 2
@@ -369,8 +378,8 @@ def test_recursive_requires_enough_observed_points():
     g = make_grid(10, 0.0, 1.0)
     vals = np.tile(g.points, (2, 1))
     s = _interval_sample(g, vals, [1.0, 2.5 / 9.0])  # second curve: 3 points
-    with pytest.raises(ArgumentError):
-        ftc_mean(s, 0.1, 2)
+    with pytest.raises(ArgumentError, match=r"\(curve 2\)$"):
+        moments(s, 0.1, 2)
 
 
 # --- dense-operator oracle ------------------------------------------------
@@ -395,6 +404,23 @@ def _band_sample(name, seed=22):
     idx = np.arange(41)
     mask = (idx >= lo) & (idx <= hi)
     return FunctionalSample(g, np.where(mask, vals, np.nan), mask)
+
+
+def _reference_moments(sample, K):
+    """(mu, S) of orders 0..K from differentiate and masked numpy alone.
+
+    mu stacks the pointwise derivative means; S is the pairwise-complete
+    covariance of all order pairs, masked where no curve observes a pair.
+    """
+    chain = [sample]
+    for _ in range(K):
+        chain.append(differentiate(chain[-1]))
+    x = [np.ma.masked_array(d.values, ~d.mask) for d in chain]
+    mu = np.ma.concatenate([xk.mean(axis=0) for xk in x]).filled(np.nan)
+    c = np.ma.hstack([xk - xk.mean(axis=0) for xk in x]).filled(0.0)
+    observed = np.tile(sample.mask, K + 1).astype(float)
+    S = np.einsum("is,it->st", c, c) / np.ma.masked_equal(observed.T @ observed, 0)
+    return mu, S
 
 
 def _dense_operator(sample, K):
@@ -424,10 +450,10 @@ def _dense_operator(sample, K):
 def test_ftc_estimators_equal_dense_operator(name, K):
     s = _band_sample(name)
     M, _ = _dense_operator(s, K)
-    mu = np.concatenate([mean_est(s, k).values for k in range(K + 1)])
-    S = np.block([[cov_est(s, a, b).values for b in range(K + 1)] for a in range(K + 1)])
-    want_mean, want_cov = M @ mu, M @ S @ M.T
-    got_mean, got_cov = ftc_mean(s, 0.5, K).values, ftc_cov(s, 0.5, K).values
+    mu, S = _reference_moments(s, K)
+    want_mean, want_cov = M @ mu, M @ S.filled(np.nan) @ M.T
+    m = moments(s, 0.5, K)
+    got_mean, got_cov = ftc_mean(m).values, cov_pair(m)[1].values
     assert np.abs(got_mean - want_mean).max() <= 1e-10 * np.abs(want_mean).max()
     assert np.abs(got_cov - want_cov).max() <= 1e-10 * np.abs(want_cov).max()
 
@@ -440,11 +466,11 @@ def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
     maskf = s.mask.astype(float)
     zero = (maskf.T @ maskf == 0).astype(float)
     want_nan = support.astype(float) @ zero @ support.T.astype(float) > 0
-    S = np.block([[cov_est(s, a, b).values for b in range(K + 1)] for a in range(K + 1)])
-    got = ftc_cov(s, 0.5, K).values
+    _, S = _reference_moments(s, K)
+    got = cov_pair(moments(s, 0.5, K))[1].values
     assert want_nan.any() and not want_nan.all()
     assert np.array_equal(np.isnan(got), want_nan)
-    want = M @ np.nan_to_num(S) @ M.T
+    want = M @ S.filled(0.0) @ M.T
     assert np.abs(got - want)[~want_nan].max() <= 1e-10 * np.abs(want).max()
 
 
@@ -456,13 +482,15 @@ def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
     "name, d_f", [("interval", None), ("interior", 0.5), ("corners", 0.5)]
 )
 def test_cov_pair_equals_separate_estimators(name, d_f, K):
+    # The classical estimates read from the moments equal the anchor-free
+    # estimators bit for bit; only the back-transform carries the anchor.
     s = _band_sample(name)
-    classical, ftc = cov_pair(s, d_f, K)
-    separate = ftc_cov(s, d_f, K)
-    assert np.array_equal(classical.values, cov_est(s, 0, 0).values, equal_nan=True)
-    assert np.array_equal(ftc.values, separate.values, equal_nan=True)
-    assert classical.anchor is None and separate.anchor is not None
-    assert ftc.anchor == separate.anchor
+    m = moments(s, d_f, K)
+    classical, ftc = cov_pair(m)
+    assert np.array_equal(classical.values, cov_est(s).values, equal_nan=True)
+    assert np.array_equal(m.mu[0], mean_est(s).values, equal_nan=True)
+    assert classical.anchor is None and m.anchor is not None
+    assert ftc.anchor == ftc_mean(m).anchor == m.anchor
 
 
 def _three_point_sample():
@@ -471,21 +499,31 @@ def _three_point_sample():
 
 
 @pytest.mark.parametrize(
-    "make, d_f, K",
+    "make, d_f, K, text",
     [
-        (lambda: _band_sample("interior"), None, 1),  # not the interval pattern
-        (lambda: _band_sample("interval"), 7.0, 1),  # anchor off the grid
-        (_three_point_sample, 0.1, 2),  # order-2 stencils need 4 points
+        (
+            lambda: _band_sample("interior"),
+            None,
+            1,
+            "sample does not have the interval observation pattern; "
+            "pass an explicit anchor d_f (--d-f)",
+        ),
+        (lambda: _band_sample("interval"), 7.0, 1, "7.0 is not on the grid [0.0, 1.0]"),
+        (
+            _three_point_sample,
+            0.1,
+            2,
+            "order-2 stencils need >= 4 observed points per curve (curve 2)",
+        ),
     ],
     ids=["non_interval", "off_grid", "too_few_points"],
 )
-def test_cov_pair_errors_match_ftc_cov(make, d_f, K):
-    s = make()
-    with pytest.raises(ArgumentError) as pair:
-        cov_pair(s, d_f, K)
-    with pytest.raises(ArgumentError) as single:
-        ftc_cov(s, d_f, K)
-    assert str(pair.value) == str(single.value)
+def test_cov_pair_errors_match_ftc_cov(make, d_f, K, text):
+    # moments raises the texts the back-transform covariance raised before
+    # it read a Moments; the stencil error now also names the curve.
+    with pytest.raises(ArgumentError) as exc:
+        moments(make(), d_f, K)
+    assert str(exc.value) == text
 
 
 @settings(deadline=None, max_examples=30)
@@ -499,13 +537,56 @@ def test_cov_pair_errors_match_ftc_cov(make, d_f, K):
 def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))
     shifted = FunctionalSample(sample.grid, sample.values + shift, sample.mask)
-    pairs = cov_pair(shifted), cov_pair(sample)
+    pairs = cov_pair(moments(shifted)), cov_pair(moments(sample))
     for got, want in zip(*pairs):
         scale = np.nanmax(np.abs(want.values))
         assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
         assert np.nanmax(np.abs(got.values - want.values)) <= 1e-12 * (1 + abs(shift)) * scale
     for classical, _ in pairs:
         assert _nan_equal(classical.values, classical.values.T)
+
+
+_moment_draws = st.builds(
+    lambda kind, n, p, seed, d_f, K: (
+        dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))[0],
+        d_f,
+        K,
+    ),
+    kind=st.sampled_from(dgp.KINDS),
+    n=st.integers(5, 40),
+    p=st.integers(21, 51),
+    seed=st.integers(0, 2**32 - 1),
+    d_f=st.none() | st.floats(0.0, 0.5),  # every design observes [0, 0.5] fully
+    K=st.sampled_from([1, 2]),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(draw=_moment_draws)
+def test_back_transform_equals_classical_on_anchor_block(draw):
+    sample, d_f, K = draw
+    m = moments(sample, d_f, K)
+    block = slice(m.l, m.u + 1)
+    classical, ftc = cov_pair(m)
+    assert np.array_equal(ftc_mean(m).values[block], m.mu[0][block])
+    assert np.array_equal(ftc.values[block, block], classical.values[block, block])
+
+
+@settings(deadline=None, max_examples=30)
+@given(draw=_moment_draws, perm_seed=st.integers(0, 2**32 - 1))
+def test_estimates_invariant_to_curve_order(draw, perm_seed):
+    sample, d_f, K = draw
+    order = np.random.default_rng(perm_seed).permutation(sample.n)
+    permuted = FunctionalSample(sample.grid, sample.values[order], sample.mask[order])
+
+    def estimates(s):
+        m = moments(s, d_f, K)
+        return [mean_est(s), cov_est(s), ftc_mean(m), *cov_pair(m)]
+
+    for got, want in zip(estimates(permuted), estimates(sample)):
+        assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
+        scale = np.nanmax(np.abs(want.values))
+        assert np.nanmax(np.abs(got.values - want.values)) <= 1e-12 * scale
 
 
 # --- refinement rates ----------------------------------------------------
@@ -525,7 +606,7 @@ def test_mean_back_transform_error_is_second_order_in_h():
     # deviation of the back-transform is pure quadrature/stencil error.
     def err(p):
         s = _identical_curve_sample(p)
-        return np.nanmax(np.abs(ftc_mean(s).values - mean_est(s, 0).values))
+        return np.nanmax(np.abs(ftc_mean(moments(s)).values - mean_est(s).values))
 
     ratio = err(101) / err(201)
     assert 3.0 <= ratio <= 5.0
@@ -542,7 +623,7 @@ def test_cov_back_transform_error_is_second_order_in_h():
         d[0] = 1.0
         psi = np.sin(2 * np.pi * g.points) + 0.3 * np.cos(4 * np.pi * g.points) + g.points**2
         s = _interval_sample(g, 2.0 + c[:, None] * psi[None, :], d)
-        return ftc_cov(s).values
+        return cov_pair(moments(s))[1].values
 
     p = 101
     a, b, c = est(p), est(2 * p - 1), est(4 * p - 3)
@@ -558,19 +639,18 @@ def test_shift_invariances():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=30, p=101, seed=17))
     shifted = FunctionalSample(sample.grid, sample.values + 3.0, sample.mask)
     assert np.allclose(
-        mean_est(shifted, 0).values, mean_est(sample, 0).values + 3.0, equal_nan=True
+        mean_est(shifted).values, mean_est(sample).values + 3.0, equal_nan=True
+    )
+    m_shifted, m = moments(shifted), moments(sample)
+    assert np.allclose(m_shifted.mu[1], m.mu[1], equal_nan=True, atol=1e-10)
+    assert np.allclose(
+        cov_est(shifted).values, cov_est(sample).values, equal_nan=True, atol=1e-10
     )
     assert np.allclose(
-        mean_est(shifted, 1).values, mean_est(sample, 1).values, equal_nan=True, atol=1e-10
+        ftc_mean(m_shifted).values, ftc_mean(m).values + 3.0, equal_nan=True, atol=1e-9
     )
     assert np.allclose(
-        cov_est(shifted, 0, 0).values, cov_est(sample, 0, 0).values, equal_nan=True, atol=1e-10
-    )
-    assert np.allclose(
-        ftc_mean(shifted).values, ftc_mean(sample).values + 3.0, equal_nan=True, atol=1e-9
-    )
-    assert np.allclose(
-        ftc_cov(shifted).values, ftc_cov(sample).values, equal_nan=True, atol=1e-9
+        cov_pair(m_shifted)[1].values, cov_pair(m)[1].values, equal_nan=True, atol=1e-9
     )
 
 
@@ -584,8 +664,8 @@ def test_mean_est_linear_in_values():
     sb = FunctionalSample(g, b, mask)
     sab = FunctionalSample(g, np.where(mask, 2 * a + b, np.nan), mask)
     assert np.allclose(
-        mean_est(sab, 0).values,
-        2 * mean_est(sa, 0).values + mean_est(sb, 0).values,
+        mean_est(sab).values,
+        2 * mean_est(sa).values + mean_est(sb).values,
         equal_nan=True,
     )
 
@@ -599,7 +679,7 @@ def test_rmse_halves_when_n_quadruples():
         errs = np.empty(reps)
         for r in range(reps):
             s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(7, r)))
-            errs[r] = ftc_mean(s).values[150] - truth
+            errs[r] = ftc_mean(moments(s)).values[150] - truth
         return float(np.sqrt(np.mean(errs**2)))
 
     ratio = rmse(125) / rmse(500)

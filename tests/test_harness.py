@@ -1,6 +1,6 @@
 import pytest
 
-from ftcfd import harness
+from ftcfd import estimators, harness
 from ftcfd.errors import ArgumentError
 from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
@@ -106,6 +106,20 @@ def test_workers_do_not_change_results(tmp_path, monkeypatch, targets):
     monkeypatch.setenv(harness.WORKERS_ENV, "2")
     write_experiment_csv(run_bias_variance(spec), par)
     assert seq.read_bytes() == par.read_bytes()
+
+
+def test_replication_computes_moments_once(monkeypatch):
+    # One replication of both targets differentiates once per order (K = 1)
+    # and summarises the observation pattern once.
+    calls = []
+    for name in ("differentiate", "summarize_observation"):
+        original = getattr(estimators, name)
+        monkeypatch.setattr(
+            estimators, name, lambda s, f=original, n=name: calls.append(n) or f(s)
+        )
+    out = harness._bias_variance_rep(("DepDis", 40, 51, 0, 0, ("mean", "cov")))
+    assert sorted(out) == ["cov_classical", "cov_ftc", "mean_classical", "mean_ftc"]
+    assert sorted(calls) == ["differentiate", "summarize_observation"]
 
 
 def test_workers_env_must_be_integer(monkeypatch):
