@@ -1,4 +1,4 @@
-"""Fourier basis evaluation, least-squares projection, and BIC size selection.
+"""Fourier basis evaluation and BIC size selection with the fitted coefficients.
 
 The basis is the classical system 1, sqrt(2) sin(2 pi k u), sqrt(2) cos(2 pi k u)
 rescaled so that u runs over [0, 1] on the requested domain. Only odd basis
@@ -35,15 +35,6 @@ class BasisSpec:
             raise ArgumentError(f"domain must satisfy lo < hi, got {self.domain}")
 
 
-@dataclass(frozen=True)
-class BasisProjection:
-    """Per-curve least-squares Fourier coefficients on a subdomain."""
-
-    coefficients: np.ndarray  # n x J
-    J: int
-    subdomain: tuple[float, float]
-
-
 def eval_basis(spec: BasisSpec, grid_points) -> np.ndarray:
     """Evaluate the J basis functions at the given points (len x J matrix)."""
     t = np.asarray(grid_points, dtype=float)
@@ -66,41 +57,17 @@ def _subdomain_indices(sample: FunctionalSample, subdomain) -> np.ndarray:
     return idx
 
 
-def project(sample: FunctionalSample, spec: BasisSpec, subdomain) -> BasisProjection:
-    """OLS fit of each curve's subdomain values against the basis columns.
-
-    The basis is rescaled to spec.domain and evaluated at the subdomain
-    grid points; pass spec.domain == subdomain for a basis orthonormal on
-    the fitted interval. All curves share the same design matrix (common
-    grid), so a single least-squares solve handles the whole sample.
-    """
-    idx = _subdomain_indices(sample, subdomain)
-    if idx.size < spec.J:
-        raise ArgumentError(
-            f"subdomain has {idx.size} grid points, need >= J={spec.J}"
-        )
-    pts = sample.grid.points[idx]
-    design = eval_basis(spec, pts)
-    coef, _, rank, _ = np.linalg.lstsq(design, sample.values[:, idx].T, rcond=None)
-    if rank < spec.J:
-        raise NumericalError(
-            f"rank-deficient basis design: rank {rank} < J={spec.J} "
-            f"on {idx.size} subdomain points"
-        )
-    return BasisProjection(
-        coefficients=coef.T, J=spec.J, subdomain=(float(pts[0]), float(pts[-1]))
-    )
-
-
 def select_J(
     sample: FunctionalSample, subdomain, J_max: int, basis_domain=None
-) -> int:
+) -> tuple[int, np.ndarray]:
     """BIC-median basis-size selection over odd J in {3, 5, ..., J_max}.
 
+    Returns the selected J and the n x J least-squares coefficients of each
+    curve's subdomain values on the first J basis functions.
+
     Per curve, BIC(J) = m log(RSS/m) + J log(m) with m subdomain points;
-    the sample uses the lower median of the per-curve minimizers, snapped
-    down to the nearest odd value >= 3. The basis is rescaled to
-    basis_domain (default: the sample's full grid domain).
+    the sample uses the lower median of the per-curve minimizers. The basis
+    is rescaled to basis_domain (default: the sample's full grid domain).
 
     The candidate designs are nested column prefixes of the largest one,
     so a single reduced QR, design = Q R with z = Q^T y, gives every RSS:
@@ -113,6 +80,9 @@ def select_J(
     rank, with the rule np.linalg.lstsq applies: the smallest singular
     value is <= eps max(m, J) times the largest. The singular values of a
     design prefix are those of the leading J x J block of R.
+
+    The same factors give the coefficients, R[:J, :J]^{-1} z[:J]: the
+    selected J is one of the candidates that passed the rank rule.
     """
     if J_max < 3 or J_max % 2 == 0:
         raise ArgumentError(f"J_max must be odd and >= 3, got {J_max}")
@@ -145,7 +115,5 @@ def select_J(
     rss = np.maximum(rss_full + tail[Js], floor)
     bics = m * np.log(rss / m) + Js[:, None] * np.log(m)
     best = Js[np.argmin(bics, axis=0)]
-    lower_median = int(np.sort(best)[(sample.n - 1) // 2])
-    if lower_median % 2 == 0:
-        lower_median -= 1
-    return max(lower_median, 3)
+    J = int(np.sort(best)[(sample.n - 1) // 2])
+    return J, np.linalg.solve(r[:J, :J], z[:J]).T

@@ -7,6 +7,10 @@ residual (model-based) bootstrap. The rejection set is classified as
   Null  -- nothing rejected: consistent with missing-completely-at-random,
   V     -- only the level coefficient rejected: level-shift dependence,
   Other -- any other rejection pattern.
+
+Two factorisations serve one test: the basis QR inside select_J yields the
+coefficients, and one QR of the regression design X = [1, Xi] = Q R yields
+the estimates, their standard errors and every bootstrap replication.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, project, select_J
+from .basis import select_J
 from .core import FunctionalSample, fully_observed_prefix, summarize_observation
 from .errors import ArgumentError, NumericalError
 
@@ -26,13 +30,14 @@ OUTCOME_OTHER = "Other"
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """OLS fit of d on [1, Xi] with homoskedastic standard errors."""
+    """OLS fit of d on X = [1, Xi] = Q R with homoskedastic standard errors."""
 
     beta_hat: np.ndarray  # length J+1, intercept first
     se: np.ndarray  # length J+1
     t_sq: np.ndarray  # length J, squared t statistics for beta_1..beta_J
     residuals: np.ndarray
-    fitted: np.ndarray
+    q: np.ndarray  # n x (J+1), orthonormal columns
+    r_inv: np.ndarray  # (J+1) x (J+1), upper triangular
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,12 @@ def _classify(rejected: frozenset) -> str:
 
 
 def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
-    """OLS of d on the J coefficient columns plus an intercept."""
+    """OLS of d on the J coefficient columns plus an intercept.
+
+    With X = Q R, beta = R^{-1} Q^T d and diag((X^T X)^{-1}) is the squared
+    row norms of R^{-1}. The rank is counted with the rule np.linalg.lstsq
+    applies: singular values of R above eps max(n, J+1) times the largest.
+    """
     d = np.asarray(d, dtype=float)
     Xi = np.asarray(Xi, dtype=float)
     n, J = Xi.shape
@@ -81,22 +91,24 @@ def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
     if n <= J + 1:
         raise ArgumentError(f"need n > J+1 regressors, got n={n}, J={J}")
     X = np.column_stack([np.ones(n), Xi])
-    beta, _, rank, _ = np.linalg.lstsq(X, d, rcond=None)
+    q, r = np.linalg.qr(X)
+    sv = np.linalg.svd(r, compute_uv=False)
+    rank = np.count_nonzero(sv > np.finfo(float).eps * max(n, J + 1) * sv[0])
     if rank < J + 1:
         raise NumericalError(f"rank-deficient regression design (rank {rank})")
-    fitted = X @ beta
-    resid = d - fitted
+    # Partial pivoting swaps no rows of a triangular r, so r_inv is triangular.
+    r_inv = np.linalg.inv(r)
+    beta = r_inv @ (q.T @ d)
+    resid = d - X @ beta
     # An exact fit leaves pure round-off in the residuals; snap it to zero
     # so the degenerate case is handled as such rather than amplified by
     # division with a vanishing standard error.
     scale = np.sqrt(np.mean(d * d))
     if np.abs(resid).max() <= 1e-12 * max(scale, 1.0):
         resid = np.zeros(n)
-        fitted = d.copy()
     dof = n - J - 1
     sigma2 = resid @ resid / dof
-    xtx_inv = np.linalg.inv(X.T @ X)
-    se = np.sqrt(sigma2 * np.diag(xtx_inv))
+    se = np.sqrt(sigma2 * np.einsum("ij,ij->i", r_inv, r_inv))
     beta_tol = 1e-10 * max(np.abs(beta).max(), 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_sq = np.where(
@@ -104,38 +116,36 @@ def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
             (beta[1:] / np.where(se[1:] > 0, se[1:], 1.0)) ** 2,
             np.where(np.abs(beta[1:]) > beta_tol, np.inf, 0.0),
         )
-    return RegressionFit(beta_hat=beta, se=se, t_sq=t_sq, residuals=resid, fitted=fitted)
+    return RegressionFit(
+        beta_hat=beta, se=se, t_sq=t_sq, residuals=resid, q=q, r_inv=r_inv
+    )
 
 
-def bootstrap_statistics(d, Xi, R: int, seed: int) -> np.ndarray:
+def bootstrap_statistics(fit: RegressionFit, R: int, seed: int) -> np.ndarray:
     """Residual bootstrap, centered at the original estimates (R x J).
 
-    Resamples residuals with replacement, rebuilds d* = fitted + u*, refits
-    on the unchanged design, and forms ((beta*_j - beta_hat_j) / se*_j)^2.
+    Resamples residuals u* with replacement, refits d* = X beta_hat + u* on
+    the unchanged design, and forms ((beta*_j - beta_hat_j) / se*_j)^2.
+    The fit's QR serves every replication: with w = Q^T u*, the refit moves
+    the estimates by R^{-1} w and leaves the residual sum of squares
+    ||u*||^2 - ||w||^2, so no d*, refit or residual array is formed.
     Degenerate replications with zero residual variance yield 0.
     """
     if R < 100:
         raise ArgumentError(f"R must be >= 100, got {R}")
-    d = np.asarray(d, dtype=float)
-    Xi = np.asarray(Xi, dtype=float)
-    fit = fit_regression(d, Xi)
-    n, J = Xi.shape
+    n, k = fit.q.shape
     if not fit.residuals.any():
         # Exact fit: every resample reproduces d, so all statistics vanish.
-        return np.zeros((R, J))
-    X = np.column_stack([np.ones(n), Xi])
-    xtx_inv = np.linalg.inv(X.T @ X)
-    solver = xtx_inv @ X.T  # (J+1) x n
-    diag = np.diag(xtx_inv)[1:]
-    dof = n - J - 1
+        return np.zeros((R, k - 1))
     rng = np.random.default_rng(seed)
     resampled = rng.choice(fit.residuals, size=(R, n), replace=True)
-    d_star = fit.fitted + resampled  # R x n
-    beta_star = d_star @ solver.T  # R x (J+1)
-    resid_star = d_star - beta_star @ X.T
-    sigma2_star = np.einsum("ij,ij->i", resid_star, resid_star) / dof
+    w = resampled @ fit.q  # R x (J+1)
+    rss_star = np.einsum("ij,ij->i", resampled, resampled)
+    rss_star -= np.einsum("ij,ij->i", w, w)
+    sigma2_star = np.maximum(rss_star, 0.0) / (n - k)
+    diag = np.einsum("ij,ij->i", fit.r_inv[1:], fit.r_inv[1:])
     se_star = np.sqrt(sigma2_star[:, None] * diag)  # R x J
-    delta = beta_star[:, 1:] - fit.beta_hat[1:]
+    delta = w @ fit.r_inv[1:].T  # beta*_j - beta_hat_j for j = 1..J
     with np.errstate(divide="ignore", invalid="ignore"):
         t2 = np.where(se_star > 0, (delta / se_star) ** 2, 0.0)
     return t2
@@ -153,11 +163,9 @@ def romano_wolf(d, Xi, alpha: float, R: int, seed: int) -> TestReport:
     """
     if not 0 < alpha < 1:
         raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")
-    d = np.asarray(d, dtype=float)
-    Xi = np.asarray(Xi, dtype=float)
     fit = fit_regression(d, Xi)
-    boot = bootstrap_statistics(d, Xi, R, seed)[: R - 1]  # R-1 comparison rows
-    J = Xi.shape[1]
+    boot = bootstrap_statistics(fit, R, seed)[: R - 1]  # R-1 comparison rows
+    J = fit.t_sq.size
     remaining = list(range(1, J + 1))
     rejected = set()
     p_values = []
@@ -192,7 +200,7 @@ def classify_and_test(
     R: int = 1000,
     seed: int = 0,
 ) -> TestReport:
-    """End-to-end test: basis-size selection, projection, stepdown.
+    """End-to-end test: basis-size selection with its coefficients, stepdown.
 
     Requires the interval observation pattern. A constant endpoint vector
     (e.g. a fully observed sample) short-circuits to the Null outcome with
@@ -217,6 +225,5 @@ def classify_and_test(
     # curves finite-dimensional on the subdomain, which the BIC sweep and
     # the regression design both rely on.
     basis_domain = (subdomain[0], float(sample.grid.points[-1]))
-    J = select_J(sample, subdomain, J_max, basis_domain=basis_domain)
-    proj = project(sample, BasisSpec(J, basis_domain), subdomain)
-    return romano_wolf(summ.d_i, proj.coefficients, alpha, R, seed)
+    _, coefficients = select_J(sample, subdomain, J_max, basis_domain=basis_domain)
+    return romano_wolf(summ.d_i, coefficients, alpha, R, seed)

@@ -27,7 +27,7 @@ from ftcfd.harness import (
     run_bias_variance,
     run_test_selection,
 )
-from ftcfd.mcar import bootstrap_statistics, romano_wolf
+from ftcfd.mcar import bootstrap_statistics, fit_regression, romano_wolf
 
 
 def _report(k, ok, detail):
@@ -252,7 +252,9 @@ def test_criterion_7_estimator_and_test_properties():
     rng = np.random.default_rng(5)
     Xi = rng.standard_normal((500, 5))
     dresp = rng.standard_normal(500)
-    q95 = float(np.percentile(bootstrap_statistics(dresp, Xi, 1000, seed=11)[:, 0], 95))
+    q95 = float(
+        np.percentile(bootstrap_statistics(fit_regression(dresp, Xi), 1000, seed=11)[:, 0], 95)
+    )
     checks.append((f"bootstrap null 95th pct {q95:.2f}", 3.0 <= q95 <= 4.9))
 
     # stepdown test: deterministic and invariant to column scaling

@@ -7,7 +7,6 @@ from ftcfd.basis import (
     BasisSpec,
     _subdomain_indices,
     eval_basis,
-    project,
     select_J,
 )
 from ftcfd.core import FunctionalSample, make_grid, summarize_observation
@@ -63,18 +62,18 @@ def test_eval_basis_rejects_points_outside_domain():
 def test_project_constant_curves():
     g = make_grid(51, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.full((4, 51), 2.5))
-    proj = project(s, BasisSpec(5, (0.0, 1.0)), (0.0, 1.0))
-    expected = np.zeros(5)
+    J, coef = select_J(s, (0.0, 1.0), 5)
+    expected = np.zeros(J)
     expected[0] = 2.5
-    assert np.abs(proj.coefficients - expected).max() < 1e-8
+    assert np.abs(coef - expected).max() < 1e-8
 
 
 def test_project_reproduces_basis_element():
     g = make_grid(101, 0.0, 1.0)
     psi2 = eval_basis(BasisSpec(3, (0.0, 1.0)), g.points)[:, 1]
     s = FunctionalSample.from_values(g, psi2[None, :])
-    proj = project(s, BasisSpec(3, (0.0, 1.0)), (0.0, 1.0))
-    assert np.abs(proj.coefficients[0] - [0.0, 1.0, 0.0]).max() < 1e-6
+    coef = select_J(s, (0.0, 1.0), 3)[1]
+    assert np.abs(coef[0] - [0.0, 1.0, 0.0]).max() < 1e-6
 
 
 def _render(xi, sample):
@@ -84,20 +83,8 @@ def _render(xi, sample):
 def test_project_recovers_generator_coefficients():
     sample, _, xi = draw_sample(DgpConfig("IndDis", n=20, p=201, seed=3))
     full = FunctionalSample.from_values(sample.grid, _render(xi, sample))
-    proj = project(full, BasisSpec(5, (0.0, 1.0)), (0.0, 1.0))
-    assert np.abs(proj.coefficients - xi).max() < 1e-6
-
-
-def test_project_is_linear_in_values():
-    g = make_grid(81, 0.0, 1.0)
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 81))
-    b = rng.standard_normal((3, 81))
-    spec, dom = BasisSpec(5, (0.0, 1.0)), (0.0, 1.0)
-    ca = project(FunctionalSample.from_values(g, a), spec, dom).coefficients
-    cb = project(FunctionalSample.from_values(g, b), spec, dom).coefficients
-    cab = project(FunctionalSample.from_values(g, 2 * a + b), spec, dom).coefficients
-    assert np.abs(cab - (2 * ca + cb)).max() < 1e-8
+    coef = select_J(full, (0.0, 1.0), 11)[1]
+    assert np.abs(coef - xi).max() < 1e-6
 
 
 def test_project_residual_orthogonal_to_design():
@@ -105,55 +92,43 @@ def test_project_residual_orthogonal_to_design():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal((5, 101))
     s = FunctionalSample.from_values(g, vals)
-    spec = BasisSpec(7, (0.0, 1.0))
-    proj = project(s, spec, (0.0, 1.0))
-    design = eval_basis(spec, g.points)
-    resid = vals.T - design @ proj.coefficients.T
+    J, coef = select_J(s, (0.0, 1.0), 7)
+    design = eval_basis(BasisSpec(J, (0.0, 1.0)), g.points)
+    resid = vals.T - design @ coef.T
     rel = np.abs(design.T @ resid).max() / max(np.abs(vals).max(), 1.0)
     assert rel < 1e-8
-
-
-def test_project_requires_full_observation_on_subdomain():
-    sample, _, _ = draw_sample(DgpConfig("DepDis", n=10, p=101, seed=0))
-    with pytest.raises(ArgumentError):
-        project(sample, BasisSpec(5, (0.0, 1.0)), (0.0, 1.0))
-
-
-def test_project_rejects_more_coefficients_than_points():
-    g = make_grid(5, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.random.default_rng(0).standard_normal((2, 5)))
-    with pytest.raises(ArgumentError):
-        project(s, BasisSpec(7, (0.0, 1.0)), (0.0, 1.0))
 
 
 def test_select_j_recovers_generator_dimension():
     sample, _, xi = draw_sample(DgpConfig("IndDis", n=50, p=201, seed=6))
     full = FunctionalSample.from_values(sample.grid, _render(xi, sample))
     for j_max in (5, 11, 31):
-        assert select_J(full, (0.0, 1.0), j_max) == 5
+        assert select_J(full, (0.0, 1.0), j_max)[0] == 5
 
 
 def test_select_j_constant_sample():
     g = make_grid(101, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.full((10, 101), 3.0))
-    assert select_J(s, (0.0, 1.0), 21) == 3
+    assert select_J(s, (0.0, 1.0), 21)[0] == 3
 
 
 def test_select_j_on_observed_subdomain_monte_carlo():
     hits = 0
     for r in range(100):
         sample, _, _ = draw_sample(DgpConfig("DepDis", n=150, p=501, seed=(800, r)))
-        hits += select_J(sample, (0.0, 0.5), 51) == 5
+        hits += select_J(sample, (0.0, 0.5), 51)[0] == 5
     assert hits >= 95
 
 
 def test_select_j_invariant_to_curve_order():
     sample, _, _ = draw_sample(DgpConfig("IndCon", n=30, p=101, seed=5))
     sub = (0.0, 0.5)
-    j1 = select_J(sample, sub, 21)
+    j1, c1 = select_J(sample, sub, 21)
     perm = np.random.default_rng(0).permutation(sample.n)
     shuffled = FunctionalSample(sample.grid, sample.values[perm], sample.mask[perm])
-    assert select_J(shuffled, sub, 21) == j1
+    j2, c2 = select_J(shuffled, sub, 21)
+    assert j2 == j1
+    assert np.allclose(c2, c1[perm], rtol=1e-12, atol=0.0)
 
 
 def test_select_j_validates_j_max():
@@ -161,10 +136,18 @@ def test_select_j_validates_j_max():
     s = FunctionalSample.from_values(g, np.ones((2, 11)))
     with pytest.raises(ArgumentError):
         select_J(s, (0.0, 1.0), 4)
+    with pytest.raises(ArgumentError, match="too few for J >= 3"):
+        select_J(s, (0.0, 0.1), 5)  # two subdomain points
+    partial, _, _ = draw_sample(DgpConfig("DepDis", n=10, p=101, seed=0))
+    with pytest.raises(ArgumentError, match="fully observed on the subdomain"):
+        select_J(partial, (0.0, 1.0), 5)
 
 
 def _select_j_reference(sample, subdomain, J_max, basis_domain):
-    """select_J as one lstsq solve per candidate size, stopping at rank loss."""
+    """select_J as one lstsq solve per candidate size, stopping at rank loss.
+
+    Returns the selected J and the lstsq coefficients at that J.
+    """
     idx = _subdomain_indices(sample, subdomain)
     m = idx.size
     candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
@@ -172,7 +155,7 @@ def _select_j_reference(sample, subdomain, J_max, basis_domain):
     design_full = eval_basis(BasisSpec(candidates[-1], basis_domain), pts)
     y = sample.values[:, idx].T
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(y**2, axis=0), _RSS_ABS_FLOOR)
-    bic_rows, kept = [], []
+    bic_rows, kept, coefs = [], [], []
     for J in candidates:
         design = design_full[:, :J]
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -181,11 +164,20 @@ def _select_j_reference(sample, subdomain, J_max, basis_domain):
         rss = np.maximum(np.sum((y - design @ coef) ** 2, axis=0), floor)
         bic_rows.append(m * np.log(rss / m) + J * np.log(m))
         kept.append(J)
+        coefs.append(coef.T)
     best = np.array([kept[k] for k in np.argmin(np.array(bic_rows), axis=0)])
     lower_median = int(np.sort(best)[(sample.n - 1) // 2])
     if lower_median % 2 == 0:
         lower_median -= 1
-    return max(lower_median, 3)
+    J = max(lower_median, 3)
+    return J, coefs[kept.index(J)]
+
+
+def _assert_matches_reference(sample, subdomain, J_max, basis_domain):
+    J, coef = select_J(sample, subdomain, J_max, basis_domain)
+    J_ref, coef_ref = _select_j_reference(sample, subdomain, J_max, basis_domain)
+    assert J == J_ref
+    assert np.abs(coef - coef_ref).max() <= 1e-10 * np.abs(coef_ref).max()
 
 
 @pytest.mark.parametrize("kind", ["DepDis", "DepCon", "IndDis", "IndCon"])
@@ -195,9 +187,7 @@ def test_select_j_matches_lstsq_sweep_on_dgp_draws(kind, n):
         sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=501, seed=(810, rep)))
         lo, hi = float(sample.grid.points[0]), float(sample.grid.points[-1])
         sub = (lo, summarize_observation(sample).d_min)
-        assert select_J(sample, sub, 51, (lo, hi)) == _select_j_reference(
-            sample, sub, 51, (lo, hi)
-        )
+        _assert_matches_reference(sample, sub, 51, (lo, hi))
 
 
 # Short subdomains where the design prefixes lose numerical rank part-way
@@ -211,6 +201,4 @@ def test_select_j_matches_lstsq_sweep_where_rank_breaks(p, hi, J_max, noise):
     rng = np.random.default_rng(0)
     curves = rng.standard_normal((40, 7)) @ eval_basis(BasisSpec(7, (0, 1)), g.points).T
     s = FunctionalSample.from_values(g, curves + noise * rng.standard_normal((40, p)))
-    assert select_J(s, (0.0, hi), J_max, (0.0, 1.0)) == _select_j_reference(
-        s, (0.0, hi), J_max, (0.0, 1.0)
-    )
+    _assert_matches_reference(s, (0.0, hi), J_max, (0.0, 1.0))

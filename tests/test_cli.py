@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ftcfd
 from ftcfd import estimators
 from ftcfd.basis import BasisSpec, eval_basis
 from ftcfd.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -282,3 +287,18 @@ def test_test_outcomes(tmp_path, capsys, dep_dis_path):
 def test_test_j_max_does_not_change_clear_outcome(capsys, dep_dis_path):
     assert main(["test", str(dep_dis_path), "--j-max", "41"]) == EXIT_OK
     assert "outcome=V" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg alone adds tens of milliseconds to every command's start.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ftcfd.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, ftcfd.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

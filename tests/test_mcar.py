@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
-from ftcfd import dgp
-from ftcfd.core import FunctionalSample
-from ftcfd.errors import ArgumentError
+from ftcfd import dgp, mcar
+from ftcfd.basis import select_J
+from ftcfd.core import FunctionalSample, fully_observed_prefix, summarize_observation
+from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.harness import _rep_seed
 from ftcfd.mcar import (
     OUTCOME_NULL,
@@ -45,7 +48,8 @@ def test_fit_residuals_sum_to_zero():
     d = 0.2 + 0.1 * Xi[:, 2] + rng.normal(0, 0.3, 300)
     fit = fit_regression(d, Xi)
     assert abs(fit.residuals.sum()) < 1e-8
-    assert np.allclose(fit.fitted + fit.residuals, d)
+    X = np.column_stack([np.ones(300), Xi])
+    assert np.array_equal(fit.residuals, d - X @ fit.beta_hat)
 
 
 def test_fit_confidence_coverage():
@@ -65,8 +69,6 @@ def test_fit_rejects_bad_shapes_and_rank():
         fit_regression(np.zeros(9), Xi)
     with pytest.raises(ArgumentError):
         fit_regression(np.zeros(6), Xi[:6])  # n <= J+1
-    from ftcfd.errors import NumericalError
-
     bad = np.column_stack([Xi[:, 0], Xi[:, 0], Xi[:, 1]])
     with pytest.raises(NumericalError):
         fit_regression(np.arange(10.0), bad)
@@ -77,7 +79,7 @@ def test_fit_rejects_bad_shapes_and_rank():
 
 def test_bootstrap_degenerate_noiseless_fit():
     Xi = _design(200)
-    t2 = bootstrap_statistics(2.0 * Xi[:, 0], Xi, 200, seed=1)
+    t2 = bootstrap_statistics(fit_regression(2.0 * Xi[:, 0], Xi), 200, seed=1)
     assert t2.shape == (200, 5)
     assert not t2.any()
 
@@ -86,10 +88,11 @@ def test_bootstrap_is_deterministic():
     rng = np.random.default_rng(3)
     Xi = _design(150, seed=4)
     d = 0.5 + rng.normal(0, 0.2, 150)
-    a = bootstrap_statistics(d, Xi, 300, seed=9)
-    b = bootstrap_statistics(d, Xi, 300, seed=9)
+    fit = fit_regression(d, Xi)
+    a = bootstrap_statistics(fit, 300, seed=9)
+    b = bootstrap_statistics(fit, 300, seed=9)
     assert np.array_equal(a, b)
-    c = bootstrap_statistics(d, Xi, 300, seed=10)
+    c = bootstrap_statistics(fit, 300, seed=10)
     assert not np.array_equal(a, c)
 
 
@@ -97,7 +100,7 @@ def test_bootstrap_null_quantile_matches_chi_square():
     rng = np.random.default_rng(5)
     Xi = rng.standard_normal((500, 5))
     d = rng.standard_normal(500)
-    t2 = bootstrap_statistics(d, Xi, 1000, seed=11)
+    t2 = bootstrap_statistics(fit_regression(d, Xi), 1000, seed=11)
     q95 = np.percentile(t2[:, 0], 95)
     assert 3.0 <= q95 <= 4.9
 
@@ -105,7 +108,67 @@ def test_bootstrap_null_quantile_matches_chi_square():
 def test_bootstrap_requires_enough_replications():
     Xi = _design(100)
     with pytest.raises(ArgumentError):
-        bootstrap_statistics(np.arange(100.0), Xi, 99, seed=0)
+        bootstrap_statistics(fit_regression(np.arange(100.0), Xi), 99, seed=0)
+
+
+# --- the QR fit against the normal-equation formulas ------------------------
+
+
+def _reference_fit(d, Xi):
+    """lstsq estimates, inv(X^T X) standard errors and the fitted values."""
+    n, J = Xi.shape
+    X = np.column_stack([np.ones(n), Xi])
+    beta, _, rank, _ = np.linalg.lstsq(X, d, rcond=None)
+    fitted = X @ beta
+    resid = d - fitted
+    xtx_inv = np.linalg.inv(X.T @ X)
+    se = np.sqrt(resid @ resid / (n - J - 1) * np.diag(xtx_inv))
+    return X, beta, se, (beta[1:] / se[1:]) ** 2, fitted, resid, xtx_inv
+
+
+def _reference_bootstrap(d, Xi, R, seed):
+    """Refit d* = fitted + u* for every replication and form the t^2 array."""
+    X, beta, _, _, fitted, resid, xtx_inv = _reference_fit(d, Xi)
+    n, J = Xi.shape
+    rng = np.random.default_rng(seed)
+    d_star = fitted + rng.choice(resid, size=(R, n), replace=True)
+    beta_star = d_star @ (xtx_inv @ X.T).T
+    resid_star = d_star - beta_star @ X.T
+    sigma2_star = np.einsum("ij,ij->i", resid_star, resid_star) / (n - J - 1)
+    se_star = np.sqrt(sigma2_star[:, None] * np.diag(xtx_inv)[1:])
+    return ((beta_star[:, 1:] - beta[1:]) / se_star) ** 2
+
+
+def _assert_close(a, b):
+    assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("kind", ["DepDis", "DepCon", "IndDis", "IndCon"])
+@pytest.mark.parametrize("n", [150, 500])
+def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
+    sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=501, seed=(61, n)))
+    summ = summarize_observation(sample)
+    sub = fully_observed_prefix(sample.grid, summ)
+    _, Xi = select_J(sample, sub, 51, (sub[0], float(sample.grid.points[-1])))
+    d = summ.d_i
+    _, beta, se, t_sq, _, _, _ = _reference_fit(d, Xi)
+    fit = fit_regression(d, Xi)
+    _assert_close(fit.beta_hat, beta)
+    _assert_close(fit.se, se)
+    _assert_close(fit.t_sq, t_sq)
+    _assert_close(bootstrap_statistics(fit, 500, seed=4), _reference_bootstrap(d, Xi, 500, 4))
+
+
+def test_fit_rank_deficiency_reports_the_lstsq_rank():
+    rng = np.random.default_rng(62)
+    Xi = rng.standard_normal((200, 6))
+    Xi[:, 4] = Xi[:, 1]
+    d = rng.standard_normal(200)
+    rank = np.linalg.lstsq(np.column_stack([np.ones(200), Xi]), d, rcond=None)[2]
+    assert rank == 6
+    text = f"rank-deficient regression design (rank {rank})"
+    with pytest.raises(NumericalError, match=re.escape(text) + "$"):
+        fit_regression(d, Xi)
 
 
 # --- romano_wolf ------------------------------------------------------------
@@ -236,6 +299,25 @@ def test_classify_fully_observed_sample_is_degenerate_null():
     report = classify_and_test(full, R=200, seed=0)
     assert report.outcome == OUTCOME_NULL
     assert report.degenerate_response
+
+
+def test_classify_fits_the_regression_once(monkeypatch):
+    calls = []
+    fit = mcar.fit_regression
+
+    def counted(d, Xi):
+        calls.append(Xi.shape)
+        return fit(d, Xi)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called on the test path")
+
+    monkeypatch.setattr(mcar, "fit_regression", counted)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=150, p=201, seed=32))
+    report = classify_and_test(sample, R=200, seed=0)
+    assert len(calls) == 1
+    assert calls[0] == (150, report.J)
 
 
 def test_classify_rejects_non_interval_pattern():
