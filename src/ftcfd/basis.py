@@ -50,13 +50,6 @@ def eval_basis(spec: BasisSpec, grid_points) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _subdomain_indices(sample: FunctionalSample, subdomain) -> np.ndarray:
-    idx = subdomain_indices(sample, subdomain)
-    if idx.size == 0:
-        raise ArgumentError("subdomain contains no grid points")
-    return idx
-
-
 def select_J(
     sample: FunctionalSample, subdomain, J_max: int, basis_domain=None
 ) -> tuple[int, np.ndarray]:
@@ -86,7 +79,7 @@ def select_J(
     """
     if J_max < 3 or J_max % 2 == 0:
         raise ArgumentError(f"J_max must be odd and >= 3, got {J_max}")
-    idx = _subdomain_indices(sample, subdomain)
+    idx = subdomain_indices(sample, subdomain)
     m = idx.size
     pts = sample.grid.points[idx]
     if basis_domain is None:

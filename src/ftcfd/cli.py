@@ -17,7 +17,7 @@ import sys
 
 from . import estimators
 from .core import fully_observed_prefix, summarize_observation
-from .dgp import KINDS, DgpConfig, draw_sample, draw_v2_sample
+from .dgp import ALL_KINDS, KINDS, DgpConfig, draw_sample
 from .errors import ArgumentError, NumericalError, ParseError
 from .harness import (
     MODE_BIAS_VARIANCE,
@@ -40,8 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-V2_KIND = "V2"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="draw a sample from a built-in design")
-    sim.add_argument("--dgp", required=True, choices=KINDS + (V2_KIND,))
+    sim.add_argument("--dgp", required=True, choices=ALL_KINDS)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--p", type=int, default=501)
     sim.add_argument("--seed", type=int, default=0)
@@ -193,12 +191,7 @@ def _experiment_spec(args) -> ExperimentSpec:
 
 
 def _cmd_simulate(args) -> int:
-    if args.dgp == V2_KIND:
-        sample, d, xi = draw_v2_sample(args.n, p=args.p, seed=args.seed)
-    else:
-        sample, d, xi = draw_sample(
-            DgpConfig(args.dgp, n=args.n, p=args.p, seed=args.seed)
-        )
+    sample, d, xi = draw_sample(DgpConfig(args.dgp, n=args.n, p=args.p, seed=args.seed))
     write_sample_csv(sample, args.out)
     if args.sidecar:
         write_coefficient_sidecar(args.sidecar, d, xi)

@@ -300,18 +300,18 @@ def test_criterion_8_higher_order_back_transform():
     # monomial components; the classical estimators stay badly biased
     p, n, reps = 201, 500, 200
     g = make_grid(p, 0.0, 1.0)
-    truth_m = dgp.v2_true_mean(g.points)
-    truth_c = dgp.v2_true_cov(g.points, g.points)
+    truth_m = dgp.true_mean(g.points, kind="V2")
+    truth_c = dgp.true_cov(g.points, g.points, kind="V2")
     acc_m_cl = np.zeros(p)
     acc_m_k2 = np.zeros(p)
     acc_c_cl = np.zeros((p, p))
     acc_c_k2 = np.zeros((p, p))
     for r in range(reps):
-        sm, dm, _ = dgp.draw_v2_sample(n, p=p, seed=(13, r))
+        sm, dm, _ = dgp.draw_sample(dgp.DgpConfig("V2", n=n, p=p, seed=(13, r)))
         am = float(dm.min())
         acc_m_cl += mean_est(sm).values
         acc_m_k2 += ftc_mean(moments(sm, am, 2)).values
-        sc, dc, _ = dgp.draw_v2_sample(n, p=p, seed=(14, r))
+        sc, dc, _ = dgp.draw_sample(dgp.DgpConfig("V2", n=n, p=p, seed=(14, r)))
         ac = float(dc.min())
         acc_c_cl += cov_est(sc).values
         acc_c_k2 += cov_pair(moments(sc, ac, 2))[1].values

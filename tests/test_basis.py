@@ -5,11 +5,15 @@ from ftcfd.basis import (
     _RSS_ABS_FLOOR,
     _RSS_REL_FLOOR,
     BasisSpec,
-    _subdomain_indices,
     eval_basis,
     select_J,
 )
-from ftcfd.core import FunctionalSample, make_grid, summarize_observation
+from ftcfd.core import (
+    FunctionalSample,
+    make_grid,
+    subdomain_indices,
+    summarize_observation,
+)
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ArgumentError, NumericalError
 
@@ -138,6 +142,8 @@ def test_select_j_validates_j_max():
         select_J(s, (0.0, 1.0), 4)
     with pytest.raises(ArgumentError, match="too few for J >= 3"):
         select_J(s, (0.0, 0.1), 5)  # two subdomain points
+    with pytest.raises(ArgumentError, match="too few for J >= 3"):
+        select_J(s, (0.31, 0.39), 5)  # no subdomain points
     partial, _, _ = draw_sample(DgpConfig("DepDis", n=10, p=101, seed=0))
     with pytest.raises(ArgumentError, match="fully observed on the subdomain"):
         select_J(partial, (0.0, 1.0), 5)
@@ -148,7 +154,7 @@ def _select_j_reference(sample, subdomain, J_max, basis_domain):
 
     Returns the selected J and the lstsq coefficients at that J.
     """
-    idx = _subdomain_indices(sample, subdomain)
+    idx = subdomain_indices(sample, subdomain)
     m = idx.size
     candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
     pts = sample.grid.points[idx]

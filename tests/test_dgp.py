@@ -10,6 +10,8 @@ from ftcfd.errors import ArgumentError
 
 
 def test_config_validation():
+    for kind in dgp.ALL_KINDS:
+        assert dgp.DgpConfig(kind, n=10).kind == kind
     with pytest.raises(ArgumentError):
         dgp.DgpConfig("Nope", n=10)
     with pytest.raises(ArgumentError):
@@ -29,7 +31,7 @@ def test_draw_is_deterministic():
 def test_kinds_share_coefficients_given_seed():
     xis = [
         dgp.draw_sample(dgp.DgpConfig(kind, n=15, p=51, seed=3))[2]
-        for kind in dgp.KINDS
+        for kind in dgp.ALL_KINDS
     ]
     for xi in xis[1:]:
         assert np.array_equal(xis[0], xi)
@@ -58,7 +60,7 @@ def test_dep_con_exact_mass_small_n():
 
 
 def test_lower_half_always_observed():
-    for kind in dgp.KINDS:
+    for kind in dgp.ALL_KINDS:
         sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=50, p=101, seed=4))
         half = sample.grid.points <= 0.5
         assert sample.mask[:, half].all()
@@ -93,6 +95,8 @@ def test_rendered_curves_project_back_to_coefficients():
 def test_true_mean_values():
     assert dgp.true_mean(0.0) == pytest.approx(5.0)
     assert dgp.true_mean(0.25) == pytest.approx(5.0 + 2.0 * math.sqrt(2.0))
+    for kind in dgp.KINDS:
+        assert dgp.true_mean(0.25, kind=kind) == dgp.true_mean(0.25)
 
 
 def test_true_cov_values():
@@ -106,15 +110,18 @@ def test_true_cov_values():
         + 4.0 * math.cos(4 * math.pi * t) ** 2
     )
     assert dgp.true_cov(t, t) == pytest.approx(expected)
+    for kind in dgp.KINDS:
+        assert dgp.true_cov(t, t, kind=kind) == dgp.true_cov(t, t)
 
 
 def test_true_cov_matches_sample_moments():
-    _, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=200_00, p=11, seed=8))
-    pts = np.array([0.1, 0.6])
-    basis = eval_basis(BasisSpec(5, (0.0, 1.0)), pts)
-    curves = xi @ basis.T
-    emp = np.cov(curves.T, bias=True)
-    assert np.abs(emp - dgp.true_cov(pts, pts)).max() < 0.8
+    # t = 0.1 and 0.4 lie in the half every curve observes
+    idx = [1, 4]
+    for kind in ("IndDis", "V2"):
+        sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=200_00, p=11, seed=8))
+        pts = sample.grid.points[idx]
+        emp = np.cov(sample.values[:, idx].T, bias=True)
+        assert np.abs(emp - dgp.true_cov(pts, pts, kind=kind)).max() < 0.8
 
 
 def test_analytic_bias_values():
@@ -135,11 +142,11 @@ def test_analytic_bias_integrates_to_table_value():
     assert integral == pytest.approx(10.0 / math.pi, rel=1e-3)
 
 
-# --- labeled second-order extension ---------------------------------------
+# --- V2: endpoint tied to two monomial components ---------------------------
 
 
 def test_v2_sample_shape_and_endpoints():
-    sample, d, xi = dgp.draw_v2_sample(100, p=51, seed=10)
+    sample, d, xi = dgp.draw_sample(dgp.DgpConfig("V2", n=100, p=51, seed=10))
     assert sample.values.shape == (100, 51)
     assert set(np.unique(d)) == {0.5, 1.0}
     centered = (xi[:, 0] - 5.0) + (xi[:, 1] - 2.0)
@@ -147,7 +154,7 @@ def test_v2_sample_shape_and_endpoints():
 
 
 def test_v2_truth_functions():
-    assert dgp.v2_true_mean(0.0) == pytest.approx(5.0)
+    assert dgp.true_mean(0.0, kind="V2") == pytest.approx(5.0)
     # variance at t: lam1 + lam2 t^2 + Fourier terms
     t = 0.25
     basis = np.array(
@@ -159,11 +166,11 @@ def test_v2_truth_functions():
             math.sqrt(2) * math.sin(4 * math.pi * t),
         ]
     )
-    expected = float(np.sum(np.asarray(dgp.V2_LAMBDA) * basis**2))
-    assert dgp.v2_true_cov(t, t) == pytest.approx(expected)
+    expected = float(np.sum(np.asarray(dgp.DEFAULT_LAMBDA) * basis**2))
+    assert dgp.true_cov(t, t, kind="V2") == pytest.approx(expected)
 
 
 def test_v2_curves_match_coefficients():
-    sample, _, xi = dgp.draw_v2_sample(10, p=21, seed=11)
+    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("V2", n=10, p=21, seed=11))
     # at t = 0 the basis row is (1, 0, 0, sqrt(2), 0)
     assert np.allclose(sample.values[:, 0], xi[:, 0] + math.sqrt(2) * xi[:, 3])
