@@ -7,6 +7,7 @@ counts are used so sin/cos pairs stay together.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,10 @@ def select_J(
 
     The sweep stops at the first candidate whose design loses numerical
     rank, with the rule np.linalg.lstsq applies: the smallest singular
-    value is <= eps max(m, J) times the largest. The singular values of a
-    design prefix are those of the leading J x J block of R.
+    value is <= eps max(m, J) = eps m times the largest. The singular values
+    of a design prefix are those of the leading J x J block of R, and so of
+    R[:J+1, :J]: dropping a column interlaces them, the smallest never rises
+    with J and the largest never falls, and a bisection finds the break.
 
     The same factors give the coefficients, R[:J, :J]^{-1} z[:J]: the
     selected J is one of the candidates that passed the rank rule.
@@ -91,12 +94,12 @@ def select_J(
     y = sample.values[:, idx].T  # m x n
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(y**2, axis=0), _RSS_ABS_FLOOR)
     q, r = np.linalg.qr(design_full)
-    kept = []
-    for J in candidates:
+
+    def loses_rank(J):
         sv = np.linalg.svd(r[:J, :J], compute_uv=False)
-        if sv[-1] <= np.finfo(float).eps * max(m, J) * sv[0]:
-            break  # larger candidates only get worse conditioned
-        kept.append(J)
+        return bool(sv[-1] <= np.finfo(float).eps * m * sv[0])
+
+    kept = candidates[: bisect.bisect_left(candidates, True, key=loses_rank)]
     if not kept:
         raise NumericalError("rank-deficient basis design at the smallest J")
     z = q.T @ y

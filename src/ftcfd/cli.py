@@ -17,7 +17,7 @@ import sys
 
 from . import estimators
 from .core import fully_observed_prefix, summarize_observation
-from .dgp import ALL_KINDS, KINDS, DgpConfig, draw_sample
+from .dgp import ALL_KINDS, DgpConfig, draw_sample
 from .errors import ArgumentError, NumericalError, ParseError
 from .harness import (
     MODE_BIAS_VARIANCE,
@@ -62,6 +62,25 @@ def _csv_strs(text):
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
+# The experiment options: flag (and config key) name, value type, help text.
+_EXPERIMENT_FLAGS = (
+    ("mode", str, f"{MODE_BIAS_VARIANCE} or {MODE_TEST_SELECTION}"),
+    ("dgp", _csv_strs, "comma-separated design kinds"),
+    ("n", _csv_ints, "comma-separated sample sizes"),
+    ("reps", int, "replications per cell"),
+    ("p", int, "grid size"),
+    ("alpha", float, None),
+    ("bootstrap", int, "replications R"),
+    ("j_max", int, None),
+    ("seed", int, None),
+    ("targets", _csv_strs, "bias_variance targets: mean,cov"),
+)
+# ExperimentSpec field of each option not named like its flag.
+_SPEC_FIELDS = {
+    "dgp": "kinds", "reps": "replications", "j_max": "J_max", "bootstrap": "R"
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ftcfd", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,22 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--seed", type=int, default=0)
 
     exp = sub.add_parser("experiment", help="Monte-Carlo summary tables")
-    exp.add_argument(
-        "--mode",
-        choices=(MODE_BIAS_VARIANCE, MODE_TEST_SELECTION),
-        help="experiment mode",
-    )
-    exp.add_argument("--dgp", type=_csv_strs, help="comma-separated design kinds")
-    exp.add_argument("--n", type=_csv_ints, help="comma-separated sample sizes")
-    exp.add_argument("--reps", type=int, help="replications per cell")
-    exp.add_argument("--p", type=int, help="grid size")
-    exp.add_argument("--alpha", type=float)
-    exp.add_argument("--bootstrap", type=int, help="replications R")
-    exp.add_argument("--j-max", type=int)
-    exp.add_argument("--seed", type=int)
-    exp.add_argument(
-        "--targets", type=_csv_strs, help="bias_variance targets: mean,cov"
-    )
+    for key, type_, help_ in _EXPERIMENT_FLAGS:
+        exp.add_argument("--" + key.replace("_", "-"), type=type_, help=help_)
     exp.add_argument("--config", help="key=value file supplying defaults")
     exp.add_argument("--out", required=True, help="result CSV path")
     return parser
@@ -135,59 +140,23 @@ def _read_config(path) -> dict:
     return out
 
 
-_EXPERIMENT_DEFAULTS = {
-    "mode": MODE_BIAS_VARIANCE,
-    "dgp": KINDS,
-    "n": (50, 150, 250, 500),
-    "reps": 200,
-    "p": 501,
-    "alpha": 0.05,
-    "bootstrap": 1000,
-    "j_max": 51,
-    "seed": 0,
-    "targets": ("mean", "cov"),
-}
-
-_CONFIG_PARSERS = {
-    "mode": str,
-    "dgp": _csv_strs,
-    "n": _csv_ints,
-    "reps": int,
-    "p": int,
-    "alpha": float,
-    "bootstrap": int,
-    "j_max": int,
-    "seed": int,
-    "targets": _csv_strs,
-}
-
-
 def _experiment_spec(args) -> ExperimentSpec:
+    """Flags override the config file; unset options keep the spec's defaults."""
     config = _read_config(args.config) if args.config else {}
-    merged = {}
-    for key, default in _EXPERIMENT_DEFAULTS.items():
+    options = {}
+    for key, type_, _ in _EXPERIMENT_FLAGS:
         value = getattr(args, key)
         if value is None and key in config:
             try:
-                value = _CONFIG_PARSERS[key](config[key])
+                value = type_(config[key])
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ArgumentError(f"bad config value for {key}: {exc}")
-        merged[key] = default if value is None else value
-    unknown = set(config) - set(_EXPERIMENT_DEFAULTS)
+        if value is not None:
+            options[_SPEC_FIELDS.get(key, key)] = value
+    unknown = set(config) - {key for key, _, _ in _EXPERIMENT_FLAGS}
     if unknown:
         raise ArgumentError(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentSpec(
-        mode=merged["mode"],
-        kinds=tuple(merged["dgp"]),
-        n_values=tuple(merged["n"]),
-        replications=merged["reps"],
-        p=merged["p"],
-        J_max=merged["j_max"],
-        alpha=merged["alpha"],
-        R=merged["bootstrap"],
-        seed=merged["seed"],
-        targets=tuple(merged["targets"]),
-    )
+    return ExperimentSpec(**options)
 
 
 def _cmd_simulate(args) -> int:

@@ -37,6 +37,11 @@ DEFAULT_MU = (5.0, 2.0, 0.0, 0.0, 0.0)
 DEFAULT_LAMBDA = (10.0, 8.0, 6.0, 4.0, 2.0)
 
 
+def _check_kind(kind):
+    if kind not in ALL_KINDS:
+        raise ArgumentError(f"unknown kind {kind!r}, expected one of {ALL_KINDS}")
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     kind: str
@@ -47,10 +52,7 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ArgumentError(
-                f"unknown kind {self.kind!r}, expected one of {ALL_KINDS}"
-            )
+        _check_kind(self.kind)
         if self.n < 1 or self.p < 3:
             raise ArgumentError("need n >= 1 and p >= 3")
         if len(self.mu) != 5 or len(self.lam) != 5:
@@ -74,6 +76,7 @@ def _dep_con_endpoints(xi1, mu1, lam1, n) -> np.ndarray:
 
 def _design_basis(kind, points) -> np.ndarray:
     """psi_1..psi_5 of the given kind at the points (len x 5 matrix)."""
+    _check_kind(kind)
     points = np.asarray(points, dtype=float)
     basis = eval_basis(BasisSpec(5, (0.0, 1.0)), points)
     if kind == V2:

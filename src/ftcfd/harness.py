@@ -13,7 +13,7 @@ them, are byte-identical across runs and across worker counts.
 from __future__ import annotations
 
 import os
-import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -36,12 +36,16 @@ _DEFINED_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to rerun an experiment deterministically."""
+    """Everything needed to rerun an experiment deterministically.
 
-    mode: str
-    kinds: tuple
-    n_values: tuple
-    replications: int
+    The fields, in order, are the ``# key=value`` lines of the result table,
+    and their defaults are the defaults of every experiment option.
+    """
+
+    mode: str = MODE_BIAS_VARIANCE
+    kinds: tuple = KINDS
+    n: tuple = (50, 150, 250, 500)
+    replications: int = 200
     p: int = 501
     J_max: int = 51
     alpha: float = 0.05
@@ -50,13 +54,13 @@ class ExperimentSpec:
     targets: tuple = ("mean", "cov")
 
     def __post_init__(self):
-        if self.mode not in (MODE_BIAS_VARIANCE, MODE_TEST_SELECTION):
+        if self.mode not in _MODES:
             raise ArgumentError(f"unknown mode {self.mode!r}")
         if self.replications < 1:
             raise ArgumentError("replications must be >= 1")
         if not self.kinds or any(k not in KINDS for k in self.kinds):
             raise ArgumentError(f"kinds must be drawn from {KINDS}")
-        if not self.n_values or any(n < 2 for n in self.n_values):
+        if not self.n or any(n < 2 for n in self.n):
             raise ArgumentError("n values must be >= 2")
         if self.mode == MODE_TEST_SELECTION and self.J_max % 2 == 0:
             raise ArgumentError("J_max must be odd in test_selection mode")
@@ -90,7 +94,6 @@ class SelectionCell:
 class ExperimentResult:
     spec: ExperimentSpec
     cells: tuple
-    elapsed_seconds: float
 
 
 def _worker_count() -> int:
@@ -117,10 +120,15 @@ def _rep_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence((seed, rep)).generate_state(1)[0])
 
 
+def _draw(task):
+    spec, kind, n, rep = task
+    sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=spec.p, seed=(spec.seed, rep)))
+    return sample
+
+
 def _bias_variance_rep(task):
-    kind, n, p, seed, rep, targets = task
-    sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=p, seed=(seed, rep)))
-    m = estimators.moments(sample)
+    targets = task[0].targets
+    m = estimators.moments(_draw(task))
     out = {}
     if "mean" in targets:
         out["mean_classical"] = m.mu[0]
@@ -146,7 +154,7 @@ class _Accumulator:
         self.sum += v
         self.sumsq += v * v
 
-    def summarize(self, truth, reps, h, double):
+    def summarize(self, truth, reps, h):
         included = self.cnt >= max(_DEFINED_FRACTION * reps, 1.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             mean = np.where(self.cnt > 0, self.sum / np.maximum(self.cnt, 1), np.nan)
@@ -158,96 +166,68 @@ class _Accumulator:
         var = np.where(included, var, 0.0)
 
         def integrate(a):
-            if double:
-                return float(np.trapezoid(np.trapezoid(a, dx=h, axis=1), dx=h))
-            return float(np.trapezoid(a, dx=h))
+            for _ in range(a.ndim):  # last axis first
+                a = np.trapezoid(a, dx=h)
+            return float(a)
 
         excluded = 1.0 - included.mean()
         return integrate(bias_sq), integrate(var), float(excluded)
 
 
-def run_bias_variance(spec: ExperimentSpec) -> ExperimentResult:
-    """Integrated squared bias and variance per (dgp, n, estimator, target)."""
-    if spec.mode != MODE_BIAS_VARIANCE:
-        raise ArgumentError(f"spec mode is {spec.mode!r}")
-    t0 = time.monotonic()
+def _bias_variance_cells(spec, kind, n, rep_outs):
+    """Integrated squared bias and variance per (target, estimator)."""
     pts = np.linspace(0.0, 1.0, spec.p)
-    truth = {"mean": true_mean(pts), "cov": true_cov(pts, pts)}
+    truth = {
+        t: true_mean(pts, kind) if t == "mean" else true_cov(pts, pts, kind)
+        for t in spec.targets
+    }
+    accs = {
+        (t, est): _Accumulator(truth[t].shape)
+        for t in spec.targets
+        for est in ("classical", "ftc")
+    }
+    for rep_out in rep_outs:
+        for (t, est), acc in accs.items():
+            acc.add(rep_out[f"{t}_{est}"])
     h = pts[1] - pts[0]
-    cells = []
-    degenerate = spec.replications == 1
-    for kind in spec.kinds:
-        for n in spec.n_values:
-            accs = {}
-            for target in spec.targets:
-                shape = (spec.p, spec.p) if target == "cov" else (spec.p,)
-                for est in ("classical", "ftc"):
-                    accs[f"{target}_{est}"] = _Accumulator(shape)
-            tasks = [
-                (kind, n, spec.p, spec.seed, rep, spec.targets)
-                for rep in range(spec.replications)
-            ]
-            for rep_out in _map_ordered(_bias_variance_rep, tasks):
-                for key, arr in rep_out.items():
-                    accs[key].add(arr)
-            for target in spec.targets:
-                for est in ("classical", "ftc"):
-                    isb, ivar, excl = accs[f"{target}_{est}"].summarize(
-                        truth[target], spec.replications, h, target == "cov"
-                    )
-                    cells.append(
-                        BiasVarianceCell(
-                            kind=kind,
-                            n=n,
-                            estimator=est,
-                            target=target,
-                            int_sq_bias=isb,
-                            int_variance=ivar,
-                            excluded_fraction=excl,
-                            degenerate=degenerate,
-                        )
-                    )
-    return ExperimentResult(spec, tuple(cells), time.monotonic() - t0)
+    return [
+        BiasVarianceCell(
+            kind, n, est, t, *acc.summarize(truth[t], spec.replications, h),
+            degenerate=spec.replications == 1,
+        )
+        for (t, est), acc in accs.items()
+    ]
 
 
 def _test_selection_rep(task):
-    kind, n, p, seed, rep, J_max, alpha, R = task
-    sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=p, seed=(seed, rep)))
-    report = classify_and_test(
-        sample, J_max=J_max, alpha=alpha, R=R, seed=_rep_seed(seed, rep)
-    )
-    return report.outcome
+    spec, _, _, rep = task
+    return classify_and_test(
+        _draw(task), J_max=spec.J_max, alpha=spec.alpha, R=spec.R,
+        seed=_rep_seed(spec.seed, rep),
+    ).outcome
 
 
-def run_test_selection(spec: ExperimentSpec) -> ExperimentResult:
-    """Null / V / Other classification percentages per (dgp, n)."""
-    if spec.mode != MODE_TEST_SELECTION:
-        raise ArgumentError(f"spec mode is {spec.mode!r}")
-    t0 = time.monotonic()
-    cells = []
-    for kind in spec.kinds:
-        for n in spec.n_values:
-            tasks = [
-                (kind, n, spec.p, spec.seed, rep, spec.J_max, spec.alpha, spec.R)
-                for rep in range(spec.replications)
-            ]
-            counts = {OUTCOME_NULL: 0, OUTCOME_V: 0, OUTCOME_OTHER: 0}
-            for outcome in _map_ordered(_test_selection_rep, tasks):
-                counts[outcome] += 1
-            scale = 100.0 / spec.replications
-            cells.append(
-                SelectionCell(
-                    kind=kind,
-                    n=n,
-                    null_pct=counts[OUTCOME_NULL] * scale,
-                    v_pct=counts[OUTCOME_V] * scale,
-                    other_pct=counts[OUTCOME_OTHER] * scale,
-                )
-            )
-    return ExperimentResult(spec, tuple(cells), time.monotonic() - t0)
+def _test_selection_cells(spec, kind, n, outcomes):
+    """Null / V / Other classification percentages."""
+    counts = Counter(outcomes)
+    scale = 100.0 / spec.replications
+    pcts = (counts[o] * scale for o in (OUTCOME_NULL, OUTCOME_V, OUTCOME_OTHER))
+    return [SelectionCell(kind, n, *pcts)]
+
+
+# mode -> (replication function, reducer of one (kind, n) cell's replications)
+_MODES = {
+    MODE_BIAS_VARIANCE: (_bias_variance_rep, _bias_variance_cells),
+    MODE_TEST_SELECTION: (_test_selection_rep, _test_selection_cells),
+}
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    if spec.mode == MODE_BIAS_VARIANCE:
-        return run_bias_variance(spec)
-    return run_test_selection(spec)
+    """Run every (kind, n) cell of the spec's mode, in spec order."""
+    rep_fn, cells_fn = _MODES[spec.mode]
+    cells = []
+    for kind in spec.kinds:
+        for n in spec.n:
+            tasks = [(spec, kind, n, rep) for rep in range(spec.replications)]
+            cells += cells_fn(spec, kind, n, _map_ordered(rep_fn, tasks))
+    return ExperimentResult(spec, tuple(cells))

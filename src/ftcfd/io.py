@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+from dataclasses import asdict, astuple, fields
 from itertools import chain
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .core import FunctionalSample, Grid
 from .errors import ParseError
-from .harness import MODE_BIAS_VARIANCE, ExperimentResult
+from .harness import ExperimentResult
 
 _FMT = "%.17g"
 
@@ -137,29 +138,18 @@ def write_scores_csv(path, scores: np.ndarray, explained: np.ndarray) -> None:
 
 
 def write_experiment_csv(result: ExperimentResult, path) -> None:
-    """Result table with a self-describing ``# key=value`` header."""
-    spec = result.spec
+    """Result table with a self-describing ``# key=value`` header.
+
+    One comment line per spec field; the columns are the cell's fields, with
+    ``kind`` written as ``dgp`` and bools as ``true``/``false``.
+    """
     comments = [
-        f"mode={spec.mode}",
-        f"kinds={','.join(spec.kinds)}",
-        f"n={','.join(str(n) for n in spec.n_values)}",
-        f"replications={spec.replications}",
-        f"p={spec.p}",
-        f"J_max={spec.J_max}",
-        f"alpha={spec.alpha}",
-        f"R={spec.R}",
-        f"seed={spec.seed}",
-        f"targets={','.join(spec.targets)}",
+        f"{key}={','.join(map(str, v)) if isinstance(v, (tuple, list)) else v}"
+        for key, v in asdict(result.spec).items()
     ]
-    if spec.mode == MODE_BIAS_VARIANCE:
-        header = ["dgp", "n", "estimator", "target", "int_sq_bias", "int_variance",
-                  "excluded_fraction", "degenerate"]
-        rows = (
-            [c.kind, c.n, c.estimator, c.target, c.int_sq_bias, c.int_variance,
-             c.excluded_fraction, str(c.degenerate).lower()]
-            for c in result.cells
-        )
-    else:
-        header = ["dgp", "n", "null_pct", "v_pct", "other_pct"]
-        rows = ([c.kind, c.n, c.null_pct, c.v_pct, c.other_pct] for c in result.cells)
+    header = ["dgp" if f.name == "kind" else f.name for f in fields(result.cells[0])]
+    rows = (
+        [str(v).lower() if isinstance(v, bool) else v for v in astuple(c)]
+        for c in result.cells
+    )
     _write_table(path, header, rows, comments)

@@ -24,8 +24,7 @@ from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
     MODE_TEST_SELECTION,
     ExperimentSpec,
-    run_bias_variance,
-    run_test_selection,
+    run_experiment,
 )
 from ftcfd.mcar import bootstrap_statistics, fit_regression, romano_wolf
 
@@ -47,13 +46,13 @@ def mean_table():
     spec = ExperimentSpec(
         mode=MODE_BIAS_VARIANCE,
         kinds=dgp.KINDS,
-        n_values=(500,),
+        n=(500,),
         replications=500,
         p=501,
         seed=0,
         targets=("mean",),
     )
-    return run_bias_variance(spec)
+    return run_experiment(spec)
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +60,13 @@ def cov_table():
     spec = ExperimentSpec(
         mode=MODE_BIAS_VARIANCE,
         kinds=("DepDis", "DepCon"),
-        n_values=(250,),
+        n=(250,),
         replications=200,
         p=201,
         seed=0,
         targets=("cov",),
     )
-    return run_bias_variance(spec)
+    return run_experiment(spec)
 
 
 def test_criterion_1_classical_mean_bias_under_dependence(mean_table):
@@ -127,14 +126,14 @@ def test_criterion_5_test_classification_rates():
         spec = ExperimentSpec(
             mode=MODE_TEST_SELECTION,
             kinds=(kind,),
-            n_values=(n,),
+            n=(n,),
             replications=500,
             p=501,
             J_max=J_max,
             R=1000,
             seed=0,
         )
-        return run_test_selection(spec).cells[0]
+        return run_experiment(spec).cells[0]
 
     dep150 = run("DepDis", 150)
     ind150 = run("IndDis", 150)

@@ -127,6 +127,43 @@ def test_experiment_config_file_supplies_defaults(tmp_path):
     assert "# replications=3" in out2.read_text()
 
 
+# One non-default value per experiment option, small enough to run quickly.
+_EXPERIMENT_BASE = {
+    "mode": "test_selection", "dgp": "IndDis", "n": "30", "reps": "1", "p": "31",
+    "alpha": "0.05", "bootstrap": "100", "j_max": "7", "seed": "0", "targets": "mean",
+}
+_EXPERIMENT_VALUES = {
+    "mode": "bias_variance", "dgp": "DepDis,IndCon", "n": "25,30", "reps": "2",
+    "p": "41", "alpha": "0.1", "bootstrap": "200", "j_max": "9", "seed": "3",
+    "targets": "mean,cov",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_EXPERIMENT_VALUES))
+def test_experiment_config_key_matches_flag(tmp_path, key):
+    # Setting one option in the config file or by its flag writes the same table.
+    base = tmp_path / "base.cfg"
+    base.write_text("".join(f"{k}={v}\n" for k, v in _EXPERIMENT_BASE.items() if k != key))
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(base.read_text() + f"{key}={_EXPERIMENT_VALUES[key]}\n")
+    by_config, by_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    flag = "--" + key.replace("_", "-")
+    assert main(["experiment", "--config", str(cfg), "--out", str(by_config)]) == EXIT_OK
+    assert main(["experiment", "--config", str(base), flag, _EXPERIMENT_VALUES[key],
+                 "--out", str(by_flag)]) == EXIT_OK
+    assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["n", "reps", "alpha", "j_max"])
+def test_experiment_rejects_bad_config_value(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}=oops\n")
+    code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_USAGE
+    assert f"bad config value for {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode=bias_variance\nwibble=1\n")

@@ -170,6 +170,15 @@ def test_v2_truth_functions():
     assert dgp.true_cov(t, t, kind="V2") == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("kind", ["Nope", "v2", "depdis"])
+def test_truth_rejects_unknown_kinds(kind):
+    # A misspelt kind must not fall back to the paper's truth.
+    with pytest.raises(ArgumentError):
+        dgp.true_mean(0.25, kind=kind)
+    with pytest.raises(ArgumentError):
+        dgp.true_cov(0.25, 0.25, kind=kind)
+
+
 def test_v2_curves_match_coefficients():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("V2", n=10, p=21, seed=11))
     # at t = 0 the basis row is (1, 0, 0, sqrt(2), 0)

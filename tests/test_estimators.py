@@ -527,17 +527,22 @@ def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
         assert _nan_equal(classical.values, classical.values.T)
 
 
+def _moment_draw(kind, n, p, seed, d_f_frac, K):
+    sample = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))[0]
+    # Every design observes [0, 0.5] fully, and d_f snaps to the nearest grid
+    # point: a d_f up to the last grid point <= 0.5 snaps into that block.
+    pts = sample.grid.points
+    d_f = None if d_f_frac is None else d_f_frac * pts[pts <= 0.5][-1]
+    return sample, d_f, K
+
+
 _moment_draws = st.builds(
-    lambda kind, n, p, seed, d_f, K: (
-        dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))[0],
-        d_f,
-        K,
-    ),
+    _moment_draw,
     kind=st.sampled_from(dgp.KINDS),
     n=st.integers(5, 40),
     p=st.integers(21, 51),
     seed=st.integers(0, 2**32 - 1),
-    d_f=st.none() | st.floats(0.0, 0.5),  # every design observes [0, 0.5] fully
+    d_f_frac=st.none() | st.floats(0.0, 1.0),
     K=st.sampled_from([1, 2]),
 )
 

@@ -192,15 +192,14 @@ def _metadata(mode):
 
 
 def test_experiment_table_bytes_are_pinned(tmp_path):
-    spec = dict(kinds=("DepDis",), n_values=(5,), replications=2, p=3, alpha=0.1,
+    spec = dict(kinds=("DepDis",), n=(5,), replications=2, p=3, alpha=0.1,
                 targets=("mean",))
     bv = ExperimentResult(
         ExperimentSpec(mode=MODE_BIAS_VARIANCE, **spec),
         (
             BiasVarianceCell("DepDis", 5, "classical", "mean", _TENTH, _NEG0, _TINY),
             BiasVarianceCell("DepDis", 5, "ftc", "mean", _NAN, _BIG, 0.5, True),
-        ),
-        elapsed_seconds=1.0,
+        )
     )
     assert _written(tmp_path, lambda p: write_experiment_csv(bv, p)) == _metadata(
         "bias_variance"
@@ -212,8 +211,7 @@ def test_experiment_table_bytes_are_pinned(tmp_path):
     )
     sel = ExperimentResult(
         ExperimentSpec(mode=MODE_TEST_SELECTION, **spec),
-        (SelectionCell("DepDis", 5, 100.0 / 3, _NEG0, _NAN),),
-        elapsed_seconds=1.0,
+        (SelectionCell("DepDis", 5, 100.0 / 3, _NEG0, _NAN),)
     )
     assert _written(tmp_path, lambda p: write_experiment_csv(sel, p)) == _metadata(
         "test_selection"
@@ -221,3 +219,16 @@ def test_experiment_table_bytes_are_pinned(tmp_path):
         b"dgp,n,null_pct,v_pct,other_pct\r\n"
         b"DepDis,5,33.333333333333336,-0,\r\n"
     )
+
+
+def test_experiment_metadata_joins_lists_like_tuples(tmp_path):
+    cells = (SelectionCell("DepDis", 5, 100.0, 0.0, 0.0),)
+    spec = dict(mode=MODE_TEST_SELECTION, replications=2, p=3, alpha=0.1)
+    as_lists = ExperimentSpec(kinds=["DepDis"], n=[5], targets=["mean"], **spec)
+    as_tuples = ExperimentSpec(kinds=("DepDis",), n=(5,), targets=("mean",), **spec)
+    written = [
+        _written(tmp_path, lambda p, s=s: write_experiment_csv(ExperimentResult(s, cells), p))
+        for s in (as_lists, as_tuples)
+    ]
+    assert written[0] == written[1]
+    assert written[0].startswith(_metadata("test_selection"))
