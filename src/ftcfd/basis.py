@@ -51,9 +51,7 @@ def eval_basis(spec: BasisSpec, grid_points) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def select_J(
-    sample: FunctionalSample, subdomain, J_max: int, basis_domain=None
-) -> tuple[int, np.ndarray]:
+def select_J(sample: FunctionalSample, subdomain, J_max: int) -> tuple[int, np.ndarray]:
     """BIC-median basis-size selection over odd J in {3, 5, ..., J_max}.
 
     Returns the selected J and the n x J least-squares coefficients of each
@@ -61,7 +59,9 @@ def select_J(
 
     Per curve, BIC(J) = m log(RSS/m) + J log(m) with m subdomain points;
     the sample uses the lower median of the per-curve minimizers. The basis
-    is rescaled to basis_domain (default: the sample's full grid domain).
+    is rescaled to the sample's full grid domain, not to the subdomain: that
+    keeps finite-dimensional curves finite-dimensional on the subdomain,
+    which the BIC sweep and the regression design both rely on.
 
     The candidate designs are nested column prefixes of the largest one,
     so a single reduced QR, design = Q R with z = Q^T y, gives every RSS:
@@ -85,12 +85,11 @@ def select_J(
     idx = subdomain_indices(sample, subdomain)
     m = idx.size
     pts = sample.grid.points[idx]
-    if basis_domain is None:
-        basis_domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
+    domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
     candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
     if not candidates:
         raise ArgumentError(f"subdomain has only {m} points, too few for J >= 3")
-    design_full = eval_basis(BasisSpec(candidates[-1], basis_domain), pts)
+    design_full = eval_basis(BasisSpec(candidates[-1], domain), pts)
     y = sample.values[:, idx].T  # m x n
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(y**2, axis=0), _RSS_ABS_FLOOR)
     q, r = np.linalg.qr(design_full)

@@ -181,9 +181,9 @@ def _cmd_estimate(args) -> int:
     grid = sample.grid
     tables = [
         ("mean_classical.csv", write_vector_csv, grid, m.mu[0], "mean"),
-        ("mean_ftc.csv", write_vector_csv, grid, estimators.ftc_mean(m).values, "mean"),
-        ("cov_classical.csv", write_matrix_csv, grid, cov_cl.values),
-        ("cov_ftc.csv", write_matrix_csv, grid, cov_ftc.values),
+        ("mean_ftc.csv", write_vector_csv, grid, estimators.ftc_mean(m), "mean"),
+        ("cov_classical.csv", write_matrix_csv, grid, cov_cl),
+        ("cov_ftc.csv", write_matrix_csv, grid, cov_ftc),
     ]
     if args.fpc_scores:
         subdomain = fully_observed_prefix(grid, summarize_observation(sample))

@@ -44,25 +44,21 @@ def _check_kind(kind):
 
 @dataclass(frozen=True)
 class DgpConfig:
+    """One draw: design kind, n curves on p grid points, and the seed.
+
+    The coefficients always have means DEFAULT_MU and variances
+    DEFAULT_LAMBDA, the values true_mean/true_cov score estimates against.
+    """
+
     kind: str
     n: int
     p: int = 501
-    mu: tuple = DEFAULT_MU
-    lam: tuple = DEFAULT_LAMBDA
     seed: int = 0
 
     def __post_init__(self):
         _check_kind(self.kind)
         if self.n < 1 or self.p < 3:
             raise ArgumentError("need n >= 1 and p >= 3")
-        if len(self.mu) != 5 or len(self.lam) != 5:
-            raise ArgumentError("exactly 5 coefficient means/variances expected")
-        if any(l <= 0 for l in self.lam):
-            raise ArgumentError("coefficient variances must be strictly positive")
-
-
-def _draw_coefficients(rng, n, mu, lam) -> np.ndarray:
-    return np.asarray(mu) + np.sqrt(np.asarray(lam)) * rng.standard_normal((n, 5))
 
 
 def _dep_con_endpoints(xi1, mu1, lam1, n) -> np.ndarray:
@@ -92,8 +88,8 @@ def draw_sample(config: DgpConfig):
     Values at grid points beyond d_i are missing.
     """
     rng = np.random.default_rng(config.seed)
-    xi = _draw_coefficients(rng, config.n, config.mu, config.lam)
-    mu1, lam1 = config.mu[0], config.lam[0]
+    xi = np.asarray(DEFAULT_MU) + np.sqrt(DEFAULT_LAMBDA) * rng.standard_normal((config.n, 5))
+    mu1, lam1 = DEFAULT_MU[0], DEFAULT_LAMBDA[0]
     if config.kind == DEP_DIS:
         # Boundary xi_1 = mu_1 (probability zero) maps to d = 1.
         d = np.where(xi[:, 0] - mu1 < 0.0, 0.5, 1.0)
@@ -104,7 +100,7 @@ def draw_sample(config: DgpConfig):
     elif config.kind == IND_CON:
         d = rng.uniform(0.5, 1.0, config.n)
     else:  # V2
-        d = np.where((xi[:, 0] - mu1) + (xi[:, 1] - config.mu[1]) < 0.0, 0.5, 1.0)
+        d = np.where((xi[:, 0] - mu1) + (xi[:, 1] - DEFAULT_MU[1]) < 0.0, 0.5, 1.0)
     grid = make_grid(config.p, 0.0, 1.0)
     values = xi @ _design_basis(config.kind, grid.points).T
     mask = grid.points[None, :] <= d[:, None]

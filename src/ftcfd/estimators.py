@@ -16,9 +16,10 @@ cov_pair(m) = (S[0][0], M_K S M_K^T), where mu stacks the derivative means
 of orders 0..K (mu[0] is the classical mean) and S[a][b] is the
 pairwise-complete covariance of orders a and b (S[0][0] the classical one).
 
-All estimators are pure functions of the sample; undefined cells propagate
-as NaN and every integral stops at the first undefined cell in each
-direction.
+Every estimator returns the numpy array it computes on the sample's grid
+(cov_pair the pair of arrays). All are pure functions of the sample;
+undefined cells propagate as NaN and every integral stops at the first
+undefined cell in each direction.
 """
 
 from __future__ import annotations
@@ -27,26 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, Grid, subdomain_indices, summarize_observation
+from .core import FunctionalSample, subdomain_indices, summarize_observation
 from .errors import ArgumentError
-
-
-@dataclass(frozen=True)
-class MeanEstimate:
-    """Gridded mean estimate; NaN marks cells with no observed curve."""
-
-    grid: Grid
-    values: np.ndarray
-    anchor: float | None = None
-
-
-@dataclass(frozen=True)
-class CovEstimate:
-    """Gridded covariance estimate; NaN marks cells with no observed pair."""
-
-    grid: Grid
-    values: np.ndarray
-    anchor: float | None = None
 
 
 def differentiate(sample: FunctionalSample) -> FunctionalSample:
@@ -84,17 +67,16 @@ def _reject_curves(bad: np.ndarray, message: str) -> None:
         raise ArgumentError(f"{message} (curve {int(np.argmax(bad)) + 1})")
 
 
-def _mean_vec(sample: FunctionalSample) -> np.ndarray:
+def mean_est(sample: FunctionalSample) -> np.ndarray:
+    """Pointwise average of the values over the curves observing each point.
+
+    NaN marks grid points no curve observes.
+    """
     mask = sample.mask
     counts = mask.sum(axis=0)
     total = np.where(mask, sample.values, 0.0).sum(axis=0)
     with np.errstate(invalid="ignore"):
         return np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
-
-
-def mean_est(sample: FunctionalSample) -> MeanEstimate:
-    """Pointwise average of the values over the curves observing each point."""
-    return MeanEstimate(sample.grid, _mean_vec(sample))
 
 
 def _centered(sample: FunctionalSample, mu: np.ndarray) -> np.ndarray:
@@ -109,17 +91,16 @@ def _pair_counts(mask: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, counts, np.nan)
 
 
-def cov_est(sample: FunctionalSample) -> CovEstimate:
+def cov_est(sample: FunctionalSample) -> np.ndarray:
     """Pairwise-complete covariance of the values.
 
     Centering uses the observed-subset means; the divisor is the pair count
     (n under full observation), 0/0 = NaN.
     """
-    c = _centered(sample, _mean_vec(sample))
+    c = _centered(sample, mean_est(sample))
     # numpy computes c.T @ c as a symmetric rank-k update: the result comes
     # out exactly symmetric at half the flops.
-    values = (c.T @ c) / _pair_counts(sample.mask)
-    return CovEstimate(sample.grid, values)
+    return (c.T @ c) / _pair_counts(sample.mask)
 
 
 def _integrate(v, h: float, l: int, u: int, axis: int = 0) -> np.ndarray:
@@ -210,29 +191,26 @@ def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
     chain = [sample]
     for _ in range(K):
         chain.append(differentiate(chain[-1]))
-    mu = tuple(_mean_vec(s) for s in chain)
+    mu = tuple(mean_est(s) for s in chain)
     return Moments(tuple(chain), mu, l, u, float(sample.grid.points[j_f]))
 
 
-def ftc_mean(m: Moments) -> MeanEstimate:
+def ftc_mean(m: Moments) -> np.ndarray:
     """K-fold back-transform mean M_K mu.
 
     On the block [l, u] it equals the classical mean m.mu[0].
     """
-    grid = m.chain[0].grid
-    values = _backtransform(m.mu, grid.h, m.l, m.u)
-    return MeanEstimate(grid, values, anchor=m.anchor)
+    return _backtransform(m.mu, m.chain[0].grid.h, m.l, m.u)
 
 
-def cov_pair(m: Moments) -> tuple[CovEstimate, CovEstimate]:
+def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
     """(cov_est(sample), M_K S M_K^T) from one pass over S.
 
     The classical covariance is the block S[0, 0] that M_K S M_K^T starts
     from; all blocks share one pair-count matrix (differentiation keeps the
-    mask) and one centred array per derivative order. Only the
-    back-transform estimate carries the anchor.
+    mask) and one centred array per derivative order.
     """
-    grid, K = m.chain[0].grid, len(m.chain) - 1
+    h, K = m.chain[0].grid.h, len(m.chain) - 1
     counts = _pair_counts(m.chain[0].mask)
     cs = [_centered(s, mu) for s, mu in zip(m.chain, m.mu)]
     S = {}
@@ -244,12 +222,10 @@ def cov_pair(m: Moments) -> tuple[CovEstimate, CovEstimate]:
             if a != b:
                 S[b, a] = S[a, b].T
     cols = [
-        _backtransform([S[a, b] for a in range(K + 1)], grid.h, m.l, m.u, axis=0)
+        _backtransform([S[a, b] for a in range(K + 1)], h, m.l, m.u, axis=0)
         for b in range(K + 1)
     ]
-    values = _backtransform(cols, grid.h, m.l, m.u, axis=1)
-    classical = CovEstimate(grid, S[0, 0])
-    return classical, CovEstimate(grid, values, anchor=m.anchor)
+    return S[0, 0], _backtransform(cols, h, m.l, m.u, axis=1)
 
 
 def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,16 +106,6 @@ def _worker_count() -> int:
     return max(w, 1)
 
 
-def _map_ordered(fn, tasks):
-    """Apply fn over tasks, in parallel if requested, preserving order."""
-    workers = _worker_count()
-    if workers == 1:
-        yield from map(fn, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, tasks)
-
-
 def _rep_seed(seed: int, rep: int) -> int:
     """Stable per-replication integer seed derived from (seed, rep)."""
     return int(np.random.SeedSequence((seed, rep)).generate_state(1)[0])
@@ -132,10 +123,9 @@ def _bias_variance_rep(task):
     out = {}
     if "mean" in targets:
         out["mean_classical"] = m.mu[0]
-        out["mean_ftc"] = estimators.ftc_mean(m).values
+        out["mean_ftc"] = estimators.ftc_mean(m)
     if "cov" in targets:
-        classical, ftc = estimators.cov_pair(m)
-        out["cov_classical"], out["cov_ftc"] = classical.values, ftc.values
+        out["cov_classical"], out["cov_ftc"] = estimators.cov_pair(m)
     return out
 
 
@@ -223,11 +213,20 @@ _MODES = {
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run every (kind, n) cell of the spec's mode, in spec order."""
+    """Run every (kind, n) cell of the spec's mode, in spec order.
+
+    With more than one worker, a single process pool serves every cell;
+    its ordered map keeps the results independent of the worker count.
+    """
     rep_fn, cells_fn = _MODES[spec.mode]
-    cells = []
-    for kind in spec.kinds:
-        for n in spec.n:
-            tasks = [(spec, kind, n, rep) for rep in range(spec.replications)]
-            cells += cells_fn(spec, kind, n, _map_ordered(rep_fn, tasks))
+    workers = _worker_count()
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        cells = []
+        for kind in spec.kinds:
+            for n in spec.n:
+                tasks = [(spec, kind, n, rep) for rep in range(spec.replications)]
+                cells += cells_fn(spec, kind, n, mapper(rep_fn, tasks))
     return ExperimentResult(spec, tuple(cells))

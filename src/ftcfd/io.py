@@ -21,12 +21,15 @@ import io as _io
 from dataclasses import asdict, astuple, fields
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import FunctionalSample, Grid
 from .errors import ParseError
-from .harness import ExperimentResult
+
+if TYPE_CHECKING:
+    from .harness import ExperimentResult
 
 _FMT = "%.17g"
 

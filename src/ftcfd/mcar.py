@@ -221,9 +221,5 @@ def classify_and_test(
             J=0,
             degenerate_response=True,
         )
-    # Basis rescaled to the full grid domain: keeps finite-dimensional
-    # curves finite-dimensional on the subdomain, which the BIC sweep and
-    # the regression design both rely on.
-    basis_domain = (subdomain[0], float(sample.grid.points[-1]))
-    _, coefficients = select_J(sample, subdomain, J_max, basis_domain=basis_domain)
+    _, coefficients = select_J(sample, subdomain, J_max)
     return romano_wolf(summ.d_i, coefficients, alpha, R, seed)

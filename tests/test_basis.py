@@ -179,9 +179,10 @@ def _select_j_reference(sample, subdomain, J_max, basis_domain):
     return J, coefs[kept.index(J)]
 
 
-def _assert_matches_reference(sample, subdomain, J_max, basis_domain):
-    J, coef = select_J(sample, subdomain, J_max, basis_domain)
-    J_ref, coef_ref = _select_j_reference(sample, subdomain, J_max, basis_domain)
+def _assert_matches_reference(sample, subdomain, J_max):
+    J, coef = select_J(sample, subdomain, J_max)
+    domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
+    J_ref, coef_ref = _select_j_reference(sample, subdomain, J_max, domain)
     assert J == J_ref
     assert np.abs(coef - coef_ref).max() <= 1e-10 * np.abs(coef_ref).max()
 
@@ -191,9 +192,8 @@ def _assert_matches_reference(sample, subdomain, J_max, basis_domain):
 def test_select_j_matches_lstsq_sweep_on_dgp_draws(kind, n):
     for rep in range(3):
         sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=501, seed=(810, rep)))
-        lo, hi = float(sample.grid.points[0]), float(sample.grid.points[-1])
-        sub = (lo, summarize_observation(sample).d_min)
-        _assert_matches_reference(sample, sub, 51, (lo, hi))
+        sub = (float(sample.grid.points[0]), summarize_observation(sample).d_min)
+        _assert_matches_reference(sample, sub, 51)
 
 
 # Short subdomains where the design prefixes lose numerical rank part-way
@@ -207,4 +207,4 @@ def test_select_j_matches_lstsq_sweep_where_rank_breaks(p, hi, J_max, noise):
     rng = np.random.default_rng(0)
     curves = rng.standard_normal((40, 7)) @ eval_basis(BasisSpec(7, (0, 1)), g.points).T
     s = FunctionalSample.from_values(g, curves + noise * rng.standard_normal((40, p)))
-    _assert_matches_reference(s, (0.0, hi), J_max, (0.0, 1.0))
+    _assert_matches_reference(s, (0.0, hi), J_max)

@@ -16,8 +16,6 @@ def test_config_validation():
         dgp.DgpConfig("Nope", n=10)
     with pytest.raises(ArgumentError):
         dgp.DgpConfig("DepDis", n=0)
-    with pytest.raises(ArgumentError):
-        dgp.DgpConfig("DepDis", n=10, lam=(1.0, 1.0, 1.0, 1.0, 0.0))
 
 
 def test_draw_is_deterministic():

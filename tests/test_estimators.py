@@ -36,7 +36,7 @@ def test_mean_est_fully_observed():
     g = make_grid(5, 0.0, 1.0)
     vals = np.arange(10.0).reshape(2, 5)
     s = FunctionalSample.from_values(g, vals)
-    assert np.allclose(mean_est(s).values, vals.mean(axis=0))
+    assert np.allclose(mean_est(s), vals.mean(axis=0))
 
 
 def test_mean_est_single_observer():
@@ -44,13 +44,13 @@ def test_mean_est_single_observer():
     s = FunctionalSample.from_values(
         g, np.array([[1.0, 2.0, 7.0], [3.0, 4.0, np.nan]])
     )
-    assert mean_est(s).values[2] == 7.0
+    assert mean_est(s)[2] == 7.0
 
 
 def test_mean_est_undefined_where_nobody_observed():
     g = make_grid(4, 0.0, 1.0)
     s = _interval_sample(g, np.ones((3, 4)), [1 / 3, 1 / 3, 2 / 3])
-    assert np.isnan(mean_est(s).values[3])
+    assert np.isnan(mean_est(s)[3])
 
 
 def test_mean_est_selection_bias_at_three_quarters():
@@ -59,7 +59,7 @@ def test_mean_est_selection_bias_at_three_quarters():
     reps = 100
     for r in range(reps):
         s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=500, p=101, seed=(100, r)))
-        acc += mean_est(s).values[75]
+        acc += mean_est(s)[75]
     assert abs(acc / reps - target) < 0.25
 
 
@@ -122,13 +122,13 @@ def test_cov_est_fully_observed_divisor_n():
     vals = rng.standard_normal((6, 4))
     s = FunctionalSample.from_values(g, vals)
     expected = np.cov(vals.T, bias=True)
-    assert np.allclose(cov_est(s).values, expected, atol=1e-12)
+    assert np.allclose(cov_est(s), expected, atol=1e-12)
 
 
 def test_cov_est_identical_curves_zero():
     g = make_grid(6, 0.0, 1.0)
     s = _interval_sample(g, np.tile(np.sin(g.points), (5, 1)), [1.0, 0.6, 0.8, 1.0, 0.6])
-    c = cov_est(s).values
+    c = cov_est(s)
     assert np.nanmax(np.abs(c)) < 1e-12
 
 
@@ -142,7 +142,7 @@ def test_cov_est_identical_curves_zero():
 )
 def test_cov_est_symmetric_exactly(kind, n, p):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=1))
-    for c in (cov_est(sample).values, cov_pair(moments(sample))[0].values):
+    for c in (cov_est(sample), cov_pair(moments(sample))[0]):
         assert _nan_equal(c, c.T)
 
 
@@ -159,7 +159,7 @@ def test_cov_est_monte_carlo_against_truth():
         ) * rng.standard_normal((500, 5))
         vals = xi @ _fourier5(g.points).T
         s = FunctionalSample.from_values(g, vals)
-        acc += cov_est(s).values
+        acc += cov_est(s)
     assert np.abs(acc / reps - truth).max() < 1.5
 
 
@@ -211,14 +211,14 @@ def test_cum_int_stops_at_undefined_cells():
 def test_ftc_mean_equals_classical_under_full_observation():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=501, seed=2))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    diff = ftc_mean(moments(full)).values - mean_est(full).values
+    diff = ftc_mean(moments(full)) - mean_est(full)
     assert np.abs(diff).max() < 1e-4
 
 
 def test_ftc_mean_matches_classical_on_observed_block():
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=50, p=101, seed=3))
-    m_ftc = ftc_mean(moments(sample)).values
-    m_cl = mean_est(sample).values
+    m_ftc = ftc_mean(moments(sample))
+    m_cl = mean_est(sample)
     block = sample.mask.all(axis=0)
     assert np.array_equal(m_ftc[block], m_cl[block])
 
@@ -233,7 +233,7 @@ def test_ftc_mean_rejects_non_interval_pattern():
 def test_ftc_cov_equals_classical_under_full_observation():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=40, p=201, seed=4))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    diff = cov_pair(moments(full))[1].values - cov_est(full).values
+    diff = cov_pair(moments(full))[1] - cov_est(full)
     assert np.abs(diff).max() < 1e-2
 
 
@@ -245,19 +245,19 @@ def test_ftc_cov_identical_curves_is_zero():
     curve = np.sin(2 * np.pi * g.points) + g.points
     s = _interval_sample(g, np.tile(curve, (20, 1)), d)
     # zero up to quadrature error of the separately integrated moment terms
-    assert np.nanmax(np.abs(cov_pair(moments(s))[1].values)) < 1e-5
+    assert np.nanmax(np.abs(cov_pair(moments(s))[1])) < 1e-5
 
 
 def test_ftc_cov_symmetry():
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=6))
-    c = cov_pair(moments(sample))[1].values
+    c = cov_pair(moments(sample))[1]
     assert np.nanmax(np.abs(c - c.T)) < 1e-8
 
 
 def test_ftc_cov_anchor_value_matches_classical():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=40, p=101, seed=7))
     j = sample.grid.index_of(float(d.min()))
-    assert cov_pair(moments(sample))[1].values[j, j] == cov_est(sample).values[j, j]
+    assert cov_pair(moments(sample))[1][j, j] == cov_est(sample)[j, j]
 
 
 # --- explicit anchors ---------------------------------------------------
@@ -266,24 +266,24 @@ def test_ftc_cov_anchor_value_matches_classical():
 def test_general_mean_reduces_to_interval_version():
     # Without d_f the anchor is d_min; naming it explicitly changes nothing.
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=8))
-    a = ftc_mean(moments(sample)).values
-    b = ftc_mean(moments(sample, float(d.min()))).values
+    a = ftc_mean(moments(sample))
+    b = ftc_mean(moments(sample, float(d.min())))
     assert _nan_equal(a, b)
 
 
 def test_general_cov_reduces_to_interval_version():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=9))
-    a = cov_pair(moments(sample))[1].values
-    b = cov_pair(moments(sample, float(d.min())))[1].values
+    a = cov_pair(moments(sample))[1]
+    b = cov_pair(moments(sample, float(d.min())))[1]
     assert np.nanmax(np.abs(a - b)) < 1e-10
 
 
 def test_general_mean_any_anchor_under_full_observation():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=10))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    cl = mean_est(full).values
+    cl = mean_est(full)
     for d_f in (0.1, 0.5, 0.9):
-        assert np.abs(ftc_mean(moments(full, d_f)).values - cl).max() < 1e-4
+        assert np.abs(ftc_mean(moments(full, d_f)) - cl).max() < 1e-4
 
 
 def test_general_rejects_anchor_without_full_observation():
@@ -302,8 +302,8 @@ def test_general_mean_mirrored_design_unbiased():
     for r in range(reps):
         s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(9, r)))
         mirrored = FunctionalSample(g, s.values[:, ::-1].copy(), s.mask[:, ::-1].copy())
-        acc_f += ftc_mean(moments(mirrored, 1.0)).values
-        acc_c += mean_est(mirrored).values
+        acc_f += ftc_mean(moments(mirrored, 1.0))
+        acc_c += mean_est(mirrored)
     isb_f = np.trapezoid((acc_f / reps - truth) ** 2, dx=g.h)
     isb_c = np.trapezoid((acc_c / reps - truth) ** 2, dx=g.h)
     assert isb_f <= 0.05
@@ -312,7 +312,7 @@ def test_general_mean_mirrored_design_unbiased():
 
 def test_general_cov_symmetry():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("IndCon", n=50, p=101, seed=12))
-    c = cov_pair(moments(sample, float(d.min())))[1].values
+    c = cov_pair(moments(sample, float(d.min())))[1]
     assert np.nanmax(np.abs(c - c.T)) < 1e-8
 
 
@@ -322,15 +322,15 @@ def test_general_cov_symmetry():
 def test_recursive_mean_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=15))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    cl = mean_est(full).values
-    assert np.abs(ftc_mean(moments(full, 0.5, 2)).values - cl).max() < 1e-3
+    cl = mean_est(full)
+    assert np.abs(ftc_mean(moments(full, 0.5, 2)) - cl).max() < 1e-3
 
 
 def test_recursive_cov_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=16))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    cl = cov_est(full).values
-    assert np.abs(cov_pair(moments(full, 0.5, 2))[1].values - cl).max() < 5e-2
+    cl = cov_est(full)
+    assert np.abs(cov_pair(moments(full, 0.5, 2))[1] - cl).max() < 5e-2
 
 
 def test_recursive_mean_removes_second_order_dependence():
@@ -343,9 +343,9 @@ def test_recursive_mean_removes_second_order_dependence():
     for r in range(reps):
         s, d, _ = dgp.draw_sample(dgp.DgpConfig("V2", n=n, p=p, seed=(13, r)))
         anchor = float(d.min())
-        acc["cl"] += mean_est(s).values
-        acc["k1"] += ftc_mean(moments(s, anchor, 1)).values
-        acc["k2"] += ftc_mean(moments(s, anchor, 2)).values
+        acc["cl"] += mean_est(s)
+        acc["k1"] += ftc_mean(moments(s, anchor, 1))
+        acc["k2"] += ftc_mean(moments(s, anchor, 2))
     isb = {
         key: float(np.trapezoid((a / reps - truth) ** 2, dx=g.h))
         for key, a in acc.items()
@@ -434,7 +434,7 @@ def test_ftc_estimators_equal_dense_operator(name, K):
     mu, S = _reference_moments(s, K)
     want_mean, want_cov = M @ mu, M @ S.filled(np.nan) @ M.T
     m = moments(s, 0.5, K)
-    got_mean, got_cov = ftc_mean(m).values, cov_pair(m)[1].values
+    got_mean, got_cov = ftc_mean(m), cov_pair(m)[1]
     assert np.abs(got_mean - want_mean).max() <= 1e-10 * np.abs(want_mean).max()
     assert np.abs(got_cov - want_cov).max() <= 1e-10 * np.abs(want_cov).max()
 
@@ -448,7 +448,7 @@ def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
     zero = (maskf.T @ maskf == 0).astype(float)
     want_nan = support.astype(float) @ zero @ support.T.astype(float) > 0
     _, S = _reference_moments(s, K)
-    got = cov_pair(moments(s, 0.5, K))[1].values
+    got = cov_pair(moments(s, 0.5, K))[1]
     assert want_nan.any() and not want_nan.all()
     assert np.array_equal(np.isnan(got), want_nan)
     want = M @ S.filled(0.0) @ M.T
@@ -464,14 +464,11 @@ def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
 )
 def test_cov_pair_equals_separate_estimators(name, d_f, K):
     # The classical estimates read from the moments equal the anchor-free
-    # estimators bit for bit; only the back-transform carries the anchor.
+    # estimators bit for bit.
     s = _band_sample(name)
     m = moments(s, d_f, K)
-    classical, ftc = cov_pair(m)
-    assert np.array_equal(classical.values, cov_est(s).values, equal_nan=True)
-    assert np.array_equal(m.mu[0], mean_est(s).values, equal_nan=True)
-    assert classical.anchor is None and m.anchor is not None
-    assert ftc.anchor == ftc_mean(m).anchor == m.anchor
+    assert np.array_equal(cov_pair(m)[0], cov_est(s), equal_nan=True)
+    assert np.array_equal(m.mu[0], mean_est(s), equal_nan=True)
 
 
 def _three_point_sample():
@@ -520,11 +517,11 @@ def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
     shifted = FunctionalSample(sample.grid, sample.values + shift, sample.mask)
     pairs = cov_pair(moments(shifted)), cov_pair(moments(sample))
     for got, want in zip(*pairs):
-        scale = np.nanmax(np.abs(want.values))
-        assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
-        assert np.nanmax(np.abs(got.values - want.values)) <= 1e-12 * (1 + abs(shift)) * scale
+        scale = np.nanmax(np.abs(want))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-12 * (1 + abs(shift)) * scale
     for classical, _ in pairs:
-        assert _nan_equal(classical.values, classical.values.T)
+        assert _nan_equal(classical, classical.T)
 
 
 def _moment_draw(kind, n, p, seed, d_f_frac, K):
@@ -554,8 +551,8 @@ def test_back_transform_equals_classical_on_anchor_block(draw):
     m = moments(sample, d_f, K)
     block = slice(m.l, m.u + 1)
     classical, ftc = cov_pair(m)
-    assert np.array_equal(ftc_mean(m).values[block], m.mu[0][block])
-    assert np.array_equal(ftc.values[block, block], classical.values[block, block])
+    assert np.array_equal(ftc_mean(m)[block], m.mu[0][block])
+    assert np.array_equal(ftc[block, block], classical[block, block])
 
 
 @settings(deadline=None, max_examples=30)
@@ -570,9 +567,9 @@ def test_estimates_invariant_to_curve_order(draw, perm_seed):
         return [mean_est(s), cov_est(s), ftc_mean(m), *cov_pair(m)]
 
     for got, want in zip(estimates(permuted), estimates(sample)):
-        assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
-        scale = np.nanmax(np.abs(want.values))
-        assert np.nanmax(np.abs(got.values - want.values)) <= 1e-12 * scale
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        scale = np.nanmax(np.abs(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-12 * scale
 
 
 # --- refinement rates ----------------------------------------------------
@@ -592,7 +589,7 @@ def test_mean_back_transform_error_is_second_order_in_h():
     # deviation of the back-transform is pure quadrature/stencil error.
     def err(p):
         s = _identical_curve_sample(p)
-        return np.nanmax(np.abs(ftc_mean(moments(s)).values - mean_est(s).values))
+        return np.nanmax(np.abs(ftc_mean(moments(s)) - mean_est(s)))
 
     ratio = err(101) / err(201)
     assert 3.0 <= ratio <= 5.0
@@ -609,7 +606,7 @@ def test_cov_back_transform_error_is_second_order_in_h():
         d[0] = 1.0
         psi = np.sin(2 * np.pi * g.points) + 0.3 * np.cos(4 * np.pi * g.points) + g.points**2
         s = _interval_sample(g, 2.0 + c[:, None] * psi[None, :], d)
-        return cov_pair(moments(s))[1].values
+        return cov_pair(moments(s))[1]
 
     p = 101
     a, b, c = est(p), est(2 * p - 1), est(4 * p - 3)
@@ -625,18 +622,18 @@ def test_shift_invariances():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=30, p=101, seed=17))
     shifted = FunctionalSample(sample.grid, sample.values + 3.0, sample.mask)
     assert np.allclose(
-        mean_est(shifted).values, mean_est(sample).values + 3.0, equal_nan=True
+        mean_est(shifted), mean_est(sample) + 3.0, equal_nan=True
     )
     m_shifted, m = moments(shifted), moments(sample)
     assert np.allclose(m_shifted.mu[1], m.mu[1], equal_nan=True, atol=1e-10)
     assert np.allclose(
-        cov_est(shifted).values, cov_est(sample).values, equal_nan=True, atol=1e-10
+        cov_est(shifted), cov_est(sample), equal_nan=True, atol=1e-10
     )
     assert np.allclose(
-        ftc_mean(m_shifted).values, ftc_mean(m).values + 3.0, equal_nan=True, atol=1e-9
+        ftc_mean(m_shifted), ftc_mean(m) + 3.0, equal_nan=True, atol=1e-9
     )
     assert np.allclose(
-        cov_pair(m_shifted)[1].values, cov_pair(m)[1].values, equal_nan=True, atol=1e-9
+        cov_pair(m_shifted)[1], cov_pair(m)[1], equal_nan=True, atol=1e-9
     )
 
 
@@ -650,8 +647,8 @@ def test_mean_est_linear_in_values():
     sb = FunctionalSample(g, b, mask)
     sab = FunctionalSample(g, np.where(mask, 2 * a + b, np.nan), mask)
     assert np.allclose(
-        mean_est(sab).values,
-        2 * mean_est(sa).values + mean_est(sb).values,
+        mean_est(sab),
+        2 * mean_est(sa) + mean_est(sb),
         equal_nan=True,
     )
 
@@ -665,7 +662,7 @@ def test_rmse_halves_when_n_quadruples():
         errs = np.empty(reps)
         for r in range(reps):
             s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(7, r)))
-            errs[r] = ftc_mean(moments(s)).values[150] - truth
+            errs[r] = ftc_mean(moments(s))[150] - truth
         return float(np.sqrt(np.mean(errs**2)))
 
     ratio = rmse(125) / rmse(500)

@@ -126,6 +126,21 @@ def test_selection_workers_do_not_change_results(tmp_path, monkeypatch):
     assert seq.read_bytes() == par.read_bytes()
 
 
+def test_one_pool_serves_every_cell(monkeypatch):
+    started = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv(harness.WORKERS_ENV, "2")
+    spec = _bv_spec(kinds=("IndCon", "DepDis"), n=(20, 30), replications=2)
+    assert len(run_experiment(spec).cells) == 8
+    assert started == [2]
+
+
 def test_bias_is_scored_against_each_kinds_truth(monkeypatch):
     # The reducer asks for the truth of the cell's own kind, not a default.
     asked = []

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ftcfd
 from ftcfd.core import FunctionalSample, make_grid
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ParseError
@@ -232,3 +237,19 @@ def test_experiment_metadata_joins_lists_like_tuples(tmp_path):
     ]
     assert written[0] == written[1]
     assert written[0].startswith(_metadata("test_selection"))
+
+
+def test_io_import_leaves_the_experiment_engine_unloaded():
+    # Reading and writing tables sits below the Monte-Carlo engine and its
+    # process pool.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ftcfd.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, ftcfd.io; print('ftcfd.harness' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -149,7 +149,7 @@ def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=501, seed=(61, n)))
     summ = summarize_observation(sample)
     sub = fully_observed_prefix(sample.grid, summ)
-    _, Xi = select_J(sample, sub, 51, (sub[0], float(sample.grid.points[-1])))
+    _, Xi = select_J(sample, sub, 51)
     d = summ.d_i
     _, beta, se, t_sq, _, _, _ = _reference_fit(d, Xi)
     fit = fit_regression(d, Xi)
