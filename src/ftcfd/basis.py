@@ -51,6 +51,12 @@ def eval_basis(spec: BasisSpec, grid_points) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def check_J_max(J_max: int) -> None:
+    """Reject a basis-size bound the odd-J sweep of select_J cannot use."""
+    if J_max < 3 or J_max % 2 == 0:
+        raise ArgumentError(f"J_max must be odd and >= 3, got {J_max}")
+
+
 def select_J(sample: FunctionalSample, subdomain, J_max: int) -> tuple[int, np.ndarray]:
     """BIC-median basis-size selection over odd J in {3, 5, ..., J_max}.
 
@@ -80,8 +86,7 @@ def select_J(sample: FunctionalSample, subdomain, J_max: int) -> tuple[int, np.n
     The same factors give the coefficients, R[:J, :J]^{-1} z[:J]: the
     selected J is one of the candidates that passed the rank rule.
     """
-    if J_max < 3 or J_max % 2 == 0:
-        raise ArgumentError(f"J_max must be odd and >= 3, got {J_max}")
+    check_J_max(J_max)
     idx = subdomain_indices(sample, subdomain)
     m = idx.size
     pts = sample.grid.points[idx]

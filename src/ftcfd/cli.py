@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import estimators
-from .core import fully_observed_prefix, summarize_observation
+from .core import fully_observed_prefix
 from .dgp import ALL_KINDS, DgpConfig, draw_sample
 from .errors import ArgumentError, NumericalError, ParseError
 from .harness import (
@@ -186,7 +186,7 @@ def _cmd_estimate(args) -> int:
         ("cov_ftc.csv", write_matrix_csv, grid, cov_ftc),
     ]
     if args.fpc_scores:
-        subdomain = fully_observed_prefix(grid, summarize_observation(sample))
+        subdomain = fully_observed_prefix(grid, m.obs)
         scores, explained = estimators.fpca_scores(sample, subdomain)
         tables.append(("fpc_scores.csv", write_scores_csv, scores, explained))
     os.makedirs(args.out, exist_ok=True)

@@ -3,7 +3,7 @@
 Curves live on one shared equidistant grid. Missingness is tracked by a
 boolean mask (True = observed); the value matrix carries NaN at masked-out
 cells so vectorized numpy code can rely on either representation. The mask
-is authoritative.
+is authoritative, and summarize_observation alone reads each curve's run.
 """
 
 from __future__ import annotations
@@ -110,17 +110,21 @@ class FunctionalSample:
 
 @dataclass(frozen=True)
 class ObservationSummary:
-    """Observation-pattern summary of a functional sample."""
+    """Per curve: first and last observed grid index, point count, endpoint.
 
-    p_hat: np.ndarray
+    A curve's observed run is contiguous exactly when last - first + 1 == counts.
+    """
+
+    first: np.ndarray
+    last: np.ndarray
+    counts: np.ndarray
     d_i: np.ndarray
     d_min: float | None
-    d_f_candidates: np.ndarray  # grid indices with p_hat == 1
     interval_pattern: bool
 
 
 def summarize_observation(sample: FunctionalSample) -> ObservationSummary:
-    """Observed fractions, per-curve endpoints, and the interval-pattern flag.
+    """Per-curve observed runs and endpoints, and the interval-pattern flag.
 
     A sample has the interval pattern when every row mask looks like
     {1,...,1,0,...,0} starting at the first grid point. d_i is the last
@@ -128,24 +132,14 @@ def summarize_observation(sample: FunctionalSample) -> ObservationSummary:
     patterns and None otherwise.
     """
     mask = sample.mask
-    n, p = mask.shape
-    p_hat = mask.mean(axis=0)
     counts = mask.sum(axis=1)
-    last_idx = p - 1 - np.argmax(mask[:, ::-1], axis=1)
-    first_idx = np.argmax(mask, axis=1)
+    first = np.argmax(mask, axis=1)
+    last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
     # Prefix pattern: observed run starts at column 0 and is contiguous.
-    contiguous = last_idx - first_idx + 1 == counts
-    interval = bool(np.all(contiguous) and np.all(first_idx == 0))
-    d_i = sample.grid.points[last_idx]
+    interval = bool(np.all(first == 0) and np.all(last + 1 == counts))
+    d_i = sample.grid.points[last]
     d_min = float(d_i.min()) if interval else None
-    d_f_candidates = np.flatnonzero(p_hat == 1.0)
-    return ObservationSummary(
-        p_hat=p_hat,
-        d_i=d_i,
-        d_min=d_min,
-        d_f_candidates=d_f_candidates,
-        interval_pattern=interval,
-    )
+    return ObservationSummary(first, last, counts, d_i, d_min, interval)
 
 
 def subdomain_indices(sample: FunctionalSample, subdomain) -> np.ndarray:

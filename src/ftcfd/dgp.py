@@ -104,7 +104,7 @@ def draw_sample(config: DgpConfig):
     grid = make_grid(config.p, 0.0, 1.0)
     values = xi @ _design_basis(config.kind, grid.points).T
     mask = grid.points[None, :] <= d[:, None]
-    sample = FunctionalSample(grid, np.where(mask, values, np.nan), mask)
+    sample = FunctionalSample(grid, values, mask)
     return sample, d, xi
 
 

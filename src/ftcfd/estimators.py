@@ -15,6 +15,7 @@ applied to the moments m = moments(sample, d_f, K): ftc_mean(m) = M_K mu and
 cov_pair(m) = (S[0][0], M_K S M_K^T), where mu stacks the derivative means
 of orders 0..K (mu[0] is the classical mean) and S[a][b] is the
 pairwise-complete covariance of orders a and b (S[0][0] the classical one).
+moments summarises the sample once; each derivative order is a bare array.
 
 Every estimator returns the numpy array it computes on the sample's grid
 (cov_pair the pair of arrays). All are pure functions of the sample;
@@ -28,37 +29,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, subdomain_indices, summarize_observation
+from .core import (
+    FunctionalSample,
+    ObservationSummary,
+    subdomain_indices,
+    summarize_observation,
+)
 from .errors import ArgumentError
 
 
-def differentiate(sample: FunctionalSample) -> FunctionalSample:
-    """Finite-difference first derivative per curve, mask preserved.
+def differentiate(values, first, last, h: float) -> np.ndarray:
+    """Finite-difference first derivative of each curve's observed run.
 
-    Central differences at interior observed points, 3-point one-sided
-    stencils at the two ends of each curve's observed run (exact on
-    quadratics). Each observed set must be a contiguous grid interval
-    with at least 3 points.
+    Curve i is observed on the contiguous run first[i]..last[i] of at least
+    3 grid points and carries NaN elsewhere; so does the result. Central
+    differences at interior points, 3-point one-sided stencils at the two
+    ends of each run (exact on quadratics).
     """
-    mask = sample.mask
-    n, p = mask.shape
-    counts = mask.sum(axis=1)
-    first = np.argmax(mask, axis=1)
-    last = p - 1 - np.argmax(mask[:, ::-1], axis=1)
-    _reject_curves(last - first + 1 != counts, "observed set of each curve must be contiguous")
-    _reject_curves(counts < 3, "each curve needs >= 3 observed points to differentiate")
-    h = sample.grid.h
-    v = sample.values
+    v = values
     d = np.full_like(v, np.nan)
     d[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
-    rows = np.arange(n)
+    rows = np.arange(v.shape[0])
     d[rows, first] = (
         -3.0 * v[rows, first] + 4.0 * v[rows, first + 1] - v[rows, first + 2]
     ) / (2.0 * h)
     d[rows, last] = (
         3.0 * v[rows, last] - 4.0 * v[rows, last - 1] + v[rows, last - 2]
     ) / (2.0 * h)
-    return FunctionalSample(sample.grid, np.where(mask, d, np.nan), mask)
+    return d
 
 
 def _reject_curves(bad: np.ndarray, message: str) -> None:
@@ -72,16 +70,19 @@ def mean_est(sample: FunctionalSample) -> np.ndarray:
 
     NaN marks grid points no curve observes.
     """
-    mask = sample.mask
+    return _mean(sample.values, sample.mask)
+
+
+def _mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     counts = mask.sum(axis=0)
-    total = np.where(mask, sample.values, 0.0).sum(axis=0)
+    total = np.where(mask, values, 0.0).sum(axis=0)
     with np.errstate(invalid="ignore"):
         return np.where(counts > 0, total / np.maximum(counts, 1), np.nan)
 
 
-def _centered(sample: FunctionalSample, mu: np.ndarray) -> np.ndarray:
+def _centered(values: np.ndarray, mask: np.ndarray, mu: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
-        return np.where(sample.mask, sample.values - mu, 0.0)
+        return np.where(mask, values - mu, 0.0)
 
 
 def _pair_counts(mask: np.ndarray) -> np.ndarray:
@@ -97,7 +98,7 @@ def cov_est(sample: FunctionalSample) -> np.ndarray:
     Centering uses the observed-subset means; the divisor is the pair count
     (n under full observation), 0/0 = NaN.
     """
-    c = _centered(sample, mean_est(sample))
+    c = _centered(sample.values, sample.mask, mean_est(sample))
     # numpy computes c.T @ c as a symmetric rank-k update: the result comes
     # out exactly symmetric at half the flops.
     return (c.T @ c) / _pair_counts(sample.mask)
@@ -132,32 +133,19 @@ def _backtransform(levels, h: float, l: int, u: int, axis: int = 0) -> np.ndarra
     return out
 
 
-def _anchor_run(sample: FunctionalSample, j_f: int) -> tuple[int, int]:
-    """Maximal contiguous block of fully observed columns containing j_f."""
-    full = sample.mask.all(axis=0)
-    if not full[j_f]:
-        raise ArgumentError(
-            f"grid point {sample.grid.points[j_f]} is not observed for the full sample"
-        )
-    l = j_f
-    while l > 0 and full[l - 1]:
-        l -= 1
-    u = j_f
-    while u < full.size - 1 and full[u + 1]:
-        u += 1
-    return l, u
-
-
 @dataclass(frozen=True)
 class Moments:
     """Derivative moments of one sample and its anchor block.
 
-    chain[k] is the order-k derivative sample (k = 0..K, all sharing the
-    sample's mask) and mu[k] its pointwise mean; [l, u] is the maximal fully
-    observed run of grid indices around the grid point `anchor`.
+    values[k] is the order-k derivative of every curve (k = 0..K, values[0]
+    the sample's own), NaN off the sample's mask, and mu[k] its pointwise
+    mean; obs is the sample's observation summary. [l, u] is the maximal
+    fully observed run of grid indices around the grid point `anchor`.
     """
 
-    chain: tuple[FunctionalSample, ...]
+    sample: FunctionalSample
+    obs: ObservationSummary
+    values: tuple[np.ndarray, ...]
     mu: tuple[np.ndarray, ...]
     l: int
     u: int
@@ -169,30 +157,37 @@ def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
 
     d_f is snapped to the nearest grid point, which must be observed by
     every curve. Without d_f the sample must have the interval pattern and
-    the anchor is d_min, the last fully observed grid point.
+    the anchor is d_min, the last fully observed grid point. Every observed
+    run must be contiguous, so [l, u] is the runs' common part.
     """
     if K < 1:
         raise ArgumentError("K must be >= 1")
+    obs = summarize_observation(sample)
     _reject_curves(
-        sample.mask.sum(axis=1) < K + 2,
+        obs.counts < K + 2,
         f"order-{K} stencils need >= {K + 2} observed points per curve",
     )
     if d_f is None:
-        summ = summarize_observation(sample)
-        if not summ.interval_pattern:
+        if not obs.interval_pattern:
             raise ArgumentError(
                 "sample does not have the interval observation pattern; "
                 "pass an explicit anchor d_f (--d-f)"
             )
-        j_f = int(summ.d_f_candidates[-1])
+        j_f = int(obs.last.min())
     else:
         j_f = sample.grid.index_of(d_f)
-    l, u = _anchor_run(sample, j_f)
-    chain = [sample]
+    if not sample.mask[:, j_f].all():
+        raise ArgumentError(
+            f"grid point {sample.grid.points[j_f]} is not observed for the full sample"
+        )
+    span = obs.last - obs.first + 1
+    _reject_curves(span != obs.counts, "observed set of each curve must be contiguous")
+    values = [sample.values]
     for _ in range(K):
-        chain.append(differentiate(chain[-1]))
-    mu = tuple(mean_est(s) for s in chain)
-    return Moments(tuple(chain), mu, l, u, float(sample.grid.points[j_f]))
+        values.append(differentiate(values[-1], obs.first, obs.last, sample.grid.h))
+    mu = tuple(_mean(v, sample.mask) for v in values)
+    l, u = int(obs.first.max()), int(obs.last.min())
+    return Moments(sample, obs, tuple(values), mu, l, u, float(sample.grid.points[j_f]))
 
 
 def ftc_mean(m: Moments) -> np.ndarray:
@@ -200,7 +195,7 @@ def ftc_mean(m: Moments) -> np.ndarray:
 
     On the block [l, u] it equals the classical mean m.mu[0].
     """
-    return _backtransform(m.mu, m.chain[0].grid.h, m.l, m.u)
+    return _backtransform(m.mu, m.sample.grid.h, m.l, m.u)
 
 
 def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
@@ -210,9 +205,9 @@ def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
     from; all blocks share one pair-count matrix (differentiation keeps the
     mask) and one centred array per derivative order.
     """
-    h, K = m.chain[0].grid.h, len(m.chain) - 1
-    counts = _pair_counts(m.chain[0].mask)
-    cs = [_centered(s, mu) for s, mu in zip(m.chain, m.mu)]
+    h, K, mask = m.sample.grid.h, len(m.values) - 1, m.sample.mask
+    counts = _pair_counts(mask)
+    cs = [_centered(v, mask, mu) for v, mu in zip(m.values, m.mu)]
     S = {}
     for a in range(K + 1):
         for b in range(a + 1):

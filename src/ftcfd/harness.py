@@ -65,6 +65,8 @@ class ExperimentSpec:
             raise ArgumentError("n values must be >= 2")
         if self.mode == MODE_TEST_SELECTION and self.J_max % 2 == 0:
             raise ArgumentError("J_max must be odd in test_selection mode")
+        if not self.targets:
+            raise ArgumentError("targets must name at least one of mean, cov")
         bad = [t for t in self.targets if t not in ("mean", "cov")]
         if bad:
             raise ArgumentError(f"unknown targets {bad}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import select_J
+from .basis import check_J_max, select_J
 from .core import FunctionalSample, fully_observed_prefix, summarize_observation
 from .errors import ArgumentError, NumericalError
 
@@ -121,6 +121,16 @@ def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
     )
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_R(R: int) -> None:
+    if R < 100:
+        raise ArgumentError(f"R must be >= 100, got {R}")
+
+
 def bootstrap_statistics(fit: RegressionFit, R: int, seed: int) -> np.ndarray:
     """Residual bootstrap, centered at the original estimates (R x J).
 
@@ -131,8 +141,7 @@ def bootstrap_statistics(fit: RegressionFit, R: int, seed: int) -> np.ndarray:
     ||u*||^2 - ||w||^2, so no d*, refit or residual array is formed.
     Degenerate replications with zero residual variance yield 0.
     """
-    if R < 100:
-        raise ArgumentError(f"R must be >= 100, got {R}")
+    _check_R(R)
     n, k = fit.q.shape
     if not fit.residuals.any():
         # Exact fit: every resample reproduces d, so all statistics vanish.
@@ -161,8 +170,7 @@ def romano_wolf(d, Xi, alpha: float, R: int, seed: int) -> TestReport:
     Rejection removes the maximizing hypothesis and the loop continues;
     the first p-value above alpha stops it.
     """
-    if not 0 < alpha < 1:
-        raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     fit = fit_regression(d, Xi)
     boot = bootstrap_statistics(fit, R, seed)[: R - 1]  # R-1 comparison rows
     J = fit.t_sq.size
@@ -182,15 +190,7 @@ def romano_wolf(d, Xi, alpha: float, R: int, seed: int) -> TestReport:
         rejected.add(j_star)
         remaining.remove(j_star)
     rejected = frozenset(rejected)
-    return TestReport(
-        rejected=rejected,
-        p_values=tuple(p_values),
-        outcome=_classify(rejected),
-        alpha=alpha,
-        R=R,
-        seed=seed,
-        J=J,
-    )
+    return TestReport(rejected, tuple(p_values), _classify(rejected), alpha, R, seed, J)
 
 
 def classify_and_test(
@@ -204,22 +204,18 @@ def classify_and_test(
 
     Requires the interval observation pattern. A constant endpoint vector
     (e.g. a fully observed sample) short-circuits to the Null outcome with
-    the degenerate-response flag set.
+    the degenerate-response flag set, after J_max, alpha and R are checked.
     """
     summ = summarize_observation(sample)
     if not summ.interval_pattern:
         raise ArgumentError("test requires the interval observation pattern")
     subdomain = fully_observed_prefix(sample.grid, summ)
+    check_J_max(J_max)
+    _check_alpha(alpha)
+    _check_R(R)
     if np.ptp(summ.d_i) == 0.0:
         return TestReport(
-            rejected=frozenset(),
-            p_values=(),
-            outcome=OUTCOME_NULL,
-            alpha=alpha,
-            R=R,
-            seed=seed,
-            J=0,
-            degenerate_response=True,
+            frozenset(), (), OUTCOME_NULL, alpha, R, seed, degenerate_response=True
         )
     _, coefficients = select_J(sample, subdomain, J_max)
     return romano_wolf(summ.d_i, coefficients, alpha, R, seed)

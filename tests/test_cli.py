@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ftcfd
-from ftcfd import estimators
+from ftcfd import cli, core, estimators, harness
 from ftcfd.basis import BasisSpec, eval_basis
 from ftcfd.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from ftcfd.core import FunctionalSample
@@ -164,6 +164,24 @@ def test_experiment_rejects_bad_config_value(tmp_path, capsys, key):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_experiment_rejects_empty_targets(tmp_path, capsys, monkeypatch, source):
+    # Rejected before any replication runs, so no table is written.
+    monkeypatch.setattr(harness, "_bias_variance_rep", _no_replication)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("targets=\n")
+    out = tmp_path / "e.csv"
+    argv = ["experiment", "--dgp", "DepDis", "--n", "20", "--reps", "2", "--p", "21"]
+    argv += ["--targets", ","] if source == "flag" else ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert "targets must name at least one" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_replication(task):
+    raise AssertionError("a replication ran")
+
+
 def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode=bias_variance\nwibble=1\n")
@@ -241,16 +259,30 @@ def test_failed_estimate_leaves_no_output(tmp_path, capsys, rows, extra, code, m
 
 
 def test_estimate_differentiates_once_per_order(tmp_path, monkeypatch):
+    # Each estimate run differentiates once per order (K = 1) and summarises
+    # the observation pattern once, whichever module calls the summary.
     calls = []
     differentiate = estimators.differentiate
     monkeypatch.setattr(
-        estimators, "differentiate", lambda s: calls.append(s) or differentiate(s)
+        estimators,
+        "differentiate",
+        lambda *a: calls.append("differentiate") or differentiate(*a),
     )
+    summarize = core.summarize_observation
+    for module in (core, estimators, cli):
+        if hasattr(module, "summarize_observation"):
+            monkeypatch.setattr(
+                module,
+                "summarize_observation",
+                lambda s: calls.append("summarize_observation") or summarize(s),
+            )
     sample_path = tmp_path / "s.csv"
     _simulate(sample_path, "DepCon", 30, 41, 15)
-    argv = ["estimate", str(sample_path), "--out", str(tmp_path / "est"), "--fpc-scores"]
-    assert main(argv) == EXIT_OK
-    assert len(calls) == 1  # K = 1
+    for extra in (["--fpc-scores"], ["--d-f", "0.25"]):
+        calls.clear()
+        argv = ["estimate", str(sample_path), "--out", str(tmp_path / "est"), *extra]
+        assert main(argv) == EXIT_OK
+        assert sorted(calls) == ["differentiate", "summarize_observation"], extra
 
 
 def _simulate(path, kind, n, p, seed):
@@ -319,6 +351,16 @@ def test_test_outcomes(tmp_path, capsys, dep_dis_path):
     write_sample_csv(ind, ind_path)
     assert main(["test", str(ind_path)]) == EXIT_OK
     assert "outcome=Null" in capsys.readouterr().out
+
+
+def test_test_checks_options_on_a_degenerate_sample(tmp_path, capsys):
+    # Every curve ends at t_p, so the report would be the degenerate Null.
+    path = tmp_path / "full.csv"
+    _write_rows(path, [_BASE, [v * v for v in _BASE], [v + 1.0 for v in _BASE]])
+    argv = ["test", str(path), "--alpha", "7", "--bootstrap", "3", "--j-max", "4"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "J_max must be odd and >= 3, got 4" in captured.err and captured.out == ""
 
 
 def test_test_j_max_does_not_change_clear_outcome(capsys, dep_dis_path):

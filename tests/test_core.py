@@ -100,7 +100,9 @@ def test_summarize_fully_observed():
     g = make_grid(4, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.arange(8.0).reshape(2, 4))
     summ = summarize_observation(s)
-    assert np.array_equal(summ.p_hat, np.ones(4))
+    assert np.array_equal(summ.first, [0, 0])
+    assert np.array_equal(summ.last, [3, 3])
+    assert np.array_equal(summ.counts, [4, 4])
     assert np.array_equal(summ.d_i, [1.0, 1.0])
     assert summ.d_min == 1.0
     assert summ.interval_pattern
@@ -112,11 +114,12 @@ def test_summarize_hand_checked_two_curves():
         g, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, np.nan]])
     )
     summ = summarize_observation(s)
-    assert np.array_equal(summ.p_hat, [1.0, 1.0, 0.5])
+    assert np.array_equal(summ.first, [0, 0])
+    assert np.array_equal(summ.last, [2, 1])
+    assert np.array_equal(summ.counts, [3, 2])
     assert np.array_equal(summ.d_i, [1.0, 0.5])
     assert summ.d_min == 0.5
     assert summ.interval_pattern
-    assert np.array_equal(summ.d_f_candidates, [0, 1])
 
 
 def test_summarize_endpoint_fraction_matches_sign_rule():
@@ -132,12 +135,12 @@ def test_summarize_is_pure_function_of_mask():
     a = FunctionalSample(g, np.ones((1, 5)), mask)
     b = FunctionalSample(g, np.full((1, 5), 7.5), mask)
     sa, sb = summarize_observation(a), summarize_observation(b)
-    assert np.array_equal(sa.p_hat, sb.p_hat)
-    assert np.array_equal(sa.d_i, sb.d_i)
+    for field in ("first", "last", "counts", "d_i"):
+        assert np.array_equal(getattr(sa, field), getattr(sb, field))
     assert sa.d_min == sb.d_min
     # idempotent: calling twice gives the same summary
     sa2 = summarize_observation(a)
-    assert np.array_equal(sa.p_hat, sa2.p_hat)
+    assert np.array_equal(sa.counts, sa2.counts)
 
 
 def test_summarize_non_interval_pattern():
@@ -146,9 +149,14 @@ def test_summarize_non_interval_pattern():
     summ = summarize_observation(s)
     assert not summ.interval_pattern
     assert summ.d_min is None
+    # The run 0..3 holds 3 points: it has a gap.
+    assert (summ.first[0], summ.last[0], summ.counts[0]) == (0, 3, 3)
 
 
-def test_interval_pattern_p_hat_non_increasing():
+def test_interval_pattern_runs_are_prefixes():
     sample, _, _ = draw_sample(DgpConfig("IndCon", n=60, p=51, seed=2))
     summ = summarize_observation(sample)
-    assert np.all(np.diff(summ.p_hat) <= 0)
+    assert summ.interval_pattern
+    assert np.array_equal(summ.first, np.zeros(60))
+    assert np.array_equal(summ.counts, summ.last + 1)
+    assert np.array_equal(summ.d_i, sample.grid.points[summ.last])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftcfd import dgp
-from ftcfd.core import FunctionalSample, make_grid
+from ftcfd.core import FunctionalSample, make_grid, summarize_observation
 from ftcfd.errors import ArgumentError
 from ftcfd.estimators import (
     _integrate,
@@ -66,41 +66,48 @@ def test_mean_est_selection_bias_at_three_quarters():
 # --- differentiate ------------------------------------------------------
 
 
+def _derivative(sample):
+    """First derivative of a sample whose curves are contiguous runs."""
+    obs = summarize_observation(sample)
+    return differentiate(sample.values, obs.first, obs.last, sample.grid.h)
+
+
 def test_differentiate_exact_on_linear():
     g = make_grid(21, 0.0, 1.0)
     s = FunctionalSample.from_values(g, (1.5 + 2.5 * g.points)[None, :])
-    d = differentiate(s)
-    assert np.allclose(d.values, 2.5, atol=1e-12)
+    assert np.allclose(_derivative(s), 2.5, atol=1e-12)
 
 
 def test_differentiate_sine_accuracy():
     g = make_grid(501, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.sin(2 * np.pi * g.points)[None, :])
-    d = differentiate(s)
-    err = np.abs(d.values[0] - 2 * np.pi * np.cos(2 * np.pi * g.points))
+    err = np.abs(_derivative(s)[0] - 2 * np.pi * np.cos(2 * np.pi * g.points))
     assert err.max() < 1e-3
 
 
 def test_differentiate_preserves_mask():
+    # The derivative is NaN exactly where the sample is unobserved.
     g = make_grid(11, 0.0, 1.0)
-    s = _interval_sample(g, np.tile(g.points**2, (1, 1)), [0.5])
-    d = differentiate(s)
-    assert np.array_equal(d.mask, s.mask)
-    observed = d.values[0][s.mask[0]]
-    assert np.allclose(observed, 2 * g.points[s.mask[0]], atol=1e-10)
+    lo, hi = np.array([[0], [2], [4]]), np.array([[5], [10], [7]])
+    idx = np.arange(11)
+    s = FunctionalSample(g, np.tile(g.points**2, (3, 1)), (idx >= lo) & (idx <= hi))
+    d = _derivative(s)
+    assert np.array_equal(~np.isnan(d), s.mask)
+    want = np.broadcast_to(2 * g.points, s.mask.shape)
+    assert np.allclose(d[s.mask], want[s.mask], atol=1e-10)
 
 
-def test_differentiate_rejects_non_contiguous():
+def test_moments_rejects_non_contiguous_runs():
     # The error names the first offending curve by its 1-based row.
     g = make_grid(5, 0.0, 1.0)
     s = FunctionalSample.from_values(
         g, np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 2.0, 3.0, 4.0]])
     )
     with pytest.raises(ArgumentError, match=r"must be contiguous \(curve 2\)$"):
-        differentiate(s)
+        moments(s, 0.5)
 
 
-def test_differentiate_rejects_short_runs():
+def test_moments_rejects_short_runs():
     g = make_grid(5, 0.0, 1.0)
     s = FunctionalSample.from_values(
         g,
@@ -110,7 +117,7 @@ def test_differentiate_rejects_short_runs():
         ),
     )
     with pytest.raises(ArgumentError, match=r">= 3 observed points .* \(curve 2\)$"):
-        differentiate(s)
+        moments(s)
 
 
 # --- cov_est ------------------------------------------------------------
@@ -393,10 +400,11 @@ def _reference_moments(sample, K):
     mu stacks the pointwise derivative means; S is the pairwise-complete
     covariance of all order pairs, masked where no curve observes a pair.
     """
-    chain = [sample]
+    obs = summarize_observation(sample)
+    values = [sample.values]
     for _ in range(K):
-        chain.append(differentiate(chain[-1]))
-    x = [np.ma.masked_array(d.values, ~d.mask) for d in chain]
+        values.append(differentiate(values[-1], obs.first, obs.last, sample.grid.h))
+    x = [np.ma.masked_array(v, ~sample.mask) for v in values]
     mu = np.ma.concatenate([xk.mean(axis=0) for xk in x]).filled(np.nan)
     c = np.ma.hstack([xk - xk.mean(axis=0) for xk in x]).filled(0.0)
     observed = np.tile(sample.mask, K + 1).astype(float)
@@ -502,6 +510,108 @@ def test_cov_pair_errors_match_ftc_cov(make, d_f, K, text):
     with pytest.raises(ArgumentError) as exc:
         moments(make(), d_f, K)
     assert str(exc.value) == text
+
+
+def _gap_sample():
+    # Curve 2 misses the grid point 0.25; every other point is fully observed.
+    g = make_grid(9, 0.0, 1.0)
+    vals = np.tile(g.points**2, (3, 1))
+    vals[1, 2] = np.nan
+    return FunctionalSample.from_values(g, vals)
+
+
+def _short_gap_sample():
+    # Curve 2 observes two points; curve 3 misses 0.25.
+    s = _gap_sample()
+    vals = np.array(s.values)
+    vals[1], vals[2, 2] = np.where(np.arange(9) < 2, vals[0], np.nan), np.nan
+    return FunctionalSample.from_values(s.grid, vals)
+
+
+@pytest.mark.parametrize(
+    "make, d_f, K, text",
+    [
+        (_gap_sample, 0.25, 1, "grid point 0.25 is not observed for the full sample"),
+        (_gap_sample, 0.0, 1, "observed set of each curve must be contiguous (curve 2)"),
+        (
+            _gap_sample,
+            None,
+            1,
+            "sample does not have the interval observation pattern; "
+            "pass an explicit anchor d_f (--d-f)",
+        ),
+        (_gap_sample, 7.0, 1, "7.0 is not on the grid [0.0, 1.0]"),
+        (_gap_sample, 0.25, 0, "K must be >= 1"),
+        (
+            _short_gap_sample,
+            None,
+            1,
+            "order-1 stencils need >= 3 observed points per curve (curve 2)",
+        ),
+        (
+            _short_gap_sample,
+            7.0,
+            1,
+            "order-1 stencils need >= 3 observed points per curve (curve 2)",
+        ),
+    ],
+    ids=[
+        "anchor_before_contiguity",
+        "contiguity",
+        "interval_before_contiguity",
+        "grid_before_contiguity",
+        "order_first",
+        "stencil_before_interval",
+        "stencil_before_grid",
+    ],
+)
+def test_moments_check_order(make, d_f, K, text):
+    # The gap sample alone fails the contiguity check; where a sample fails
+    # two checks, the earlier one in moments' order names the error.
+    with pytest.raises(ArgumentError) as exc:
+        moments(make(), d_f, K)
+    assert str(exc.value) == text
+
+
+def _anchor_run(mask, j_f):
+    """Maximal contiguous block of fully observed columns containing j_f."""
+    full = mask.all(axis=0)
+    assert full[j_f]
+    l = j_f
+    while l > 0 and full[l - 1]:
+        l -= 1
+    u = j_f
+    while u < full.size - 1 and full[u + 1]:
+        u += 1
+    return l, u
+
+
+@st.composite
+def _run_samples(draw):
+    """Contiguous runs of >= K + 2 points that all cover grid index j_f."""
+    p = draw(st.integers(5, 30))
+    K = draw(st.sampled_from([1, 2]))
+    j_f = draw(st.integers(0, p - 1))
+    n = draw(st.integers(1, 8))
+    runs = []
+    for _ in range(n):
+        first = draw(st.integers(0, min(j_f, p - K - 2)))
+        runs.append((first, draw(st.integers(max(j_f, first + K + 1), p - 1))))
+    lo, hi = np.array(runs).T[:, :, None]
+    idx = np.arange(p)
+    mask = (idx >= lo) & (idx <= hi)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sample = FunctionalSample(make_grid(p, 0.0, 1.0), rng.standard_normal((n, p)), mask)
+    return sample, j_f, K
+
+
+@settings(deadline=None, max_examples=60)
+@given(draw=_run_samples())
+def test_anchor_block_is_the_fully_observed_run_around_the_anchor(draw):
+    sample, j_f, K = draw
+    m = moments(sample, sample.grid.points[j_f], K)
+    assert (m.l, m.u) == _anchor_run(sample.mask, j_f)
+    assert m.anchor == sample.grid.points[j_f]
 
 
 @settings(deadline=None, max_examples=30)

@@ -36,6 +36,8 @@ def test_spec_validation():
         _bv_spec(n=())
     with pytest.raises(ArgumentError):
         _bv_spec(targets=("median",))
+    with pytest.raises(ArgumentError, match="targets must name at least one"):
+        _bv_spec(targets=())
     with pytest.raises(ArgumentError):
         ExperimentSpec(
             mode=MODE_TEST_SELECTION,
@@ -159,7 +161,7 @@ def test_replication_computes_moments_once(monkeypatch):
     for name in ("differentiate", "summarize_observation"):
         original = getattr(estimators, name)
         monkeypatch.setattr(
-            estimators, name, lambda s, f=original, n=name: calls.append(n) or f(s)
+            estimators, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
         )
     spec = _bv_spec(targets=("mean", "cov"))
     out = harness._bias_variance_rep((spec, "DepDis", 40, 0))

@@ -289,16 +289,34 @@ def test_classify_family_wise_error_under_independence():
     assert rejections / 200 <= 0.07
 
 
-def test_classify_fully_observed_sample_is_degenerate_null():
+def _fully_observed_sample():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=101, seed=30))
     from ftcfd.basis import BasisSpec, eval_basis
 
-    full = FunctionalSample.from_values(
+    return FunctionalSample.from_values(
         sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
     )
-    report = classify_and_test(full, R=200, seed=0)
+
+
+def test_classify_fully_observed_sample_is_degenerate_null():
+    report = classify_and_test(_fully_observed_sample(), R=200, seed=0)
     assert report.outcome == OUTCOME_NULL
     assert report.degenerate_response
+
+
+@pytest.mark.parametrize(
+    "options, text",
+    [
+        (dict(J_max=4, alpha=7.0, R=3), "J_max must be odd and >= 3, got 4"),
+        (dict(alpha=7.0, R=3), "alpha must be in (0, 1), got 7.0"),
+        (dict(R=3), "R must be >= 100, got 3"),
+    ],
+    ids=["J_max", "alpha", "R"],
+)
+def test_classify_checks_options_before_the_degenerate_short_cut(options, text):
+    with pytest.raises(ArgumentError) as exc:
+        classify_and_test(_fully_observed_sample(), **options)
+    assert str(exc.value) == text
 
 
 def test_classify_fits_the_regression_once(monkeypatch):
