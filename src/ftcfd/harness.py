@@ -21,9 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
+from .basis import check_J_max
 from .dgp import KINDS, DgpConfig, draw_sample, true_cov, true_mean
 from .errors import ArgumentError
-from .mcar import OUTCOME_NULL, OUTCOME_OTHER, OUTCOME_V, classify_and_test
+from .mcar import (
+    OUTCOME_NULL,
+    OUTCOME_OTHER,
+    OUTCOME_V,
+    check_alpha,
+    check_R,
+    classify_and_test,
+)
 
 WORKERS_ENV = "FTCFD_WORKERS"
 
@@ -63,8 +71,10 @@ class ExperimentSpec:
             raise ArgumentError(f"kinds must be drawn from {KINDS}")
         if not self.n or any(n < 2 for n in self.n):
             raise ArgumentError("n values must be >= 2")
-        if self.mode == MODE_TEST_SELECTION and self.J_max % 2 == 0:
-            raise ArgumentError("J_max must be odd in test_selection mode")
+        if self.mode == MODE_TEST_SELECTION:
+            check_J_max(self.J_max)
+            check_alpha(self.alpha)
+            check_R(self.R)
         if not self.targets:
             raise ArgumentError("targets must name at least one of mean, cov")
         bad = [t for t in self.targets if t not in ("mean", "cov")]

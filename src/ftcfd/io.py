@@ -12,6 +12,11 @@ matrices, principal component scores, experiment results) is written by
 - a header row, then one row per record, each ending in ``\\r\\n``;
 - cells separated by ``,``: text cells as given, numbers as ``%.17g``
   (enough digits to round-trip float64 exactly), NaN as an empty cell.
+
+Covariance matrices repeat most of their values (the classical estimate is
+symmetric, and the back-transform one equals it on the anchor block), so
+their cells are formatted once per distinct value and every row is put
+together from those strings; the bytes are the same as cell by cell.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import csv
 import io as _io
 from dataclasses import asdict, astuple, fields
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -38,7 +44,8 @@ def _write_table(path, header, rows, comments=()) -> None:
     """Write comment lines, the header and the rows in the module's layout.
 
     Rows are lists of str and number cells, produced one at a time (numpy
-    rows via ``.tolist()``) so no whole matrix is converted at once.
+    rows via ``.tolist()``) so no whole matrix is converted at once. A str
+    cell may hold several cells already joined by ``,``.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in comments:
@@ -121,10 +128,30 @@ def write_vector_csv(path, grid: Grid, values: np.ndarray, name: str = "value") 
     _write_table(path, ["t", name], rows)
 
 
+def _joined_rows(values: np.ndarray):
+    """Each row of a float64 matrix as its cells in the table format, joined by ``,``.
+
+    Each distinct bit pattern is formatted once, and every row is gathered
+    from those strings. Keying on bits rather than values keeps ``-0`` and
+    ``0`` apart; NaNs of any payload are all written as empty cells.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    # Raveled: numpy 2.0 shapes the inverse of an n-D input differently.
+    uniq, inv = np.unique(a.view(np.int64).ravel(), return_inverse=True)
+    cells = ["" if v != v else _FMT % v for v in uniq.view(np.float64).tolist()]
+    for row in inv.reshape(a.shape):
+        idx = row.tolist()
+        if len(idx) < 2:  # itemgetter of one index returns the cell, not a tuple
+            yield ",".join(cells[i] for i in idx)
+        else:
+            yield ",".join(itemgetter(*idx)(cells))
+
+
 def write_matrix_csv(path, grid: Grid, values: np.ndarray) -> None:
     """Grid-indexed matrix (covariance surface); rows are s, columns t."""
     pts = grid.points.tolist()
-    _write_table(path, ["s"] + pts, ([s] + row.tolist() for s, row in zip(pts, values)))
+    rows = zip(pts, _joined_rows(values))
+    _write_table(path, ["s"] + pts, ([s, row] for s, row in rows))
 
 
 def write_scores_csv(path, scores: np.ndarray, explained: np.ndarray) -> None:

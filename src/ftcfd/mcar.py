@@ -121,12 +121,14 @@ def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
     )
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """Reject a stepdown level outside (0, 1)."""
     if not 0 < alpha < 1:
         raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _check_R(R: int) -> None:
+def check_R(R: int) -> None:
+    """Reject a bootstrap too small for the stepdown p-values."""
     if R < 100:
         raise ArgumentError(f"R must be >= 100, got {R}")
 
@@ -141,7 +143,7 @@ def bootstrap_statistics(fit: RegressionFit, R: int, seed: int) -> np.ndarray:
     ||u*||^2 - ||w||^2, so no d*, refit or residual array is formed.
     Degenerate replications with zero residual variance yield 0.
     """
-    _check_R(R)
+    check_R(R)
     n, k = fit.q.shape
     if not fit.residuals.any():
         # Exact fit: every resample reproduces d, so all statistics vanish.
@@ -170,7 +172,7 @@ def romano_wolf(d, Xi, alpha: float, R: int, seed: int) -> TestReport:
     Rejection removes the maximizing hypothesis and the loop continues;
     the first p-value above alpha stops it.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     fit = fit_regression(d, Xi)
     boot = bootstrap_statistics(fit, R, seed)[: R - 1]  # R-1 comparison rows
     J = fit.t_sq.size
@@ -211,8 +213,8 @@ def classify_and_test(
         raise ArgumentError("test requires the interval observation pattern")
     subdomain = fully_observed_prefix(sample.grid, summ)
     check_J_max(J_max)
-    _check_alpha(alpha)
-    _check_R(R)
+    check_alpha(alpha)
+    check_R(R)
     if np.ptp(summ.d_i) == 0.0:
         return TestReport(
             frozenset(), (), OUTCOME_NULL, alpha, R, seed, degenerate_response=True

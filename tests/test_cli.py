@@ -178,6 +178,29 @@ def test_experiment_rejects_empty_targets(tmp_path, capsys, monkeypatch, source)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, text",
+    [
+        ("--bootstrap", "3", "R must be >= 100, got 3"),
+        ("--alpha", "2", "alpha must be in (0, 1), got 2.0"),
+        ("--j-max", "1", "J_max must be odd and >= 3, got 1"),
+        ("--j-max", "4", "J_max must be odd and >= 3, got 4"),
+    ],
+)
+def test_experiment_checks_test_options_before_drawing(
+    tmp_path, capsys, monkeypatch, flag, value, text
+):
+    # Rejected by the spec, before any sample is drawn or replication runs.
+    monkeypatch.setattr(harness, "_draw", _no_replication)
+    monkeypatch.setattr(harness, "_test_selection_rep", _no_replication)
+    out = tmp_path / "sel.csv"
+    argv = ["experiment", "--mode", "test_selection", "--dgp", "DepDis", "--n", "50",
+            "--reps", "3", "--p", "101", "--bootstrap", "200", flag, value]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _no_replication(task):
     raise AssertionError("a replication ran")
 

@@ -38,14 +38,18 @@ def test_spec_validation():
         _bv_spec(targets=("median",))
     with pytest.raises(ArgumentError, match="targets must name at least one"):
         _bv_spec(targets=())
-    with pytest.raises(ArgumentError):
-        ExperimentSpec(
-            mode=MODE_TEST_SELECTION,
-            kinds=("IndDis",),
-            n=(20,),
-            replications=2,
-            J_max=20,
-        )
+    # The test options are checked with the texts select_J and the stepdown
+    # test use, and only in the mode that uses them.
+    for option, text in [
+        (dict(J_max=20), "J_max must be odd and >= 3, got 20"),
+        (dict(J_max=1), "J_max must be odd and >= 3, got 1"),
+        (dict(alpha=2.0), r"alpha must be in \(0, 1\), got 2.0"),
+        (dict(alpha=0.0), r"alpha must be in \(0, 1\), got 0.0"),
+        (dict(R=3), "R must be >= 100, got 3"),
+    ]:
+        with pytest.raises(ArgumentError, match=text):
+            _bv_spec(mode=MODE_TEST_SELECTION, **option)
+        assert _bv_spec(**option).mode == MODE_BIAS_VARIANCE
 
 
 def test_bias_variance_cells_are_nonnegative():

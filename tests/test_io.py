@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ftcfd
 from ftcfd.core import FunctionalSample, make_grid
@@ -18,6 +20,7 @@ from ftcfd.harness import (
     SelectionCell,
 )
 from ftcfd.io import (
+    _joined_rows,
     parse_sample_csv,
     read_sample_csv,
     write_coefficient_sidecar,
@@ -187,6 +190,44 @@ def test_table_bytes_are_pinned(tmp_path):
         "i,score_1,score_2,score_3,score_4\r\n"
         "1,0.10000000000000001,-0,1e-300,1.2345678901234566e+17\r\n"
     ).encode()
+
+
+def _cell(v):
+    return "" if v != v else "%.17g" % v
+
+
+# Bit patterns the distinct-value writer must keep apart or write alike: both
+# zeros, the smallest subnormal and a larger negative one, both infinities,
+# and quiet, signalling and negative NaNs with different payloads.
+_SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+    0x7FF0000000000001, 0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF,
+]
+
+
+@st.composite
+def _matrices(draw):
+    """A small float64 matrix drawn from a few bit patterns, so cells repeat."""
+    bits = st.sampled_from(_SPECIAL_BITS) | st.integers(0, 2**64 - 1) | st.floats().map(
+        lambda v: int(np.float64(v).view(np.uint64))
+    )
+    pool = np.array(draw(st.lists(bits, min_size=1, max_size=6)), dtype=np.uint64)
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    picks = draw(st.lists(st.integers(0, pool.size - 1), min_size=rows * cols,
+                          max_size=rows * cols))
+    m = pool[picks].reshape(rows, cols).view(np.float64)
+    if rows == cols and draw(st.booleans()):
+        m = np.where(np.tri(rows, dtype=bool), m, m.T)  # bitwise symmetric
+    if draw(st.booleans()):
+        m = m.T  # not C-contiguous, as a back-transform covariance may arrive
+    return m
+
+
+@settings(deadline=None, max_examples=200)
+@given(m=_matrices())
+def test_matrix_rows_match_cell_by_cell_formatting(m):
+    assert list(_joined_rows(m)) == [",".join(map(_cell, row)) for row in m.tolist()]
 
 
 def _metadata(mode):
