@@ -58,10 +58,21 @@ class Grid:
         return int(np.argmin(np.abs(pts - t)))
 
 
-def make_grid(p: int, a: float, b: float) -> Grid:
-    """Equidistant grid with p points from a to b."""
+def check_grid_size(p: int) -> None:
+    """Reject a grid of fewer than 3 points."""
     if p < 3:
         raise ArgumentError(f"p must be >= 3, got {p}")
+
+
+def check_seed(seed) -> None:
+    """Reject a negative seed, or a sequence of seeds holding one."""
+    if np.min(seed) < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
+
+
+def make_grid(p: int, a: float, b: float) -> Grid:
+    """Equidistant grid with p points from a to b."""
+    check_grid_size(p)
     if not a < b:
         raise ArgumentError(f"need a < b, got a={a}, b={b}")
     return Grid(np.linspace(a, b, p))

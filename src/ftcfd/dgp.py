@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .basis import BasisSpec, eval_basis
-from .core import FunctionalSample, make_grid
+from .core import FunctionalSample, check_grid_size, check_seed, make_grid
 from .errors import ArgumentError
 
 DEP_DIS = "DepDis"
@@ -57,8 +57,10 @@ class DgpConfig:
 
     def __post_init__(self):
         _check_kind(self.kind)
-        if self.n < 1 or self.p < 3:
-            raise ArgumentError("need n >= 1 and p >= 3")
+        if self.n < 1:
+            raise ArgumentError(f"n must be >= 1, got {self.n}")
+        check_grid_size(self.p)
+        check_seed(self.seed)
 
 
 def _dep_con_endpoints(xi1, mu1, lam1, n) -> np.ndarray:

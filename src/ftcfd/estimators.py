@@ -17,6 +17,14 @@ of orders 0..K (mu[0] is the classical mean) and S[a][b] is the
 pairwise-complete covariance of orders a and b (S[0][0] the classical one).
 moments summarises the sample once; each derivative order is a bare array.
 
+Every block of S divides by one pair count per (s, t). Since each curve's
+observed run is contiguous and covers [l, u], of two points the one fewer
+curves observe is observed only by curves that also observe the other, so
+the count is min(k_s, k_t) with k_t the number of curves observing t. Only
+the corners s < l, t > u (and their mirror) need curves observing both
+ends and are counted directly. cov_est accepts any mask and counts pairs
+by a matrix product.
+
 Every estimator returns the numpy array it computes on the sample's grid
 (cov_pair the pair of arrays). All are pure functions of the sample;
 undefined cells propagate as NaN and every integral stops at the first
@@ -82,7 +90,9 @@ def _mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _centered(values: np.ndarray, mask: np.ndarray, mu: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
-        return np.where(mask, values - mu, 0.0)
+        c = values - mu
+    c[~mask] = 0.0
+    return c
 
 
 def _pair_counts(mask: np.ndarray) -> np.ndarray:
@@ -90,6 +100,22 @@ def _pair_counts(mask: np.ndarray) -> np.ndarray:
     maskf = mask.astype(float)
     counts = maskf.T @ maskf
     return np.where(counts > 0, counts, np.nan)
+
+
+def _run_pair_counts(mask: np.ndarray, l: int, u: int) -> np.ndarray:
+    """_pair_counts where every run is contiguous and covers [l, u].
+
+    min(k_s, k_t) of the pointwise counts k, except the corners s < l, t > u
+    and their mirror (module docstring).
+    """
+    k = mask.sum(axis=0, dtype=float)
+    counts = np.minimum.outer(k, k)
+    if l > 0 and u < k.size - 1:
+        below, beyond = mask[:, :l].astype(float), mask[:, u + 1:].astype(float)
+        counts[:l, u + 1:] = below.T @ beyond
+        counts[u + 1:, :l] = counts[:l, u + 1:].T
+    counts[counts == 0] = np.nan
+    return counts
 
 
 def cov_est(sample: FunctionalSample) -> np.ndarray:
@@ -104,33 +130,40 @@ def cov_est(sample: FunctionalSample) -> np.ndarray:
     return (c.T @ c) / _pair_counts(sample.mask)
 
 
-def _integrate(v, h: float, l: int, u: int, axis: int = 0) -> np.ndarray:
-    """W along `axis`: trapezoid integral of v from clip(t, [l, u]) to t.
-
-    Zero on the block [l, u]; beyond u a cumulative sum from u, below l a
-    negated one from l. NaN stops each integral at the first undefined cell.
-    """
-    v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
-    out = np.zeros_like(v)
-    if u < v.shape[0] - 1:
-        out[u + 1:] = np.cumsum(0.5 * h * (v[u:-1] + v[u + 1:]), axis=0)
-    if l > 0:
-        seg = 0.5 * h * (v[:l] + v[1: l + 1])
-        out[:l] = -np.cumsum(seg[::-1], axis=0)[::-1]
-    return np.moveaxis(out, 0, axis)
+def _trapezoid_sums(out, left, right, h: float) -> None:
+    """out = cumulative sum of 0.5 h (left + right) along axis 0, in place."""
+    np.add(left, right, out=out)
+    out *= 0.5 * h
+    np.cumsum(out, axis=0, out=out)
 
 
-def _backtransform(levels, h: float, l: int, u: int, axis: int = 0) -> np.ndarray:
+def _backtransform(
+    levels, h: float, l: int, u: int, axis: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """M_K along `axis`, levels[k] holding order k, in Horner form.
 
     P levels[0] + W (P levels[1] + ... + W (P levels[K-1] + W levels[K])),
-    where P takes the value at clip(t, [l, u]).
+    where P takes the value at clip(t, [l, u]) and W is the trapezoid
+    integral from clip(t, [l, u]) to t: zero on the block, beyond u a
+    cumulative sum from u, below l a negated one from l. NaN stops each
+    integral at the first undefined cell. Each step writes one new array
+    through views with `axis` first; the last step writes into `out` if given.
     """
-    clip = np.clip(np.arange(levels[0].shape[axis]), l, u)
-    out = levels[-1]
-    for m in reversed(levels[:-1]):
-        out = np.take(m, clip, axis=axis) + _integrate(out, h, l, u, axis)
-    return out
+    acc = levels[-1]
+    for k in range(len(levels) - 2, -1, -1):
+        res = out if k == 0 and out is not None else np.empty(levels[k].shape)
+        r, m, v = (np.moveaxis(x, axis, 0) for x in (res, levels[k], acc))
+        # Adding 0.0 turns -0.0 into +0.0, as adding a zero integral does.
+        np.add(m[l: u + 1], 0.0, out=r[l: u + 1])
+        if u < r.shape[0] - 1:
+            _trapezoid_sums(r[u + 1:], v[u:-1], v[u + 1:], h)
+            r[u + 1:] += m[u]
+        if l > 0:
+            below = r[:l][::-1]
+            _trapezoid_sums(below, v[:l][::-1], v[1: l + 1][::-1], h)
+            np.subtract(m[l], below, out=below)
+        acc = res
+    return acc
 
 
 @dataclass(frozen=True)
@@ -206,21 +239,27 @@ def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
     mask) and one centred array per derivative order.
     """
     h, K, mask = m.sample.grid.h, len(m.values) - 1, m.sample.mask
-    counts = _pair_counts(mask)
+    counts = _run_pair_counts(mask, m.l, m.u)
     cs = [_centered(v, mask, mu) for v, mu in zip(m.values, m.mu)]
     S = {}
     for a in range(K + 1):
         for b in range(a + 1):
             # For a == b numpy computes c.T @ c as a symmetric rank-k
             # update: the block comes out exactly symmetric at half the flops.
-            S[a, b] = (cs[a].T @ cs[b]) / counts
+            S[a, b] = cs[a].T @ cs[b]
+            S[a, b] /= counts
             if a != b:
                 S[b, a] = S[a, b].T
+    # Spent arrays hold the results, since each fresh p x p array costs a
+    # page fault per 4 KiB: column 0 goes into counts, and M_K S M_K^T into
+    # S[1, 0], which every column has read by then.
     cols = [
-        _backtransform([S[a, b] for a in range(K + 1)], h, m.l, m.u, axis=0)
+        _backtransform(
+            [S[a, b] for a in range(K + 1)], h, m.l, m.u, 0, counts if b == 0 else None
+        )
         for b in range(K + 1)
     ]
-    return S[0, 0], _backtransform(cols, h, m.l, m.u, axis=1)
+    return S[0, 0], _backtransform(cols, h, m.l, m.u, axis=1, out=S[1, 0])
 
 
 def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import estimators
 from .basis import check_J_max
+from .core import check_grid_size, check_seed
 from .dgp import KINDS, DgpConfig, draw_sample, true_cov, true_mean
 from .errors import ArgumentError
 from .mcar import (
@@ -71,6 +72,8 @@ class ExperimentSpec:
             raise ArgumentError(f"kinds must be drawn from {KINDS}")
         if not self.n or any(n < 2 for n in self.n):
             raise ArgumentError("n values must be >= 2")
+        check_grid_size(self.p)
+        check_seed(self.seed)
         if self.mode == MODE_TEST_SELECTION:
             check_J_max(self.J_max)
             check_alpha(self.alpha)
@@ -80,6 +83,8 @@ class ExperimentSpec:
         bad = [t for t in self.targets if t not in ("mean", "cov")]
         if bad:
             raise ArgumentError(f"unknown targets {bad}")
+        if len(set(self.targets)) < len(self.targets):
+            raise ArgumentError(f"repeated targets {list(self.targets)}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import check_J_max, select_J
-from .core import FunctionalSample, fully_observed_prefix, summarize_observation
+from .core import (
+    FunctionalSample,
+    check_seed,
+    fully_observed_prefix,
+    summarize_observation,
+)
 from .errors import ArgumentError, NumericalError
 
 OUTCOME_NULL = "Null"
@@ -206,7 +211,8 @@ def classify_and_test(
 
     Requires the interval observation pattern. A constant endpoint vector
     (e.g. a fully observed sample) short-circuits to the Null outcome with
-    the degenerate-response flag set, after J_max, alpha and R are checked.
+    the degenerate-response flag set, after J_max, alpha, R and the seed are
+    checked.
     """
     summ = summarize_observation(sample)
     if not summ.interval_pattern:
@@ -215,6 +221,7 @@ def classify_and_test(
     check_J_max(J_max)
     check_alpha(alpha)
     check_R(R)
+    check_seed(seed)
     if np.ptp(summ.d_i) == 0.0:
         return TestReport(
             frozenset(), (), OUTCOME_NULL, alpha, R, seed, degenerate_response=True

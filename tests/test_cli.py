@@ -201,6 +201,45 @@ def test_experiment_checks_test_options_before_drawing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--dgp", "DepDis", "--n", "20", "--p", "21", "--seed", "-1"],
+        ["test", "SAMPLE", "--bootstrap", "200", "--seed", "-1"],
+        ["experiment", "--dgp", "DepDis", "--n", "20", "--reps", "2", "--p", "21",
+         "--seed", "-1"],
+    ],
+    ids=["simulate", "test", "experiment"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    sample = tmp_path / "sample.csv"
+    write_sample_csv(draw_sample(DgpConfig("DepDis", n=20, p=21, seed=1))[0], sample)
+    out = tmp_path / "out.csv"
+    argv = [str(sample) if a == "SAMPLE" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "ftcfd: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, text",
+    [
+        ("--p", "-5", "p must be >= 3, got -5"),
+        ("--p", "2", "p must be >= 3, got 2"),
+        ("--targets", "mean,mean", "repeated targets ['mean', 'mean']"),
+    ],
+)
+def test_experiment_checks_grid_and_targets_before_drawing(
+    tmp_path, capsys, monkeypatch, flag, value, text
+):
+    monkeypatch.setattr(harness, "_draw", _no_replication)
+    out = tmp_path / "bv.csv"
+    argv = ["experiment", "--dgp", "DepDis", "--n", "20", "--reps", "2", "--p", "21"]
+    assert main(argv + [flag, value, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"ftcfd: {text}\n"
+    assert not out.exists()
+
+
 def _no_replication(task):
     raise AssertionError("a replication ran")
 

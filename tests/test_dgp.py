@@ -14,8 +14,14 @@ def test_config_validation():
         assert dgp.DgpConfig(kind, n=10).kind == kind
     with pytest.raises(ArgumentError):
         dgp.DgpConfig("Nope", n=10)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="n must be >= 1, got 0"):
         dgp.DgpConfig("DepDis", n=0)
+    with pytest.raises(ArgumentError, match="p must be >= 3, got 2"):
+        dgp.DgpConfig("DepDis", n=10, p=2)
+    with pytest.raises(ArgumentError, match="seed must be >= 0, got -1"):
+        dgp.DgpConfig("DepDis", n=10, seed=-1)
+    with pytest.raises(ArgumentError, match=r"seed must be >= 0, got \(3, -1\)"):
+        dgp.DgpConfig("DepDis", n=10, seed=(3, -1))
 
 
 def test_draw_is_deterministic():

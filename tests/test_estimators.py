@@ -9,7 +9,9 @@ from ftcfd import dgp
 from ftcfd.core import FunctionalSample, make_grid, summarize_observation
 from ftcfd.errors import ArgumentError
 from ftcfd.estimators import (
-    _integrate,
+    _backtransform,
+    _pair_counts,
+    _run_pair_counts,
     cov_est,
     cov_pair,
     differentiate,
@@ -178,28 +180,30 @@ def _fourier5(points):
 
 # --- cumulative integral ------------------------------------------------
 
+# W v is the back-transform of the levels [0, v].
+
 
 def test_cum_int_constant():
     g = make_grid(11, 0.0, 1.0)
-    f = _integrate(np.ones(11), g.h, 0, 0)
+    f = _backtransform([np.zeros(11), np.ones(11)], g.h, 0, 0)
     assert np.allclose(f, g.points, atol=1e-14)
 
 
 def test_cum_int_exact_on_linear_integrand():
     g = make_grid(501, 0.0, 1.0)
-    f = _integrate(2 * g.points, g.h, 0, 0)
+    f = _backtransform([np.zeros(501), 2 * g.points], g.h, 0, 0)
     assert np.allclose(f, g.points**2, atol=1e-12)
 
 
 def test_cum_int_cosine_accuracy():
     g = make_grid(501, 0.0, 1.0)
-    f = _integrate(np.cos(2 * np.pi * g.points), g.h, 0, 0)
+    f = _backtransform([np.zeros(501), np.cos(2 * np.pi * g.points)], g.h, 0, 0)
     assert np.abs(f - np.sin(2 * np.pi * g.points) / (2 * np.pi)).max() < 5e-6
 
 
 def test_cum_int_signed_below_anchor():
     g = make_grid(11, 0.0, 1.0)
-    f = _integrate(np.ones(11), g.h, 10, 10)
+    f = _backtransform([np.zeros(11), np.ones(11)], g.h, 10, 10)
     assert f[10] == 0.0
     assert f[0] == pytest.approx(-1.0)
 
@@ -207,7 +211,7 @@ def test_cum_int_signed_below_anchor():
 def test_cum_int_stops_at_undefined_cells():
     g = make_grid(5, 0.0, 1.0)
     v = np.array([1.0, 1.0, 1.0, np.nan, 1.0])
-    f = _integrate(v, g.h, 0, 0)
+    f = _backtransform([np.zeros(5), v], g.h, 0, 0)
     assert not np.isnan(f[2])
     assert np.isnan(f[3]) and np.isnan(f[4])
 
@@ -612,6 +616,74 @@ def test_anchor_block_is_the_fully_observed_run_around_the_anchor(draw):
     m = moments(sample, sample.grid.points[j_f], K)
     assert (m.l, m.u) == _anchor_run(sample.mask, j_f)
     assert m.anchor == sample.grid.points[j_f]
+
+
+@settings(deadline=None, max_examples=200)
+@given(draw=_run_samples())
+def test_run_pair_counts_equal_pair_counts(draw):
+    # The runs include single curves, columns nobody observes and anchor
+    # blocks with l > 0 and u < p - 1, whose corners are counted directly.
+    sample = draw[0]
+    obs = summarize_observation(sample)
+    counts = _run_pair_counts(sample.mask, int(obs.first.max()), int(obs.last.min()))
+    assert np.array_equal(counts, _pair_counts(sample.mask), equal_nan=True)
+
+
+def _separate_backtransform(levels, h, l, u, axis):
+    """Each Horner step as a take plus a separately integrated array."""
+
+    def integrate(v):
+        v = np.moveaxis(v, axis, 0)
+        out = np.zeros_like(v)
+        if u < v.shape[0] - 1:
+            out[u + 1:] = np.cumsum(0.5 * h * (v[u:-1] + v[u + 1:]), axis=0)
+        if l > 0:
+            seg = 0.5 * h * (v[:l] + v[1: l + 1])
+            out[:l] = -np.cumsum(seg[::-1], axis=0)[::-1]
+        return np.moveaxis(out, 0, axis)
+
+    clip = np.clip(np.arange(levels[0].shape[axis]), l, u)
+    out = levels[-1]
+    for m in reversed(levels[:-1]):
+        out = np.take(m, clip, axis=axis) + integrate(out)
+    return out
+
+
+def _same_bits(got, want):
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.int64), want[~nan].view(np.int64)
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    p=st.integers(3, 12),
+    K=st.integers(1, 3),
+    axis=st.sampled_from([0, 1]),
+    transposed=st.booleans(),
+    spare=st.booleans(),
+    block=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_backtransform_keeps_the_bits_of_separate_integrals(
+    p, K, axis, transposed, spare, block, seed
+):
+    # Signed zeros, repeated values and NaN holes exercise the signs of
+    # zero sums and where each integral stops; transposed levels are views
+    # like the S[b, a] blocks of cov_pair, and a spare array is overwritten.
+    l = block.draw(st.integers(0, p - 1))
+    u = block.draw(st.integers(l, p - 1))
+    rng = np.random.default_rng(seed)
+    shape = (K + 1, p, p)
+    special = rng.choice([np.nan, -0.0, 0.0, 1.0, -1.0, 0.5], shape)
+    levels = np.where(rng.random(shape) < 0.5, rng.standard_normal(shape), special)
+    levels = [x.T if transposed else x for x in levels]
+    h = 1.0 / (p - 1)
+    out = np.full((p, p), np.nan) if spare else None
+    got = _backtransform(levels, h, l, u, axis, out)
+    assert got is out or out is None
+    assert _same_bits(got, _separate_backtransform(levels, h, l, u, axis))
 
 
 @settings(deadline=None, max_examples=30)

@@ -38,6 +38,16 @@ def test_spec_validation():
         _bv_spec(targets=("median",))
     with pytest.raises(ArgumentError, match="targets must name at least one"):
         _bv_spec(targets=())
+    # Checked here, before the lazy replication map reaches any draw.
+    for option, text in [
+        (dict(p=-5), "p must be >= 3, got -5"),
+        (dict(p=2), "p must be >= 3, got 2"),
+        (dict(seed=-2), "seed must be >= 0, got -2"),
+        (dict(targets=("mean", "mean")), r"repeated targets \['mean', 'mean'\]"),
+    ]:
+        for mode in (MODE_BIAS_VARIANCE, MODE_TEST_SELECTION):
+            with pytest.raises(ArgumentError, match=text):
+                _bv_spec(mode=mode, **option)
     # The test options are checked with the texts select_J and the stepdown
     # test use, and only in the mode that uses them.
     for option, text in [

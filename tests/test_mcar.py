@@ -310,8 +310,9 @@ def test_classify_fully_observed_sample_is_degenerate_null():
         (dict(J_max=4, alpha=7.0, R=3), "J_max must be odd and >= 3, got 4"),
         (dict(alpha=7.0, R=3), "alpha must be in (0, 1), got 7.0"),
         (dict(R=3), "R must be >= 100, got 3"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
     ],
-    ids=["J_max", "alpha", "R"],
+    ids=["J_max", "alpha", "R", "seed"],
 )
 def test_classify_checks_options_before_the_degenerate_short_cut(options, text):
     with pytest.raises(ArgumentError) as exc:
