@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .basis import BasisSpec, eval_basis
 from .core import FunctionalSample, check_grid_size, check_seed, make_grid
@@ -64,6 +63,10 @@ class DgpConfig:
 
 
 def _dep_con_endpoints(xi1, mu1, lam1, n) -> np.ndarray:
+    # Imported here: scipy.special costs ~0.3 s and ~24 MB at start-up, and
+    # only DepCon draws need it.
+    from scipy.special import ndtr
+
     d_star = ndtr((xi1 - mu1) / math.sqrt(lam1))
     # Empirical 98% quantile chosen so exactly ceil(0.02 n) values map to 1.
     k = math.ceil(0.02 * n)

@@ -70,8 +70,12 @@ class ExperimentSpec:
             raise ArgumentError("replications must be >= 1")
         if not self.kinds or any(k not in KINDS for k in self.kinds):
             raise ArgumentError(f"kinds must be drawn from {KINDS}")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ArgumentError(f"repeated kinds {list(self.kinds)}")
         if not self.n or any(n < 2 for n in self.n):
             raise ArgumentError("n values must be >= 2")
+        if len(set(self.n)) < len(self.n):
+            raise ArgumentError(f"repeated n values {list(self.n)}")
         check_grid_size(self.p)
         check_seed(self.seed)
         if self.mode == MODE_TEST_SELECTION:
@@ -120,7 +124,9 @@ def _worker_count() -> int:
         w = int(raw)
     except ValueError:
         raise ArgumentError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(w, 1)
+    if w < 1:
+        raise ArgumentError(f"{WORKERS_ENV} must be >= 1, got {w}")
+    return w
 
 
 def _rep_seed(seed: int, rep: int) -> int:
@@ -155,11 +161,17 @@ class _Accumulator:
         self.sumsq = np.zeros(shape)
 
     def add(self, arr):
+        """Accumulate arr in place, consuming it: its cells are overwritten.
+
+        Each replication's arrays are fresh and read by nothing else, so
+        this makes no p x p temporaries.
+        """
         ok = np.isfinite(arr)
-        v = np.where(ok, arr, 0.0)
         self.cnt += ok
-        self.sum += v
-        self.sumsq += v * v
+        arr[~ok] = 0.0
+        self.sum += arr
+        arr *= arr
+        self.sumsq += arr
 
     def summarize(self, truth, reps, h):
         included = self.cnt >= max(_DEFINED_FRACTION * reps, 1.0)

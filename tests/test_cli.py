@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -227,6 +228,8 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
         ("--p", "-5", "p must be >= 3, got -5"),
         ("--p", "2", "p must be >= 3, got 2"),
         ("--targets", "mean,mean", "repeated targets ['mean', 'mean']"),
+        ("--dgp", "DepDis,DepDis", "repeated kinds ['DepDis', 'DepDis']"),
+        ("--n", "20,20", "repeated n values [20, 20]"),
     ],
 )
 def test_experiment_checks_grid_and_targets_before_drawing(
@@ -430,16 +433,32 @@ def test_test_j_max_does_not_change_clear_outcome(capsys, dep_dis_path):
     assert "outcome=V" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg alone adds tens of milliseconds to every command's start.
+def test_scipy_stays_unloaded_without_depcon_draws(tmp_path):
+    # scipy.special alone adds ~0.3 s to every command's start; only DepCon
+    # draws import it, so neither the CLI nor other designs may load scipy.
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftcfd.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, ftcfd.cli; print('scipy.linalg' in sys.modules)"
+    code = textwrap.dedent(
+        """
+        import sys
+        import ftcfd.cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        print(loaded())
+        argv = ["experiment", "--dgp", "DepDis,IndCon", "--n", "20", "--reps", "2",
+                "--p", "21", "--out", sys.argv[1]]
+        assert ftcfd.cli.main(argv) == 0
+        print(loaded())
+        """
+    )
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", code, str(tmp_path / "bv.csv")],
+        env={**os.environ, "PYTHONPATH": path, harness.WORKERS_ENV: "1"},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "False"
+    lines = out.splitlines()  # main also prints the table's path
+    assert (lines[0], lines[-1]) == ("[]", "[]")

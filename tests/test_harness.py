@@ -44,6 +44,8 @@ def test_spec_validation():
         (dict(p=2), "p must be >= 3, got 2"),
         (dict(seed=-2), "seed must be >= 0, got -2"),
         (dict(targets=("mean", "mean")), r"repeated targets \['mean', 'mean'\]"),
+        (dict(kinds=("IndCon", "IndCon")), r"repeated kinds \['IndCon', 'IndCon'\]"),
+        (dict(n=(20, 30, 20)), r"repeated n values \[20, 30, 20\]"),
     ]:
         for mode in (MODE_BIAS_VARIANCE, MODE_TEST_SELECTION):
             with pytest.raises(ArgumentError, match=text):
@@ -186,6 +188,13 @@ def test_replication_computes_moments_once(monkeypatch):
 def test_workers_env_must_be_integer(monkeypatch):
     monkeypatch.setenv(harness.WORKERS_ENV, "two")
     with pytest.raises(ArgumentError):
+        run_experiment(_bv_spec(replications=1))
+
+
+@pytest.mark.parametrize("raw", ["0", "-4"])
+def test_workers_env_must_be_positive(monkeypatch, raw):
+    monkeypatch.setenv(harness.WORKERS_ENV, raw)
+    with pytest.raises(ArgumentError, match=f"FTCFD_WORKERS must be >= 1, got {raw}"):
         run_experiment(_bv_spec(replications=1))
 
 
