@@ -4,10 +4,13 @@ Two experiment modes mirror the two summary tables: bias_variance computes
 integrated squared bias and integrated variance of the classical and
 back-transform estimators over replicated draws; test_selection tabulates
 how often the stepdown test classifies each design as Null / V / Other.
-Both are deterministic given the spec (per-replication seeds are derived
-from the base seed and the replication index, and aggregation is ordered
-by index), so results, and the tables ``io.write_experiment_csv`` makes of
-them, are byte-identical across runs and across worker counts.
+Both are deterministic given the spec: per-replication seeds are derived
+from the base seed and the replication index, each pool task is a fixed
+chunk of ``_CHUNK`` consecutive replications, and aggregation is ordered by
+task, not by replication (a chunk's replications are summed first, then the
+chunks in task order). So results, and the tables
+``io.write_experiment_csv`` makes of them, are byte-identical across runs
+and across worker counts.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import estimators
 from .basis import check_J_max
 from .core import check_grid_size, check_seed
 from .dgp import KINDS, DgpConfig, draw_sample, true_cov, true_mean
-from .errors import ArgumentError
+from .errors import ArgumentError, FtcfdError
 from .mcar import (
     OUTCOME_NULL,
     OUTCOME_OTHER,
@@ -42,6 +45,12 @@ MODE_TEST_SELECTION = "test_selection"
 # A grid point enters the bias/variance integrals only if the estimate is
 # defined there in at least this fraction of replications.
 _DEFINED_FRACTION = 0.5
+
+# Replications per pool task, whatever the worker count. A bias_variance
+# task returns one set of accumulators for all of them, so the parent
+# receives and merges p x p arrays once per chunk, not once per replication.
+# At most 255, so that a chunk's counts fit in uint8.
+_CHUNK = 12
 
 
 @dataclass(frozen=True)
@@ -140,6 +149,21 @@ def _draw(task):
     return sample
 
 
+def _replications(rep_fn, task):
+    """Each output of one task's replications, in replication order.
+
+    A replication's error is re-raised with the same class, its message
+    prefixed by the cell and the replication that failed.
+    """
+    spec, kind, n, reps = task
+    for rep in reps:
+        try:
+            out = rep_fn((spec, kind, n, rep))
+        except FtcfdError as exc:
+            raise type(exc)(f"{kind}, n={n}, replication {rep}: {exc}") from exc
+        yield out
+
+
 def _bias_variance_rep(task):
     targets = task[0].targets
     m = estimators.moments(_draw(task))
@@ -153,10 +177,15 @@ def _bias_variance_rep(task):
 
 
 class _Accumulator:
-    """Streaming count/sum/sum-of-squares over possibly-undefined arrays."""
+    """Streaming count/sum/sum-of-squares over possibly-undefined arrays.
+
+    Counts start as uint8, which holds for the at most 255 replications of
+    one chunk and keeps the chunk's pickled result small; widen them to
+    float before merging chunks.
+    """
 
     def __init__(self, shape):
-        self.cnt = np.zeros(shape)
+        self.cnt = np.zeros(shape, dtype=np.uint8)
         self.sum = np.zeros(shape)
         self.sumsq = np.zeros(shape)
 
@@ -172,6 +201,12 @@ class _Accumulator:
         self.sum += arr
         arr *= arr
         self.sumsq += arr
+
+    def merge(self, other):
+        """Add another accumulator's count, sum and sum of squares."""
+        self.cnt += other.cnt
+        self.sum += other.sum
+        self.sumsq += other.sumsq
 
     def summarize(self, truth, reps, h):
         included = self.cnt >= max(_DEFINED_FRACTION * reps, 1.0)
@@ -193,29 +228,41 @@ class _Accumulator:
         return integrate(bias_sq), integrate(var), float(excluded)
 
 
-def _bias_variance_cells(spec, kind, n, rep_outs):
-    """Integrated squared bias and variance per (target, estimator)."""
+def _bias_variance_chunk(task):
+    """One chunk's accumulators, keyed ``<target>_<estimator>``."""
+    accs = {}
+    for out in _replications(_bias_variance_rep, task):
+        for key, arr in out.items():
+            if key not in accs:
+                accs[key] = _Accumulator(arr.shape)
+            accs[key].add(arr)
+    return accs
+
+
+def _bias_variance_cells(spec, kind, n, chunks):
+    """Integrated squared bias and variance per (target, estimator).
+
+    The first chunk's accumulators become the cell's, counts widened to
+    float; every later chunk is added in task order.
+    """
+    chunks = iter(chunks)
+    accs = next(chunks)
+    for acc in accs.values():
+        acc.cnt = acc.cnt.astype(float)
+    for chunk in chunks:
+        for key, acc in accs.items():
+            acc.merge(chunk[key])
     pts = np.linspace(0.0, 1.0, spec.p)
-    truth = {
-        t: true_mean(pts, kind) if t == "mean" else true_cov(pts, pts, kind)
-        for t in spec.targets
-    }
-    accs = {
-        (t, est): _Accumulator(truth[t].shape)
-        for t in spec.targets
-        for est in ("classical", "ftc")
-    }
-    for rep_out in rep_outs:
-        for (t, est), acc in accs.items():
-            acc.add(rep_out[f"{t}_{est}"])
     h = pts[1] - pts[0]
-    return [
-        BiasVarianceCell(
-            kind, n, est, t, *acc.summarize(truth[t], spec.replications, h),
-            degenerate=spec.replications == 1,
-        )
-        for (t, est), acc in accs.items()
-    ]
+    cells = []
+    for t in spec.targets:
+        truth = true_mean(pts, kind) if t == "mean" else true_cov(pts, pts, kind)
+        for est in ("classical", "ftc"):
+            cells.append(BiasVarianceCell(
+                kind, n, est, t, *accs[f"{t}_{est}"].summarize(truth, spec.replications, h),
+                degenerate=spec.replications == 1,
+            ))
+    return cells
 
 
 def _test_selection_rep(task):
@@ -226,28 +273,34 @@ def _test_selection_rep(task):
     ).outcome
 
 
-def _test_selection_cells(spec, kind, n, outcomes):
+def _test_selection_chunk(task):
+    return list(_replications(_test_selection_rep, task))
+
+
+def _test_selection_cells(spec, kind, n, chunks):
     """Null / V / Other classification percentages."""
-    counts = Counter(outcomes)
+    counts = Counter(outcome for chunk in chunks for outcome in chunk)
     scale = 100.0 / spec.replications
     pcts = (counts[o] * scale for o in (OUTCOME_NULL, OUTCOME_V, OUTCOME_OTHER))
     return [SelectionCell(kind, n, *pcts)]
 
 
-# mode -> (replication function, reducer of one (kind, n) cell's replications)
+# mode -> (function of one task, reducer of one (kind, n) cell's task results)
 _MODES = {
-    MODE_BIAS_VARIANCE: (_bias_variance_rep, _bias_variance_cells),
-    MODE_TEST_SELECTION: (_test_selection_rep, _test_selection_cells),
+    MODE_BIAS_VARIANCE: (_bias_variance_chunk, _bias_variance_cells),
+    MODE_TEST_SELECTION: (_test_selection_chunk, _test_selection_cells),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every (kind, n) cell of the spec's mode, in spec order.
 
-    With more than one worker, a single process pool serves every cell;
-    its ordered map keeps the results independent of the worker count.
+    Each cell's replications are split into tasks of ``_CHUNK`` (the last
+    one ragged). With more than one worker, a single process pool serves
+    every cell; its ordered map, over the same tasks as a sequential run,
+    keeps the results independent of the worker count.
     """
-    rep_fn, cells_fn = _MODES[spec.mode]
+    task_fn, cells_fn = _MODES[spec.mode]
     workers = _worker_count()
     with ExitStack() as stack:
         mapper = map
@@ -256,6 +309,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         cells = []
         for kind in spec.kinds:
             for n in spec.n:
-                tasks = [(spec, kind, n, rep) for rep in range(spec.replications)]
-                cells += cells_fn(spec, kind, n, mapper(rep_fn, tasks))
+                tasks = [
+                    (spec, kind, n, range(start, min(start + _CHUNK, spec.replications)))
+                    for start in range(0, spec.replications, _CHUNK)
+                ]
+                cells += cells_fn(spec, kind, n, mapper(task_fn, tasks))
     return ExperimentResult(spec, tuple(cells))

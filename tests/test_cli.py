@@ -202,6 +202,20 @@ def test_experiment_checks_test_options_before_drawing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_replication_error_names_its_cell(tmp_path, capsys, monkeypatch, workers):
+    # n=4 leaves too few curves for the stepdown regression in every
+    # replication; the usage error keeps its exit code and names the cell.
+    monkeypatch.setenv(harness.WORKERS_ENV, workers)
+    argv = ["experiment", "--mode", "test_selection", "--dgp", "IndCon", "--n", "4",
+            "--reps", "4", "--p", "31", "--j-max", "11", "--bootstrap", "100",
+            "--out", str(tmp_path / "sel.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "ftcfd: IndCon, n=4, replication 0: need n > J+1 regressors, got n=4, J=5\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,7 +1,13 @@
+import multiprocessing
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftcfd import estimators, harness
-from ftcfd.errors import ArgumentError
+from ftcfd.dgp import KINDS, true_cov, true_mean
+from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
     MODE_TEST_SELECTION,
@@ -116,13 +122,78 @@ def test_result_csv_is_deterministic(tmp_path):
 
 @pytest.mark.parametrize("targets", [("mean",), ("mean", "cov")], ids=["mean", "mean_cov"])
 def test_workers_do_not_change_results(tmp_path, monkeypatch, targets):
-    spec = _bv_spec(replications=4, targets=targets)
+    # Three chunks per cell, the last of one replication, so the parent
+    # merges chunks that different workers accumulated. IndCon estimates are
+    # undefined near the right edge in some replications, so the merged
+    # counts are partial.
+    reps = 2 * harness._CHUNK + 1
+    spec = _bv_spec(n=(20, 30), replications=reps, targets=targets)
     seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
     monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
-    write_experiment_csv(run_experiment(spec), seq)
+    result = run_experiment(spec)
+    assert any(0.0 < c.excluded_fraction for c in result.cells)
+    write_experiment_csv(result, seq)
     monkeypatch.setenv(harness.WORKERS_ENV, "2")
     write_experiment_csv(run_experiment(spec), par)
     assert seq.read_bytes() == par.read_bytes()
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**16),
+    reps=st.integers(2, 3 * harness._CHUNK + 1),
+)
+def test_chunked_accumulation_matches_one_replication_at_a_time(kind, seed, reps):
+    spec = _bv_spec(kinds=(kind,), n=(30,), p=31, replications=reps, seed=seed,
+                    targets=("mean", "cov"))
+    merged = []
+    original = harness._Accumulator.summarize
+
+    def recording(acc, truth, reps, h):
+        merged.append((acc.cnt.copy(), original(acc, truth, reps, h)))
+        return merged[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(harness.WORKERS_ENV, raising=False)
+        mp.setattr(harness._Accumulator, "summarize", recording)
+        run_experiment(spec)
+
+    pts = np.linspace(0.0, 1.0, spec.p)
+    truth = {"mean": true_mean(pts, kind), "cov": true_cov(pts, pts, kind)}
+    keys = [(t, est) for t in spec.targets for est in ("classical", "ftc")]
+    accs = {key: harness._Accumulator(truth[key[0]].shape) for key in keys}
+    for acc in accs.values():
+        acc.cnt = acc.cnt.astype(float)
+    for rep in range(reps):
+        out = harness._bias_variance_rep((spec, kind, 30, rep))
+        for (t, est), acc in accs.items():
+            acc.add(out[f"{t}_{est}"])
+    assert len(merged) == len(keys)
+    for (t, _), (cnt, got), acc in zip(keys, merged, accs.values()):
+        np.testing.assert_array_equal(cnt, acc.cnt)
+        want = acc.summarize(truth[t], reps, pts[1] - pts[0])
+        assert got[2] == want[2]
+        np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_first_failing_replication_is_reported(monkeypatch, workers):
+    # Replications 14 and 30 fail, in the second and third chunks, which two
+    # workers run at the same time; the error names the earlier one.
+    if workers != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched replication only when forked")
+    original = harness._bias_variance_rep
+
+    def failing(task):
+        if task[3] in (14, 30):
+            raise NumericalError("degenerate draw")
+        return original(task)
+
+    monkeypatch.setattr(harness, "_bias_variance_rep", failing)
+    monkeypatch.setenv(harness.WORKERS_ENV, workers)
+    with pytest.raises(NumericalError, match=r"^IndCon, n=20, replication 14: degenerate draw$"):
+        run_experiment(_bv_spec(replications=3 * harness._CHUNK))
 
 
 def test_selection_workers_do_not_change_results(tmp_path, monkeypatch):
