@@ -180,8 +180,8 @@ def _cmd_estimate(args) -> int:
     cov_cl, cov_ftc = estimators.cov_pair(m)
     grid = sample.grid
     tables = [
-        ("mean_classical.csv", write_vector_csv, grid, m.mu[0], "mean"),
-        ("mean_ftc.csv", write_vector_csv, grid, estimators.ftc_mean(m), "mean"),
+        ("mean_classical.csv", write_vector_csv, grid, m.mu[0]),
+        ("mean_ftc.csv", write_vector_csv, grid, estimators.ftc_mean(m)),
         ("cov_classical.csv", write_matrix_csv, grid, cov_cl),
         ("cov_ftc.csv", write_matrix_csv, grid, cov_ftc),
     ]
@@ -214,10 +214,10 @@ def _cmd_test(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec = _experiment_spec(args)
-    result = run_experiment(spec)
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    result = run_experiment(spec)
     write_experiment_csv(result, args.out)
     print(args.out)
     return EXIT_OK

@@ -135,7 +135,7 @@ def true_cov(s, t, kind=DEP_DIS):
     return out
 
 
-def analytic_bias_dep_dis(t, lam1=DEFAULT_LAMBDA[0]):
+def analytic_bias_dep_dis(t):
     """Pointwise bias of the classical mean under the DepDis design.
 
     Zero on the fully observed half; on (0.5, 1] only curves with
@@ -143,5 +143,5 @@ def analytic_bias_dep_dis(t, lam1=DEFAULT_LAMBDA[0]):
     sqrt(2 lam_1 / pi).
     """
     t = np.asarray(t, dtype=float)
-    out = np.where(t > 0.5, math.sqrt(2.0 * lam1 / math.pi), 0.0)
+    out = np.where(t > 0.5, math.sqrt(2.0 * DEFAULT_LAMBDA[0] / math.pi), 0.0)
     return out if t.ndim else float(out)

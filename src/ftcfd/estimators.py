@@ -22,8 +22,7 @@ observed run is contiguous and covers [l, u], of two points the one fewer
 curves observe is observed only by curves that also observe the other, so
 the count is min(k_s, k_t) with k_t the number of curves observing t. Only
 the corners s < l, t > u (and their mirror) need curves observing both
-ends and are counted directly. cov_est accepts any mask and counts pairs
-by a matrix product.
+ends and are counted directly.
 
 Every estimator returns the numpy array it computes on the sample's grid
 (cov_pair the pair of arrays). All are pure functions of the sample;
@@ -73,14 +72,6 @@ def _reject_curves(bad: np.ndarray, message: str) -> None:
         raise ArgumentError(f"{message} (curve {int(np.argmax(bad)) + 1})")
 
 
-def mean_est(sample: FunctionalSample) -> np.ndarray:
-    """Pointwise average of the values over the curves observing each point.
-
-    NaN marks grid points no curve observes.
-    """
-    return _mean(sample.values, sample.mask)
-
-
 def _mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     counts = mask.sum(axis=0)
     total = np.where(mask, values, 0.0).sum(axis=0)
@@ -95,15 +86,8 @@ def _centered(values: np.ndarray, mask: np.ndarray, mu: np.ndarray) -> np.ndarra
     return c
 
 
-def _pair_counts(mask: np.ndarray) -> np.ndarray:
-    """Number of curves observing both s and t; NaN where there is none."""
-    maskf = mask.astype(float)
-    counts = maskf.T @ maskf
-    return np.where(counts > 0, counts, np.nan)
-
-
 def _run_pair_counts(mask: np.ndarray, l: int, u: int) -> np.ndarray:
-    """_pair_counts where every run is contiguous and covers [l, u].
+    """Curves observing both s and t (NaN if none), for contiguous runs over [l, u].
 
     min(k_s, k_t) of the pointwise counts k, except the corners s < l, t > u
     and their mirror (module docstring).
@@ -116,18 +100,6 @@ def _run_pair_counts(mask: np.ndarray, l: int, u: int) -> np.ndarray:
         counts[u + 1:, :l] = counts[:l, u + 1:].T
     counts[counts == 0] = np.nan
     return counts
-
-
-def cov_est(sample: FunctionalSample) -> np.ndarray:
-    """Pairwise-complete covariance of the values.
-
-    Centering uses the observed-subset means; the divisor is the pair count
-    (n under full observation), 0/0 = NaN.
-    """
-    c = _centered(sample.values, sample.mask, mean_est(sample))
-    # numpy computes c.T @ c as a symmetric rank-k update: the result comes
-    # out exactly symmetric at half the flops.
-    return (c.T @ c) / _pair_counts(sample.mask)
 
 
 def _trapezoid_sums(out, left, right, h: float) -> None:
@@ -232,7 +204,7 @@ def ftc_mean(m: Moments) -> np.ndarray:
 
 
 def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
-    """(cov_est(sample), M_K S M_K^T) from one pass over S.
+    """(S[0, 0], M_K S M_K^T) from one pass over S.
 
     The classical covariance is the block S[0, 0] that M_K S M_K^T starts
     from; all blocks share one pair-count matrix (differentiation keeps the

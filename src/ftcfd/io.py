@@ -122,10 +122,10 @@ def write_coefficient_sidecar(path, d: np.ndarray, xi: np.ndarray) -> None:
     )
 
 
-def write_vector_csv(path, grid: Grid, values: np.ndarray, name: str = "value") -> None:
-    """Grid-indexed vector (e.g. a mean estimate); empty cell = undefined."""
+def write_vector_csv(path, grid: Grid, values: np.ndarray) -> None:
+    """Grid-indexed mean estimate ``t,mean``; empty cell = undefined."""
     rows = zip(grid.points.tolist(), np.asarray(values).tolist())
-    _write_table(path, ["t", name], rows)
+    _write_table(path, ["t", "mean"], rows)
 
 
 def _joined_rows(values: np.ndarray):

@@ -13,13 +13,7 @@ import pytest
 
 from ftcfd import dgp
 from ftcfd.core import FunctionalSample, make_grid
-from ftcfd.estimators import (
-    cov_est,
-    cov_pair,
-    ftc_mean,
-    mean_est,
-    moments,
-)
+from ftcfd.estimators import cov_pair, ftc_mean, moments
 from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
     MODE_TEST_SELECTION,
@@ -27,6 +21,8 @@ from ftcfd.harness import (
     run_experiment,
 )
 from ftcfd.mcar import bootstrap_statistics, fit_regression, romano_wolf
+
+from reference import cov_est, identical_curve_sample, interval_sample, mean_est
 
 
 def _report(k, ok, detail):
@@ -165,11 +161,6 @@ def test_criterion_6_pointwise_bias_matches_analytic_value():
     )
 
 
-def _interval_sample(grid, values, d):
-    mask = grid.points[None, :] <= np.asarray(d)[:, None]
-    return FunctionalSample(grid, np.where(mask, values, np.nan), mask)
-
-
 def test_criterion_7_estimator_and_test_properties():
     checks = []
 
@@ -201,14 +192,6 @@ def test_criterion_7_estimator_and_test_properties():
     )
 
     # quadrature/stencil error shrinks at the h^2 rate (mean)
-    def identical_curve_sample(p):
-        g = make_grid(p, 0.0, 1.0)
-        rng = np.random.default_rng(0)
-        curve = np.sin(2 * np.pi * g.points) + 0.5 * np.cos(4 * np.pi * g.points)
-        d = rng.uniform(0.5, 1.0, 30)
-        d[0] = 1.0
-        return _interval_sample(g, np.tile(curve, (30, 1)), d)
-
     def mean_err(p):
         sm = identical_curve_sample(p)
         return np.nanmax(np.abs(ftc_mean(moments(sm)) - mean_est(sm)))
@@ -228,7 +211,7 @@ def test_criterion_7_estimator_and_test_properties():
             + 0.3 * np.cos(4 * np.pi * g.points)
             + g.points**2
         )
-        sample = _interval_sample(g, 2.0 + coef[:, None] * psi[None, :], d)
+        sample = interval_sample(g, 2.0 + coef[:, None] * psi[None, :], d)
         return cov_pair(moments(sample))[1]
 
     a, b, cc = cov_est_at(101), cov_est_at(201), cov_est_at(401)

@@ -257,6 +257,17 @@ def test_experiment_checks_grid_and_targets_before_drawing(
     assert not out.exists()
 
 
+def test_experiment_unwritable_out_dir_fails_before_running(tmp_path, capsys, monkeypatch):
+    # The output directory is made before the replications, so a path under
+    # a regular file fails at once instead of after the whole run.
+    monkeypatch.setattr(cli, "run_experiment", _no_replication)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = ["experiment", "--dgp", "DepDis", "--n", "20", "--reps", "2", "--p", "21"]
+    assert main(argv + ["--out", str(blocker / "x.csv")]) == EXIT_DATA
+    assert "blocker" in capsys.readouterr().err
+
+
 def _no_replication(task):
     raise AssertionError("a replication ran")
 

@@ -10,21 +10,21 @@ from ftcfd.core import FunctionalSample, make_grid, summarize_observation
 from ftcfd.errors import ArgumentError
 from ftcfd.estimators import (
     _backtransform,
-    _pair_counts,
     _run_pair_counts,
-    cov_est,
     cov_pair,
     differentiate,
     fpca_scores,
     ftc_mean,
-    mean_est,
     moments,
 )
 
-
-def _interval_sample(grid, values, d):
-    mask = grid.points[None, :] <= np.asarray(d)[:, None]
-    return FunctionalSample(grid, np.where(mask, values, np.nan), mask)
+from reference import (
+    cov_est,
+    identical_curve_sample,
+    interval_sample,
+    mean_est,
+    pair_counts,
+)
 
 
 def _nan_equal(a, b):
@@ -51,7 +51,7 @@ def test_mean_est_single_observer():
 
 def test_mean_est_undefined_where_nobody_observed():
     g = make_grid(4, 0.0, 1.0)
-    s = _interval_sample(g, np.ones((3, 4)), [1 / 3, 1 / 3, 2 / 3])
+    s = interval_sample(g, np.ones((3, 4)), [1 / 3, 1 / 3, 2 / 3])
     assert np.isnan(mean_est(s)[3])
 
 
@@ -136,7 +136,7 @@ def test_cov_est_fully_observed_divisor_n():
 
 def test_cov_est_identical_curves_zero():
     g = make_grid(6, 0.0, 1.0)
-    s = _interval_sample(g, np.tile(np.sin(g.points), (5, 1)), [1.0, 0.6, 0.8, 1.0, 0.6])
+    s = interval_sample(g, np.tile(np.sin(g.points), (5, 1)), [1.0, 0.6, 0.8, 1.0, 0.6])
     c = cov_est(s)
     assert np.nanmax(np.abs(c)) < 1e-12
 
@@ -254,7 +254,7 @@ def test_ftc_cov_identical_curves_is_zero():
     d = rng.uniform(0.5, 1.0, 20)
     d[0] = 1.0
     curve = np.sin(2 * np.pi * g.points) + g.points
-    s = _interval_sample(g, np.tile(curve, (20, 1)), d)
+    s = interval_sample(g, np.tile(curve, (20, 1)), d)
     # zero up to quadrature error of the separately integrated moment terms
     assert np.nanmax(np.abs(cov_pair(moments(s))[1])) < 1e-5
 
@@ -369,7 +369,7 @@ def test_recursive_mean_removes_second_order_dependence():
 def test_recursive_requires_enough_observed_points():
     g = make_grid(10, 0.0, 1.0)
     vals = np.tile(g.points, (2, 1))
-    s = _interval_sample(g, vals, [1.0, 2.5 / 9.0])  # second curve: 3 points
+    s = interval_sample(g, vals, [1.0, 2.5 / 9.0])  # second curve: 3 points
     with pytest.raises(ArgumentError, match=r"\(curve 2\)$"):
         moments(s, 0.1, 2)
 
@@ -475,7 +475,7 @@ def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
     "name, d_f", [("interval", None), ("interior", 0.5), ("corners", 0.5)]
 )
 def test_cov_pair_equals_separate_estimators(name, d_f, K):
-    # The classical estimates read from the moments equal the anchor-free
+    # The classical estimates read from the moments equal the reference
     # estimators bit for bit.
     s = _band_sample(name)
     m = moments(s, d_f, K)
@@ -485,7 +485,7 @@ def test_cov_pair_equals_separate_estimators(name, d_f, K):
 
 def _three_point_sample():
     g = make_grid(10, 0.0, 1.0)
-    return _interval_sample(g, np.tile(g.points, (2, 1)), [1.0, 2.5 / 9.0])
+    return interval_sample(g, np.tile(g.points, (2, 1)), [1.0, 2.5 / 9.0])
 
 
 @pytest.mark.parametrize(
@@ -626,7 +626,7 @@ def test_run_pair_counts_equal_pair_counts(draw):
     sample = draw[0]
     obs = summarize_observation(sample)
     counts = _run_pair_counts(sample.mask, int(obs.first.max()), int(obs.last.min()))
-    assert np.array_equal(counts, _pair_counts(sample.mask), equal_nan=True)
+    assert np.array_equal(counts, pair_counts(sample.mask), equal_nan=True)
 
 
 def _separate_backtransform(levels, h, l, u, axis):
@@ -757,20 +757,11 @@ def test_estimates_invariant_to_curve_order(draw, perm_seed):
 # --- refinement rates ----------------------------------------------------
 
 
-def _identical_curve_sample(p, seed=0):
-    g = make_grid(p, 0.0, 1.0)
-    rng = np.random.default_rng(seed)
-    curve = np.sin(2 * np.pi * g.points) + 0.5 * np.cos(4 * np.pi * g.points)
-    d = rng.uniform(0.5, 1.0, 30)
-    d[0] = 1.0
-    return _interval_sample(g, np.tile(curve, (30, 1)), d)
-
-
 def test_mean_back_transform_error_is_second_order_in_h():
     # Identical curves: the classical mean is exact wherever defined, so the
     # deviation of the back-transform is pure quadrature/stencil error.
     def err(p):
-        s = _identical_curve_sample(p)
+        s = identical_curve_sample(p)
         return np.nanmax(np.abs(ftc_mean(moments(s)) - mean_est(s)))
 
     ratio = err(101) / err(201)
@@ -787,7 +778,7 @@ def test_cov_back_transform_error_is_second_order_in_h():
         d = rng.uniform(0.5, 1.0, 40)
         d[0] = 1.0
         psi = np.sin(2 * np.pi * g.points) + 0.3 * np.cos(4 * np.pi * g.points) + g.points**2
-        s = _interval_sample(g, 2.0 + c[:, None] * psi[None, :], d)
+        s = interval_sample(g, 2.0 + c[:, None] * psi[None, :], d)
         return cov_pair(moments(s))[1]
 
     p = 101

@@ -132,7 +132,7 @@ def test_coefficient_sidecar_format(tmp_path):
 def test_vector_and_matrix_csv(tmp_path):
     g = make_grid(3, 0.0, 1.0)
     vpath = tmp_path / "v.csv"
-    write_vector_csv(vpath, g, np.array([1.0, np.nan, 3.0]), name="mean")
+    write_vector_csv(vpath, g, np.array([1.0, np.nan, 3.0]))
     lines = vpath.read_text().strip().splitlines()
     assert lines[0] == "t,mean"
     assert lines[2] == "0.5,"  # undefined cell is empty
@@ -172,7 +172,7 @@ def test_table_bytes_are_pinned(tmp_path):
     sidecar = _written(tmp_path, lambda p: write_coefficient_sidecar(p, d, row[None, :]))
     assert sidecar == f"i,d_i,xi_1,xi_2,xi_3,xi_4,xi_5\r\n1,0.25,{_ROW}\r\n".encode()
 
-    assert _written(tmp_path, lambda p: write_vector_csv(p, g, row, "mean")) == (
+    assert _written(tmp_path, lambda p: write_vector_csv(p, g, row)) == (
         "t,mean\r\n0,\r\n0.25,0.10000000000000001\r\n0.5,-0\r\n"
         "0.75,1e-300\r\n1,1.2345678901234566e+17\r\n"
     ).encode()
