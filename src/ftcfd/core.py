@@ -99,7 +99,7 @@ class FunctionalSample:
             raise ArgumentError("mask shape must match values shape")
         if not mask.any(axis=1).all():
             raise ArgumentError("every curve needs at least one observed point")
-        if np.any(np.isnan(values[mask])):
+        if (np.isnan(values) & mask).any():
             raise ArgumentError("observed cells must not be NaN")
         # Keep the NaN sentinel in sync with the authoritative mask.
         values = np.where(mask, values, np.nan)

@@ -16,6 +16,8 @@ cov_pair(m) = (S[0][0], M_K S M_K^T), where mu stacks the derivative means
 of orders 0..K (mu[0] is the classical mean) and S[a][b] is the
 pairwise-complete covariance of orders a and b (S[0][0] the classical one).
 moments summarises the sample once; each derivative order is a bare array.
+Orders k >= 1 keep only the edge columns 0..l, u..p-1, where the block is
+[l, l + 1]: P is the identity and W zero on [l, u], so M_K reads no more.
 
 Every block of S divides by one pair count per (s, t). Since each curve's
 observed run is contiguous and covers [l, u], of two points the one fewer
@@ -146,6 +148,7 @@ class Moments:
     the sample's own), NaN off the sample's mask, and mu[k] its pointwise
     mean; obs is the sample's observation summary. [l, u] is the maximal
     fully observed run of grid indices around the grid point `anchor`.
+    Orders k >= 1 cover only `edges` (0..l, u..p-1), all that M_K reads.
     """
 
     sample: FunctionalSample
@@ -154,6 +157,7 @@ class Moments:
     mu: tuple[np.ndarray, ...]
     l: int
     u: int
+    edges: np.ndarray
     anchor: float
 
 
@@ -187,12 +191,20 @@ def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
         )
     span = obs.last - obs.first + 1
     _reject_curves(span != obs.counts, "observed set of each curve must be contiguous")
+    l, u = int(obs.first.max()), int(obs.last.min())
+    # Order k at u reads order k - 1 at u - 1 and u - 2 (end stencil), so the
+    # edges get K + 1 margin columns, spoilt one per order across the seam.
+    # Basic slices, as numpy sums fancy-indexed columns in another order.
+    cut, gap = l + K + 2, max(u - l - 2 * K - 3, 0)
+    window = np.delete(sample.values, np.s_[cut: cut + gap], axis=1)
     values = [sample.values]
     for _ in range(K):
-        values.append(differentiate(values[-1], obs.first, obs.last, sample.grid.h))
-    mu = tuple(_mean(v, sample.mask) for v in values)
-    l, u = int(obs.first.max()), int(obs.last.min())
-    return Moments(sample, obs, tuple(values), mu, l, u, float(sample.grid.points[j_f]))
+        window = differentiate(window, obs.first, obs.last - gap, sample.grid.h)
+        values.append(np.concatenate([window[:, : l + 1], window[:, u - gap:]], axis=1))
+    edge_mask = np.concatenate([sample.mask[:, : l + 1], sample.mask[:, u:]], axis=1)
+    mu = (_mean(sample.values, sample.mask), *(_mean(v, edge_mask) for v in values[1:]))
+    edges, anchor = np.r_[: l + 1, u: sample.grid.p], float(sample.grid.points[j_f])
+    return Moments(sample, obs, tuple(values), mu, l, u, edges, anchor)
 
 
 def ftc_mean(m: Moments) -> np.ndarray:
@@ -200,38 +212,45 @@ def ftc_mean(m: Moments) -> np.ndarray:
 
     On the block [l, u] it equals the classical mean m.mu[0].
     """
-    return _backtransform(m.mu, m.sample.grid.h, m.l, m.u)
+    out, E = m.mu[0] + 0.0, m.edges
+    out[E] = _backtransform([m.mu[0][E], *m.mu[1:]], m.sample.grid.h, m.l, m.l + 1)
+    return out
 
 
 def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
-    """(S[0, 0], M_K S M_K^T) from one pass over S.
+    """(S[0, 0], M_K S M_K^T) from one pass over S, both exactly symmetric.
 
     The classical covariance is the block S[0, 0] that M_K S M_K^T starts
     from; all blocks share one pair-count matrix (differentiation keeps the
-    mask) and one centred array per derivative order.
+    mask) and one centred array per derivative order; orders >= 1 enter on
+    the edge columns E only, so no S[a, b] with a, b >= 1 is formed off E x E.
     """
-    h, K, mask = m.sample.grid.h, len(m.values) - 1, m.sample.mask
-    counts = _run_pair_counts(mask, m.l, m.u)
-    cs = [_centered(v, mask, mu) for v, mu in zip(m.values, m.mu)]
+    h, K, l, E = m.sample.grid.h, len(m.values) - 1, m.l, m.edges
+    counts = _run_pair_counts(m.sample.mask, m.l, m.u)
+    rows = [slice(None)] + [E] * K
+    cs = [_centered(v, m.sample.mask[:, r], mu) for v, r, mu in zip(m.values, rows, m.mu)]
     S = {}
     for a in range(K + 1):
         for b in range(a + 1):
             # For a == b numpy computes c.T @ c as a symmetric rank-k
             # update: the block comes out exactly symmetric at half the flops.
             S[a, b] = cs[a].T @ cs[b]
-            S[a, b] /= counts
+            S[a, b] /= counts[rows[a]][:, rows[b]]
             if a != b:
                 S[b, a] = S[a, b].T
-    # Spent arrays hold the results, since each fresh p x p array costs a
-    # page fault per 4 KiB: column 0 goes into counts, and M_K S M_K^T into
-    # S[1, 0], which every column has read by then.
+    # Rows E of M_K S on all columns of order 0, and E of order b; then E x E
+    # of M_K S M_K^T, averaged with its transpose, so that with the mirror
+    # and S[0, 0] on block x block the result is exactly symmetric.
     cols = [
-        _backtransform(
-            [S[a, b] for a in range(K + 1)], h, m.l, m.u, 0, counts if b == 0 else None
-        )
+        _backtransform([S[0, b][E]] + [S[a, b] for a in range(1, K + 1)], h, l, l + 1)
         for b in range(K + 1)
     ]
-    return S[0, 0], _backtransform(cols, h, m.l, m.u, axis=1, out=S[1, 0])
+    corner = _backtransform([cols[0][:, E]] + cols[1:], h, l, l + 1, axis=1)
+    ftc = np.add(S[0, 0], 0.0, out=counts)
+    ftc[E] = cols[0]
+    ftc[:, E] = cols[0].T
+    ftc[np.ix_(E, E)] = 0.5 * (corner + corner.T)
+    return S[0, 0], ftc
 
 
 def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.ndarray]:

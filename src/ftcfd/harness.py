@@ -10,7 +10,8 @@ chunk of ``_CHUNK`` consecutive replications, and aggregation is ordered by
 task, not by replication (a chunk's replications are summed first, then the
 chunks in task order). So results, and the tables
 ``io.write_experiment_csv`` makes of them, are byte-identical across runs
-and across worker counts.
+and across worker counts. Symmetric accumulators (both covariances) ship
+as one triangle, mirrored back before integrating.
 """
 
 from __future__ import annotations
@@ -208,6 +209,18 @@ class _Accumulator:
         self.sum += other.sum
         self.sumsq += other.sumsq
 
+    def fold(self):
+        """Keep the upper triangle, row by row: all of symmetric p x p arrays."""
+        upper = np.triu_indices(self.sum.shape[0])
+        self.cnt, self.sum, self.sumsq = self.cnt[upper], self.sum[upper], self.sumsq[upper]
+
+    def unfold(self, p):
+        """Mirror folded triangles back to the symmetric p x p arrays."""
+        upper, tris = np.triu_indices(p), (self.cnt, self.sum, self.sumsq)
+        self.cnt, self.sum, self.sumsq = (np.empty((p, p), t.dtype) for t in tris)
+        for full, tri in zip((self.cnt, self.sum, self.sumsq), tris):
+            full[upper] = full.T[upper] = tri
+
     def summarize(self, truth, reps, h):
         included = self.cnt >= max(_DEFINED_FRACTION * reps, 1.0)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -229,13 +242,16 @@ class _Accumulator:
 
 
 def _bias_variance_chunk(task):
-    """One chunk's accumulators, keyed ``<target>_<estimator>``."""
+    """One chunk's accumulators, keyed ``<target>_<estimator>``, cov folded."""
     accs = {}
     for out in _replications(_bias_variance_rep, task):
         for key, arr in out.items():
             if key not in accs:
                 accs[key] = _Accumulator(arr.shape)
             accs[key].add(arr)
+    for key, acc in accs.items():
+        if key.startswith("cov"):
+            acc.fold()
     return accs
 
 
@@ -243,7 +259,7 @@ def _bias_variance_cells(spec, kind, n, chunks):
     """Integrated squared bias and variance per (target, estimator).
 
     The first chunk's accumulators become the cell's, counts widened to
-    float; every later chunk is added in task order.
+    float; every later chunk is added in task order, and then cov unfolded.
     """
     chunks = iter(chunks)
     accs = next(chunks)
@@ -252,6 +268,9 @@ def _bias_variance_cells(spec, kind, n, chunks):
     for chunk in chunks:
         for key, acc in accs.items():
             acc.merge(chunk[key])
+    for key, acc in accs.items():
+        if key.startswith("cov"):
+            acc.unfold(spec.p)
     pts = np.linspace(0.0, 1.0, spec.p)
     h = pts[1] - pts[0]
     cells = []

@@ -5,11 +5,14 @@ covariance written out from their definitions, and pair_counts counts pairs
 by a matrix product for any mask. They share no code with the library, whose
 commands read the same estimates as moments(sample).mu[0] and
 cov_pair(m)[0], so a bit-exact comparison against them tests that code.
+full_square_estimates computes every derivative order and covariance block
+on the whole grid, the route the library's edge-only estimators shortcut.
 """
 
 import numpy as np
 
-from ftcfd.core import FunctionalSample, make_grid
+from ftcfd.core import FunctionalSample, make_grid, summarize_observation
+from ftcfd.estimators import differentiate
 
 
 def mean_est(sample: FunctionalSample) -> np.ndarray:
@@ -62,3 +65,58 @@ def identical_curve_sample(p):
     d = rng.uniform(0.5, 1.0, 30)
     d[0] = 1.0
     return interval_sample(g, np.tile(curve, (30, 1)), d)
+
+
+def _trapezoid_horner(levels, h, l, u):
+    """M_K along axis 0 of full-length levels, in Horner form.
+
+    P levels[0] + W (P levels[1] + ... + W levels[K]), with P the value at
+    clip(t, [l, u]) and W the trapezoid integral from clip(t, [l, u]) to t,
+    each step in the order of operations whose bits the library keeps.
+    """
+    acc = levels[-1]
+    for m in reversed(levels[:-1]):
+        res = np.empty(m.shape)
+        np.add(m[l: u + 1], 0.0, out=res[l: u + 1])
+        if u < m.shape[0] - 1:
+            out = res[u + 1:]
+            np.add(acc[u:-1], acc[u + 1:], out=out)
+            out *= 0.5 * h
+            np.cumsum(out, axis=0, out=out)
+            out += m[u]
+        if l > 0:
+            below = res[:l][::-1]
+            np.add(acc[:l][::-1], acc[1: l + 1][::-1], out=below)
+            below *= 0.5 * h
+            np.cumsum(below, axis=0, out=below)
+            np.subtract(m[l], below, out=below)
+        acc = res
+    return acc
+
+
+def full_square_estimates(sample, l, u, K):
+    """(M_K mu, S[0, 0], M_K S M_K^T) with every order on all p columns.
+
+    Each derivative order is taken on the whole grid and every block S[a, b]
+    formed on the full p x p square, whatever M_K reads of it: the direct
+    route that edge-only estimators must reproduce.
+    """
+    obs = summarize_observation(sample)
+    values = [sample.values]
+    for _ in range(K):
+        values.append(differentiate(values[-1], obs.first, obs.last, sample.grid.h))
+    counts = sample.mask.sum(axis=0)
+    mu, cs = [], []
+    for v in values:
+        total = np.where(sample.mask, v, 0.0).sum(axis=0)
+        with np.errstate(invalid="ignore"):
+            mu.append(np.where(counts > 0, total / np.maximum(counts, 1), np.nan))
+            c = v - mu[-1]
+        c[~sample.mask] = 0.0
+        cs.append(c)
+    pairs = pair_counts(sample.mask)
+    S = [[cs[a].T @ cs[b] / pairs for b in range(K + 1)] for a in range(K + 1)]
+    h = sample.grid.h
+    cols = [_trapezoid_horner([S[a][b] for a in range(K + 1)], h, l, u) for b in range(K + 1)]
+    rows = _trapezoid_horner([c.T for c in cols], h, l, u).T
+    return _trapezoid_horner(mu, h, l, u), S[0][0], rows

@@ -71,8 +71,11 @@ def test_sample_syncs_nan_with_mask():
 
 def test_sample_rejects_nan_in_observed_cell():
     g = make_grid(3, 0.0, 1.0)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match=r"^observed cells must not be NaN$"):
         FunctionalSample(g, np.array([[1.0, np.nan, 3.0]]), np.ones((1, 3), bool))
+    # NaN in a cell the mask leaves out is the missing marker, not an error.
+    s = FunctionalSample(g, np.array([[1.0, np.nan, 3.0]]), np.array([[True, False, True]]))
+    assert s.mask.sum() == 2
 
 
 def test_sample_rejects_fully_missing_curve():

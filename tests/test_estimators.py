@@ -20,6 +20,7 @@ from ftcfd.estimators import (
 
 from reference import (
     cov_est,
+    full_square_estimates,
     identical_curve_sample,
     interval_sample,
     mean_est,
@@ -594,7 +595,7 @@ def _anchor_run(mask, j_f):
 def _run_samples(draw):
     """Contiguous runs of >= K + 2 points that all cover grid index j_f."""
     p = draw(st.integers(5, 30))
-    K = draw(st.sampled_from([1, 2]))
+    K = draw(st.sampled_from([1, 2, 3]))
     j_f = draw(st.integers(0, p - 1))
     n = draw(st.integers(1, 8))
     runs = []
@@ -702,8 +703,9 @@ def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
         scale = np.nanmax(np.abs(want))
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.nanmax(np.abs(got - want)) <= 1e-12 * (1 + abs(shift)) * scale
-    for classical, _ in pairs:
+    for classical, ftc in pairs:
         assert _nan_equal(classical, classical.T)
+        assert _nan_equal(ftc, ftc.T)
 
 
 def _moment_draw(kind, n, p, seed, d_f_frac, K):
@@ -722,7 +724,7 @@ _moment_draws = st.builds(
     p=st.integers(21, 51),
     seed=st.integers(0, 2**32 - 1),
     d_f_frac=st.none() | st.floats(0.0, 1.0),
-    K=st.sampled_from([1, 2]),
+    K=st.sampled_from([1, 2, 3]),
 )
 
 
@@ -752,6 +754,33 @@ def test_estimates_invariant_to_curve_order(draw, perm_seed):
         assert np.array_equal(np.isnan(got), np.isnan(want))
         scale = np.nanmax(np.abs(want))
         assert np.nanmax(np.abs(got - want)) <= 1e-12 * scale
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    draw=_run_samples().map(lambda d: (d[0], d[0].grid.points[d[1]], d[2]))
+    | _moment_draws
+)
+def test_edge_only_estimates_match_the_full_square(draw):
+    # Blocks so narrow that the edges' differentiation windows meet, and
+    # wide ones, whose edges are differentiated apart; blocks with l > 0 or
+    # u < p - 1, single-column blocks, and corners without pairs.
+    sample, d_f, K = draw
+    m = moments(sample, d_f, K)
+    mean, classical, ftc = full_square_estimates(sample, m.l, m.u, K)
+    assert _same_bits(ftc_mean(m), mean)
+    got_classical, got = cov_pair(m)
+    assert _same_bits(got_classical, classical)
+    assert np.array_equal(np.isnan(got), np.isnan(ftc))
+    assert np.nanmax(np.abs(got - ftc)) <= 1e-14 * np.nanmax(np.abs(ftc))
+
+
+@settings(deadline=None, max_examples=200)
+@given(draw=_run_samples())
+def test_back_transform_cov_equals_its_transpose_bit_for_bit(draw):
+    sample, j_f, K = draw
+    ftc = cov_pair(moments(sample, sample.grid.points[j_f], K))[1]
+    assert _same_bits(ftc, ftc.T)
 
 
 # --- refinement rates ----------------------------------------------------

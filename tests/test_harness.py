@@ -177,6 +177,44 @@ def test_chunked_accumulation_matches_one_replication_at_a_time(kind, seed, reps
         np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_chunks_ship_covariance_triangles(kind):
+    # Each chunk sends p(p + 1)/2 cells per covariance accumulator; the cell
+    # mirrored from them is byte-identical to one merged from full squares.
+    spec = _bv_spec(kinds=(kind,), n=(30,), p=31, replications=2 * harness._CHUNK + 1,
+                    targets=("mean", "cov"))
+    reps = [range(s, min(s + harness._CHUNK, spec.replications))
+            for s in range(0, spec.replications, harness._CHUNK)]
+    chunks = [harness._bias_variance_chunk((spec, kind, 30, r)) for r in reps]
+    for chunk in chunks:
+        for key in ("cov_classical", "cov_ftc"):
+            acc = chunk[key]
+            assert acc.cnt.dtype == np.uint8
+            assert [x.shape for x in (acc.cnt, acc.sum, acc.sumsq)] == [(31 * 32 // 2,)] * 3
+    got = harness._bias_variance_cells(spec, kind, 30, chunks)
+
+    merged = {}
+    for r in reps:
+        full = {}
+        for rep in r:
+            for key, arr in harness._bias_variance_rep((spec, kind, 30, rep)).items():
+                full.setdefault(key, harness._Accumulator(arr.shape)).add(arr)
+        for key, acc in full.items():
+            if key in merged:
+                merged[key].merge(acc)
+            else:
+                acc.cnt = acc.cnt.astype(float)
+                merged[key] = acc
+    pts = np.linspace(0.0, 1.0, spec.p)
+    truth = {"mean": true_mean(pts, kind), "cov": true_cov(pts, pts, kind)}
+    want = [
+        merged[f"{c.target}_{c.estimator}"].summarize(truth[c.target], spec.replications,
+                                                       pts[1] - pts[0])
+        for c in got
+    ]
+    assert [(c.int_sq_bias, c.int_variance, c.excluded_fraction) for c in got] == want
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_first_failing_replication_is_reported(monkeypatch, workers):
     # Replications 14 and 30 fail, in the second and third chunks, which two
