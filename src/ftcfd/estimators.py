@@ -111,9 +111,7 @@ def _trapezoid_sums(out, left, right, h: float) -> None:
     np.cumsum(out, axis=0, out=out)
 
 
-def _backtransform(
-    levels, h: float, l: int, u: int, axis: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
+def _backtransform(levels, h: float, l: int, u: int, axis: int = 0) -> np.ndarray:
     """M_K along `axis`, levels[k] holding order k, in Horner form.
 
     P levels[0] + W (P levels[1] + ... + W (P levels[K-1] + W levels[K])),
@@ -121,11 +119,11 @@ def _backtransform(
     integral from clip(t, [l, u]) to t: zero on the block, beyond u a
     cumulative sum from u, below l a negated one from l. NaN stops each
     integral at the first undefined cell. Each step writes one new array
-    through views with `axis` first; the last step writes into `out` if given.
+    through views with `axis` first.
     """
     acc = levels[-1]
     for k in range(len(levels) - 2, -1, -1):
-        res = out if k == 0 and out is not None else np.empty(levels[k].shape)
+        res = np.empty(levels[k].shape)
         r, m, v = (np.moveaxis(x, axis, 0) for x in (res, levels[k], acc))
         # Adding 0.0 turns -0.0 into +0.0, as adding a zero integral does.
         np.add(m[l: u + 1], 0.0, out=r[l: u + 1])
@@ -246,6 +244,7 @@ def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
         for b in range(K + 1)
     ]
     corner = _backtransform([cols[0][:, E]] + cols[1:], h, l, l + 1, axis=1)
+    # counts is spent: reusing it spares a fresh p x p array's page faults.
     ftc = np.add(S[0, 0], 0.0, out=counts)
     ftc[E] = cols[0]
     ftc[:, E] = cols[0].T
