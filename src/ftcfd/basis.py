@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, subdomain_indices
+from .core import FunctionalSample, prefix_values
 from .errors import ArgumentError, NumericalError
 
 # Residual sums of squares below this relative level are numerical noise;
@@ -57,11 +57,11 @@ def check_J_max(J_max: int) -> None:
         raise ArgumentError(f"J_max must be odd and >= 3, got {J_max}")
 
 
-def select_J(sample: FunctionalSample, subdomain, J_max: int) -> tuple[int, np.ndarray]:
+def select_J(sample: FunctionalSample, prefix: int, J_max: int) -> tuple[int, np.ndarray]:
     """BIC-median basis-size selection over odd J in {3, 5, ..., J_max}.
 
     Returns the selected J and the n x J least-squares coefficients of each
-    curve's subdomain values on the first J basis functions.
+    curve's first `prefix` values (all observed) on the first J basis functions.
 
     Per curve, BIC(J) = m log(RSS/m) + J log(m) with m subdomain points;
     the sample uses the lower median of the per-curve minimizers. The basis
@@ -87,15 +87,14 @@ def select_J(sample: FunctionalSample, subdomain, J_max: int) -> tuple[int, np.n
     selected J is one of the candidates that passed the rank rule.
     """
     check_J_max(J_max)
-    idx = subdomain_indices(sample, subdomain)
-    m = idx.size
-    pts = sample.grid.points[idx]
+    y = prefix_values(sample, prefix).T  # m x n
+    m = y.shape[0]
+    pts = sample.grid.points[:m]
     domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
     candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
     if not candidates:
         raise ArgumentError(f"subdomain has only {m} points, too few for J >= 3")
     design_full = eval_basis(BasisSpec(candidates[-1], domain), pts)
-    y = sample.values[:, idx].T  # m x n
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(y**2, axis=0), _RSS_ABS_FLOOR)
     q, r = np.linalg.qr(design_full)
 

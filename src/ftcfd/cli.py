@@ -186,8 +186,8 @@ def _cmd_estimate(args) -> int:
         ("cov_ftc.csv", write_matrix_csv, grid, cov_ftc),
     ]
     if args.fpc_scores:
-        subdomain = fully_observed_prefix(grid, m.obs)
-        scores, explained = estimators.fpca_scores(sample, subdomain)
+        prefix = fully_observed_prefix(m.obs)
+        scores, explained = estimators.fpca_scores(sample, prefix)
         tables.append(("fpc_scores.csv", write_scores_csv, scores, explained))
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, name) for name, *_ in tables]

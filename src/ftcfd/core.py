@@ -4,6 +4,8 @@ Curves live on one shared equidistant grid. Missingness is tracked by a
 boolean mask (True = observed); the value matrix carries NaN at masked-out
 cells so vectorized numpy code can rely on either representation. The mask
 is authoritative, and summarize_observation alone reads each curve's run.
+Under the interval pattern the part every curve observes, [t_1, d_min] in
+the paper, is held as its count of leading grid columns.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class Grid:
         if np.any(diffs <= 0):
             raise ArgumentError("grid points must be strictly increasing")
         h = (pts[-1] - pts[0]) / (pts.size - 1)
-        if np.any(np.abs(diffs - h) > EQUIDISTANCE_RTOL * max(abs(h), 1.0)):
+        # Relative to h, plus the points' own rounding: alike at any unit or offset.
+        tol = EQUIDISTANCE_RTOL * h + 4 * np.finfo(float).eps * np.abs(pts[[0, -1]]).max()
+        if np.any(np.abs(diffs - h) > tol):
             raise ArgumentError("grid points must be equidistant")
         object.__setattr__(self, "points", pts)
 
@@ -124,13 +128,13 @@ class ObservationSummary:
     """Per curve: first and last observed grid index, point count, endpoint.
 
     A curve's observed run is contiguous exactly when last - first + 1 == counts.
+    Under the interval pattern the paper's d_min is d_i.min().
     """
 
     first: np.ndarray
     last: np.ndarray
     counts: np.ndarray
     d_i: np.ndarray
-    d_min: float | None
     interval_pattern: bool
 
 
@@ -139,8 +143,7 @@ def summarize_observation(sample: FunctionalSample) -> ObservationSummary:
 
     A sample has the interval pattern when every row mask looks like
     {1,...,1,0,...,0} starting at the first grid point. d_i is the last
-    observed grid point of curve i; d_min is min_i d_i for interval
-    patterns and None otherwise.
+    observed grid point of curve i.
     """
     mask = sample.mask
     counts = mask.sum(axis=1)
@@ -148,37 +151,31 @@ def summarize_observation(sample: FunctionalSample) -> ObservationSummary:
     last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
     # Prefix pattern: observed run starts at column 0 and is contiguous.
     interval = bool(np.all(first == 0) and np.all(last + 1 == counts))
-    d_i = sample.grid.points[last]
-    d_min = float(d_i.min()) if interval else None
-    return ObservationSummary(first, last, counts, d_i, d_min, interval)
+    return ObservationSummary(first, last, counts, sample.grid.points[last], interval)
 
 
-def subdomain_indices(sample: FunctionalSample, subdomain) -> np.ndarray:
-    """Grid indices in subdomain = (lo, hi), which every curve must observe.
+def fully_observed_prefix(summary: ObservationSummary) -> int:
+    """Number of leading grid columns, [t_1, d_min], that every curve observes.
 
-    Points within 1e-12 (relative to the grid's magnitude) of a bound count
-    as inside. Callers check that enough points were selected.
+    Needs the interval pattern and d_min > t_1, i.e. at least 2 columns.
     """
-    lo, hi = subdomain
-    pts = sample.grid.points
-    tol = 1e-12 * max(abs(pts[0]), abs(pts[-1]), 1.0)
-    idx = np.flatnonzero((pts >= lo - tol) & (pts <= hi + tol))
-    if not sample.mask[:, idx].all():
-        raise ArgumentError("every curve must be fully observed on the subdomain")
-    return idx
-
-
-def fully_observed_prefix(
-    grid: Grid, summary: ObservationSummary
-) -> tuple[float, float]:
-    """The subdomain (t_1, d_min) that every curve observes.
-
-    Needs the interval pattern and d_min > t_1.
-    """
-    lo = float(grid.points[0])
-    if summary.d_min is None or not summary.d_min > lo:
+    prefix = int(summary.last.min()) + 1
+    if not summary.interval_pattern or prefix < 2:
         raise ArgumentError(
             "no fully observed subdomain [t_1, d_min]: needs the interval "
             "pattern and d_min > t_1"
         )
-    return lo, summary.d_min
+    return prefix
+
+
+def prefix_values(sample: FunctionalSample, prefix: int) -> np.ndarray:
+    """Values on the first `prefix` grid columns, which every curve must observe.
+
+    In Fortran order: numpy sums column reductions and Gram products of the
+    C-strided slice in another order, moving select_J's and fpca_scores' last bits.
+    """
+    if prefix < 0:
+        raise ArgumentError(f"prefix must be >= 0, got {prefix}")
+    if not sample.mask[:, :prefix].all():
+        raise ArgumentError("every curve must be fully observed on the subdomain")
+    return np.asfortranarray(sample.values[:, :prefix])

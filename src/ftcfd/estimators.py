@@ -41,7 +41,7 @@ import numpy as np
 from .core import (
     FunctionalSample,
     ObservationSummary,
-    subdomain_indices,
+    prefix_values,
     summarize_observation,
 )
 from .errors import ArgumentError
@@ -164,7 +164,8 @@ def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
 
     d_f is snapped to the nearest grid point, which must be observed by
     every curve. Without d_f the sample must have the interval pattern and
-    the anchor is d_min, the last fully observed grid point. Every observed
+    the anchor is d_min, the last grid point every curve observes, i.e.
+    grid.points[prefix - 1] for core.fully_observed_prefix. Every observed
     run must be contiguous, so [l, u] is the runs' common part.
     """
     if K < 1:
@@ -252,29 +253,28 @@ def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
     return S[0, 0], ftc
 
 
-def fpca_scores(sample: FunctionalSample, subdomain) -> tuple[np.ndarray, np.ndarray]:
-    """Principal component scores on a fully observed subdomain.
+def fpca_scores(sample: FunctionalSample, prefix: int) -> tuple[np.ndarray, np.ndarray]:
+    """Principal component scores on the first `prefix` grid points.
 
-    Eigendecomposes the classical covariance restricted to the subdomain,
-    scaled by the grid spacing for the integral inner product. Returns
-    (scores, explained) with explained fractions non-increasing and
-    summing to 1 over the retained positive eigenvalues.
+    Every curve must observe them. Eigendecomposes the classical covariance
+    restricted to them, scaled by the grid spacing for the integral inner
+    product. Returns (scores, explained) with explained fractions
+    non-increasing and summing to 1 over the retained positive eigenvalues.
     """
-    idx = subdomain_indices(sample, subdomain)
-    if idx.size < 2:
+    vals = prefix_values(sample, prefix)
+    if vals.shape[1] < 2:
         raise ArgumentError("subdomain contains fewer than 2 grid points")
     h = sample.grid.h
-    vals = sample.values[:, idx]
     # Every curve observes the subdomain, so each pair count there is n.
     c = vals - vals.mean(axis=0)
     eigvals, eigvecs = np.linalg.eigh(h * (c.T @ c / sample.n))
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     # Relative cut within the spectrum plus an absolute cut against the data
-    # scale, so identical curves (variance at round-off level) yield no
-    # components instead of one spurious component.
+    # scale times h, as in the eigenvalues, so identical curves (variance at
+    # round-off level) yield no components instead of one spurious component.
     keep = eigvals > max(eigvals[0], 0.0) * 1e-12
-    keep &= eigvals > 1e-12 * max(float(np.abs(vals).max()) ** 2, 1e-300)
+    keep &= eigvals > 1e-12 * h * max(float(np.abs(vals).max()) ** 2, 1e-300)
     eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
     if eigvals.size == 0:
         # Degenerate sample (all curves identical on the subdomain).

@@ -177,6 +177,11 @@ def _bias_variance_rep(task):
     return out
 
 
+def _upper(p):
+    """Upper-triangle mask of p x p arrays: all of a symmetric one, row by row."""
+    return np.triu(np.ones((p, p), dtype=bool))
+
+
 class _Accumulator:
     """Streaming count/sum/sum-of-squares over possibly-undefined arrays.
 
@@ -209,14 +214,9 @@ class _Accumulator:
         self.sum += other.sum
         self.sumsq += other.sumsq
 
-    def fold(self):
-        """Keep the upper triangle, row by row: all of symmetric p x p arrays."""
-        upper = np.triu_indices(self.sum.shape[0])
-        self.cnt, self.sum, self.sumsq = self.cnt[upper], self.sum[upper], self.sumsq[upper]
-
     def unfold(self, p):
-        """Mirror folded triangles back to the symmetric p x p arrays."""
-        upper, tris = np.triu_indices(p), (self.cnt, self.sum, self.sumsq)
+        """Mirror upper triangles back to the symmetric p x p arrays."""
+        upper, tris = _upper(p), (self.cnt, self.sum, self.sumsq)
         self.cnt, self.sum, self.sumsq = (np.empty((p, p), t.dtype) for t in tris)
         for full, tri in zip((self.cnt, self.sum, self.sumsq), tris):
             full[upper] = full.T[upper] = tri
@@ -242,16 +242,15 @@ class _Accumulator:
 
 
 def _bias_variance_chunk(task):
-    """One chunk's accumulators, keyed ``<target>_<estimator>``, cov folded."""
-    accs = {}
+    """One chunk's accumulators, keyed ``<target>_<estimator>``, cov as triangles."""
+    accs, upper = {}, _upper(task[0].p)
     for out in _replications(_bias_variance_rep, task):
         for key, arr in out.items():
+            if key.startswith("cov"):
+                arr = arr[upper]  # exactly symmetric: the triangle holds it all
             if key not in accs:
                 accs[key] = _Accumulator(arr.shape)
             accs[key].add(arr)
-    for key, acc in accs.items():
-        if key.startswith("cov"):
-            acc.fold()
     return accs
 
 

@@ -109,12 +109,12 @@ def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
     # so the degenerate case is handled as such rather than amplified by
     # division with a vanishing standard error.
     scale = np.sqrt(np.mean(d * d))
-    if np.abs(resid).max() <= 1e-12 * max(scale, 1.0):
+    if np.abs(resid).max() <= 1e-12 * scale:
         resid = np.zeros(n)
     dof = n - J - 1
     sigma2 = resid @ resid / dof
     se = np.sqrt(sigma2 * np.einsum("ij,ij->i", r_inv, r_inv))
-    beta_tol = 1e-10 * max(np.abs(beta).max(), 1.0)
+    beta_tol = 1e-10 * np.abs(beta).max()
     with np.errstate(divide="ignore", invalid="ignore"):
         t_sq = np.where(
             se[1:] > 0,
@@ -217,7 +217,7 @@ def classify_and_test(
     summ = summarize_observation(sample)
     if not summ.interval_pattern:
         raise ArgumentError("test requires the interval observation pattern")
-    subdomain = fully_observed_prefix(sample.grid, summ)
+    prefix = fully_observed_prefix(summ)
     check_J_max(J_max)
     check_alpha(alpha)
     check_R(R)
@@ -226,5 +226,5 @@ def classify_and_test(
         return TestReport(
             frozenset(), (), OUTCOME_NULL, alpha, R, seed, degenerate_response=True
         )
-    _, coefficients = select_J(sample, subdomain, J_max)
+    _, coefficients = select_J(sample, prefix, J_max)
     return romano_wolf(summ.d_i, coefficients, alpha, R, seed)

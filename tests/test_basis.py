@@ -10,8 +10,8 @@ from ftcfd.basis import (
 )
 from ftcfd.core import (
     FunctionalSample,
+    fully_observed_prefix,
     make_grid,
-    subdomain_indices,
     summarize_observation,
 )
 from ftcfd.dgp import DgpConfig, draw_sample
@@ -66,7 +66,7 @@ def test_eval_basis_rejects_points_outside_domain():
 def test_project_constant_curves():
     g = make_grid(51, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.full((4, 51), 2.5))
-    J, coef = select_J(s, (0.0, 1.0), 5)
+    J, coef = select_J(s, 51, 5)
     expected = np.zeros(J)
     expected[0] = 2.5
     assert np.abs(coef - expected).max() < 1e-8
@@ -76,7 +76,7 @@ def test_project_reproduces_basis_element():
     g = make_grid(101, 0.0, 1.0)
     psi2 = eval_basis(BasisSpec(3, (0.0, 1.0)), g.points)[:, 1]
     s = FunctionalSample.from_values(g, psi2[None, :])
-    coef = select_J(s, (0.0, 1.0), 3)[1]
+    coef = select_J(s, 101, 3)[1]
     assert np.abs(coef[0] - [0.0, 1.0, 0.0]).max() < 1e-6
 
 
@@ -87,7 +87,7 @@ def _render(xi, sample):
 def test_project_recovers_generator_coefficients():
     sample, _, xi = draw_sample(DgpConfig("IndDis", n=20, p=201, seed=3))
     full = FunctionalSample.from_values(sample.grid, _render(xi, sample))
-    coef = select_J(full, (0.0, 1.0), 11)[1]
+    coef = select_J(full, 201, 11)[1]
     assert np.abs(coef - xi).max() < 1e-6
 
 
@@ -96,7 +96,7 @@ def test_project_residual_orthogonal_to_design():
     rng = np.random.default_rng(1)
     vals = rng.standard_normal((5, 101))
     s = FunctionalSample.from_values(g, vals)
-    J, coef = select_J(s, (0.0, 1.0), 7)
+    J, coef = select_J(s, 101, 7)
     design = eval_basis(BasisSpec(J, (0.0, 1.0)), g.points)
     resid = vals.T - design @ coef.T
     rel = np.abs(design.T @ resid).max() / max(np.abs(vals).max(), 1.0)
@@ -107,30 +107,29 @@ def test_select_j_recovers_generator_dimension():
     sample, _, xi = draw_sample(DgpConfig("IndDis", n=50, p=201, seed=6))
     full = FunctionalSample.from_values(sample.grid, _render(xi, sample))
     for j_max in (5, 11, 31):
-        assert select_J(full, (0.0, 1.0), j_max)[0] == 5
+        assert select_J(full, 201, j_max)[0] == 5
 
 
 def test_select_j_constant_sample():
     g = make_grid(101, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.full((10, 101), 3.0))
-    assert select_J(s, (0.0, 1.0), 21)[0] == 3
+    assert select_J(s, 101, 21)[0] == 3
 
 
 def test_select_j_on_observed_subdomain_monte_carlo():
     hits = 0
     for r in range(100):
         sample, _, _ = draw_sample(DgpConfig("DepDis", n=150, p=501, seed=(800, r)))
-        hits += select_J(sample, (0.0, 0.5), 51)[0] == 5
+        hits += select_J(sample, 251, 51)[0] == 5
     assert hits >= 95
 
 
 def test_select_j_invariant_to_curve_order():
     sample, _, _ = draw_sample(DgpConfig("IndCon", n=30, p=101, seed=5))
-    sub = (0.0, 0.5)
-    j1, c1 = select_J(sample, sub, 21)
+    j1, c1 = select_J(sample, 51, 21)
     perm = np.random.default_rng(0).permutation(sample.n)
     shuffled = FunctionalSample(sample.grid, sample.values[perm], sample.mask[perm])
-    j2, c2 = select_J(shuffled, sub, 21)
+    j2, c2 = select_J(shuffled, 51, 21)
     assert j2 == j1
     assert np.allclose(c2, c1[perm], rtol=1e-12, atol=0.0)
 
@@ -139,22 +138,22 @@ def test_select_j_validates_j_max():
     g = make_grid(11, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.ones((2, 11)))
     with pytest.raises(ArgumentError):
-        select_J(s, (0.0, 1.0), 4)
+        select_J(s, 11, 4)
     with pytest.raises(ArgumentError, match="too few for J >= 3"):
-        select_J(s, (0.0, 0.1), 5)  # two subdomain points
-    with pytest.raises(ArgumentError, match="too few for J >= 3"):
-        select_J(s, (0.31, 0.39), 5)  # no subdomain points
+        select_J(s, 2, 5)
+    with pytest.raises(ArgumentError, match="prefix must be >= 0"):
+        select_J(s, -1, 5)  # a negative slice end would drop the last column
     partial, _, _ = draw_sample(DgpConfig("DepDis", n=10, p=101, seed=0))
     with pytest.raises(ArgumentError, match="fully observed on the subdomain"):
-        select_J(partial, (0.0, 1.0), 5)
+        select_J(partial, 101, 5)
 
 
-def _select_j_reference(sample, subdomain, J_max, basis_domain):
+def _select_j_reference(sample, prefix, J_max, basis_domain):
     """select_J as one lstsq solve per candidate size, stopping at rank loss.
 
     Returns the selected J and the lstsq coefficients at that J.
     """
-    idx = subdomain_indices(sample, subdomain)
+    idx = np.arange(prefix)
     m = idx.size
     candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
     pts = sample.grid.points[idx]
@@ -179,10 +178,10 @@ def _select_j_reference(sample, subdomain, J_max, basis_domain):
     return J, coefs[kept.index(J)]
 
 
-def _assert_matches_reference(sample, subdomain, J_max):
-    J, coef = select_J(sample, subdomain, J_max)
+def _assert_matches_reference(sample, prefix, J_max):
+    J, coef = select_J(sample, prefix, J_max)
     domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
-    J_ref, coef_ref = _select_j_reference(sample, subdomain, J_max, domain)
+    J_ref, coef_ref = _select_j_reference(sample, prefix, J_max, domain)
     assert J == J_ref
     assert np.abs(coef - coef_ref).max() <= 1e-10 * np.abs(coef_ref).max()
 
@@ -192,8 +191,8 @@ def _assert_matches_reference(sample, subdomain, J_max):
 def test_select_j_matches_lstsq_sweep_on_dgp_draws(kind, n):
     for rep in range(3):
         sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=501, seed=(810, rep)))
-        sub = (float(sample.grid.points[0]), summarize_observation(sample).d_min)
-        _assert_matches_reference(sample, sub, 51)
+        prefix = fully_observed_prefix(summarize_observation(sample))
+        _assert_matches_reference(sample, prefix, 51)
 
 
 # Short subdomains where the design prefixes lose numerical rank part-way
@@ -207,4 +206,4 @@ def test_select_j_matches_lstsq_sweep_where_rank_breaks(p, hi, J_max, noise):
     rng = np.random.default_rng(0)
     curves = rng.standard_normal((40, 7)) @ eval_basis(BasisSpec(7, (0, 1)), g.points).T
     s = FunctionalSample.from_values(g, curves + noise * rng.standard_normal((40, p)))
-    _assert_matches_reference(s, (0.0, hi), J_max)
+    _assert_matches_reference(s, round(hi * (p - 1)) + 1, J_max)

@@ -421,6 +421,20 @@ def test_estimate_writes_component_scores(tmp_path, capsys):
     assert len(lines) == 2 + 50
 
 
+def test_prefix_commands_run_on_a_grid_in_small_units(tmp_path, capsys):
+    # [0, 1e-11]: spacing 1e-13, below any absolute tolerance on the grid.
+    sample, _, _ = draw_sample(DgpConfig("DepDis", n=60, p=101, seed=1))
+    grid = core.Grid(sample.grid.points * 1e-11)
+    path = tmp_path / "small.csv"
+    write_sample_csv(FunctionalSample(grid, sample.values, sample.mask), path)
+    assert main(["test", str(path)]) == EXIT_OK
+    assert "outcome=V" in capsys.readouterr().out
+    argv = ["estimate", str(path), "--out", str(tmp_path / "est"), "--fpc-scores"]
+    assert main(argv) == EXIT_OK
+    header = (tmp_path / "est" / "fpc_scores.csv").read_text().splitlines()[1]
+    assert header.startswith("i,score_1")
+
+
 @pytest.fixture(scope="module")
 def dep_dis_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("dep") / "dep.csv"

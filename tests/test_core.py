@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ftcfd.core import FunctionalSample, Grid, make_grid, summarize_observation
+from ftcfd.core import (
+    FunctionalSample,
+    Grid,
+    fully_observed_prefix,
+    make_grid,
+    summarize_observation,
+)
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ArgumentError
 
@@ -39,6 +47,21 @@ def test_grid_rejects_non_equidistant_points():
         Grid(np.array([0.0, 0.1, 0.3, 1.0]))
     with pytest.raises(ArgumentError):
         Grid(np.array([0.0, 0.5, 0.5, 1.0]))
+    # Spacings 1e-13 and 2e-13: uneven by half a step, on any scale.
+    with pytest.raises(ArgumentError, match="equidistant"):
+        Grid(np.array([0.0, 1e-13, 3e-13]))
+
+
+@pytest.mark.parametrize(
+    "offset, span",
+    [(0.0, 1e-13), (0.0, 1e-11), (0.0, 1e-6), (0.0, 1e6), (1.0, 1e-3), (-1e6, 1.0),
+     (1e9, 1e3)],
+)
+def test_grid_accepts_scaled_and_offset_linspace(offset, span):
+    # As a CSV header carries them: each point round-tripped through %.17g.
+    for p in (3, 101, 2001):
+        pts = [float("%.17g" % t) for t in np.linspace(offset, offset + span, p)]
+        assert Grid(np.array(pts)).p == p
 
 
 def test_grid_rejects_non_finite_points():
@@ -107,7 +130,7 @@ def test_summarize_fully_observed():
     assert np.array_equal(summ.last, [3, 3])
     assert np.array_equal(summ.counts, [4, 4])
     assert np.array_equal(summ.d_i, [1.0, 1.0])
-    assert summ.d_min == 1.0
+    assert summ.d_i.min() == 1.0
     assert summ.interval_pattern
 
 
@@ -121,7 +144,7 @@ def test_summarize_hand_checked_two_curves():
     assert np.array_equal(summ.last, [2, 1])
     assert np.array_equal(summ.counts, [3, 2])
     assert np.array_equal(summ.d_i, [1.0, 0.5])
-    assert summ.d_min == 0.5
+    assert summ.d_i.min() == 0.5
     assert summ.interval_pattern
 
 
@@ -140,7 +163,6 @@ def test_summarize_is_pure_function_of_mask():
     sa, sb = summarize_observation(a), summarize_observation(b)
     for field in ("first", "last", "counts", "d_i"):
         assert np.array_equal(getattr(sa, field), getattr(sb, field))
-    assert sa.d_min == sb.d_min
     # idempotent: calling twice gives the same summary
     sa2 = summarize_observation(a)
     assert np.array_equal(sa.counts, sa2.counts)
@@ -151,7 +173,8 @@ def test_summarize_non_interval_pattern():
     s = FunctionalSample.from_values(g, np.array([[1.0, np.nan, 2.0, 3.0]]))
     summ = summarize_observation(s)
     assert not summ.interval_pattern
-    assert summ.d_min is None
+    with pytest.raises(ArgumentError, match="no fully observed subdomain"):
+        fully_observed_prefix(summ)
     # The run 0..3 holds 3 points: it has a gap.
     assert (summ.first[0], summ.last[0], summ.counts[0]) == (0, 3, 3)
 
@@ -163,3 +186,15 @@ def test_interval_pattern_runs_are_prefixes():
     assert np.array_equal(summ.first, np.zeros(60))
     assert np.array_equal(summ.counts, summ.last + 1)
     assert np.array_equal(summ.d_i, sample.grid.points[summ.last])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    lasts=st.lists(st.integers(1, 11), min_size=1, max_size=8),
+    p=st.integers(12, 20),
+)
+def test_fully_observed_prefix_counts_the_leading_observed_columns(lasts, p):
+    mask = np.arange(p) <= np.array(lasts)[:, None]
+    sample = FunctionalSample(make_grid(p, 0.0, 1.0), np.zeros(mask.shape), mask)
+    leading = int(np.argmin(np.append(mask.all(axis=0), False)))
+    assert fully_observed_prefix(summarize_observation(sample)) == leading

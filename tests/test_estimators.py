@@ -875,7 +875,7 @@ def test_fpca_rank_one_sample():
     c = rng.standard_normal(40)
     shape = np.sin(2 * np.pi * g.points) + 2.0
     s = FunctionalSample.from_values(g, c[:, None] * shape[None, :])
-    scores, explained = fpca_scores(s, (0.0, 1.0))
+    scores, explained = fpca_scores(s, 101)
     assert explained[0] == pytest.approx(1.0, abs=1e-8)
     centered = c - c.mean()
     corr = np.corrcoef(scores[:, 0], centered)[0, 1]
@@ -885,14 +885,14 @@ def test_fpca_rank_one_sample():
 def test_fpca_recovers_variance_fractions():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=500, p=201, seed=20))
     full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    _, explained = fpca_scores(full, (0.0, 1.0))
+    _, explained = fpca_scores(full, 201)
     target = np.asarray(dgp.DEFAULT_LAMBDA) / sum(dgp.DEFAULT_LAMBDA)
     assert np.abs(explained[:5] - target).max() < 0.02
 
 
 def test_fpca_explained_sums_to_one():
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=21))
-    _, explained = fpca_scores(sample, (0.0, 0.5))
+    _, explained = fpca_scores(sample, 51)
     assert explained.sum() == pytest.approx(1.0)
     assert np.all(np.diff(explained) <= 1e-12)
 
@@ -900,6 +900,6 @@ def test_fpca_explained_sums_to_one():
 def test_fpca_degenerate_sample():
     g = make_grid(51, 0.0, 1.0)
     s = FunctionalSample.from_values(g, np.tile(np.cos(g.points), (5, 1)))
-    scores, explained = fpca_scores(s, (0.0, 1.0))
+    scores, explained = fpca_scores(s, 51)
     assert scores.shape == (5, 0)
     assert explained.size == 0

@@ -5,8 +5,9 @@ import pytest
 
 from ftcfd import dgp, mcar
 from ftcfd.basis import select_J
-from ftcfd.core import FunctionalSample, fully_observed_prefix, summarize_observation
+from ftcfd.core import FunctionalSample, Grid, fully_observed_prefix, summarize_observation
 from ftcfd.errors import ArgumentError, NumericalError
+from ftcfd.estimators import fpca_scores
 from ftcfd.harness import _rep_seed
 from ftcfd.mcar import (
     OUTCOME_NULL,
@@ -148,8 +149,7 @@ def _assert_close(a, b):
 def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=501, seed=(61, n)))
     summ = summarize_observation(sample)
-    sub = fully_observed_prefix(sample.grid, summ)
-    _, Xi = select_J(sample, sub, 51)
+    _, Xi = select_J(sample, fully_observed_prefix(summ), 51)
     d = summ.d_i
     _, beta, se, t_sq, _, _, _ = _reference_fit(d, Xi)
     fit = fit_regression(d, Xi)
@@ -346,6 +346,27 @@ def test_classify_rejects_non_interval_pattern():
     s = FunctionalSample.from_values(g, np.array([[np.nan, 1.0, 2.0, 3.0, 4.0]]))
     with pytest.raises(ArgumentError):
         classify_and_test(s, R=200, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["DepDis", "IndCon", "DepCon"])
+@pytest.mark.parametrize(
+    "move", [(1e3, 0.0), (1e-6, 0.0), (1e-11, 0.0), (1e-12, 0.0), (1.0, 1e6)],
+    ids=["x1e3", "x1e-6", "x1e-11", "x1e-12", "+1e6"],
+)
+def test_prefix_results_do_not_depend_on_the_grid_unit(kind, move):
+    # The endpoints d_i are grid points, so the regression response moves too.
+    sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=60, p=101, seed=1))
+    scale, shift = move
+    moved = FunctionalSample(
+        Grid(sample.grid.points * scale + shift), sample.values, sample.mask
+    )
+    a, b = classify_and_test(sample), classify_and_test(moved)
+    assert (b.outcome, b.J, b.p_values) == (a.outcome, a.J, a.p_values)
+    prefix = fully_observed_prefix(summarize_observation(sample))
+    _, explained = fpca_scores(sample, prefix)
+    _, explained_moved = fpca_scores(moved, prefix)
+    assert explained_moved.size == explained.size
+    assert np.allclose(explained_moved, explained, rtol=1e-9, atol=0.0)
 
 
 def test_report_serialization_round_trip_keys():
