@@ -40,7 +40,8 @@ def eval_basis(spec: BasisSpec, grid_points) -> np.ndarray:
     """Evaluate the J basis functions at the given points (len x J matrix)."""
     t = np.asarray(grid_points, dtype=float)
     lo, hi = spec.domain
-    tol = 1e-12 * max(abs(lo), abs(hi), 1.0)
+    # Relative to the domain's length, plus the rounding of its endpoints.
+    tol = 1e-12 * (hi - lo) + 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
     if np.any(t < lo - tol) or np.any(t > hi + tol):
         raise ArgumentError("points outside the basis domain")
     u = (t - lo) / (hi - lo)
@@ -95,7 +96,9 @@ def select_J(sample: FunctionalSample, prefix: int, J_max: int) -> tuple[int, np
     if not candidates:
         raise ArgumentError(f"subdomain has only {m} points, too few for J >= 3")
     design_full = eval_basis(BasisSpec(candidates[-1], domain), pts)
-    floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(y**2, axis=0), _RSS_ABS_FLOOR)
+    # One m x n buffer holds y^2, then Q z, the residual and its square.
+    work = np.square(y)
+    floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(work, axis=0), _RSS_ABS_FLOOR)
     q, r = np.linalg.qr(design_full)
 
     def loses_rank(J):
@@ -106,7 +109,9 @@ def select_J(sample: FunctionalSample, prefix: int, J_max: int) -> tuple[int, np
     if not kept:
         raise NumericalError("rank-deficient basis design at the smallest J")
     z = q.T @ y
-    rss_full = np.sum((y - q @ z) ** 2, axis=0)
+    np.matmul(q, z, out=work)
+    np.subtract(y, work, out=work)
+    rss_full = np.sum(np.square(work, out=work), axis=0)
     # tail[k] = sum_{k' >= k} z_k'^2, with a zero row for the full design.
     tail = np.zeros((z.shape[0] + 1, z.shape[1]))
     tail[:-1] = np.cumsum((z**2)[::-1], axis=0)[::-1]

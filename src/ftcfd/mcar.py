@@ -32,6 +32,9 @@ OUTCOME_NULL = "Null"
 OUTCOME_V = "V"
 OUTCOME_OTHER = "Other"
 
+# Bootstrap replications drawn and reduced at a time.
+_BLOCK = 100
+
 
 @dataclass(frozen=True)
 class RegressionFit:
@@ -147,6 +150,12 @@ def bootstrap_statistics(fit: RegressionFit, R: int, seed: int) -> np.ndarray:
     the estimates by R^{-1} w and leaves the residual sum of squares
     ||u*||^2 - ||w||^2, so no d*, refit or residual array is formed.
     Degenerate replications with zero residual variance yield 0.
+
+    The resamples are drawn and reduced to w and ||u*||^2 in blocks of
+    _BLOCK rows, so memory is O(_BLOCK n + R J), not O(R n): an R x n
+    resample array would be allocated, page-faulted in and returned to the
+    system on every call. The generator's integer stream does not depend on
+    how the draws are split, so every block size draws the same resamples.
     """
     check_R(R)
     n, k = fit.q.shape
@@ -154,9 +163,13 @@ def bootstrap_statistics(fit: RegressionFit, R: int, seed: int) -> np.ndarray:
         # Exact fit: every resample reproduces d, so all statistics vanish.
         return np.zeros((R, k - 1))
     rng = np.random.default_rng(seed)
-    resampled = rng.choice(fit.residuals, size=(R, n), replace=True)
-    w = resampled @ fit.q  # R x (J+1)
-    rss_star = np.einsum("ij,ij->i", resampled, resampled)
+    w = np.empty((R, k))  # R x (J+1)
+    rss_star = np.empty(R)
+    for start in range(0, R, _BLOCK):
+        stop = min(start + _BLOCK, R)
+        resampled = fit.residuals[rng.integers(0, n, size=(stop - start, n))]
+        np.matmul(resampled, fit.q, out=w[start:stop])
+        np.einsum("ij,ij->i", resampled, resampled, out=rss_star[start:stop])
     rss_star -= np.einsum("ij,ij->i", w, w)
     sigma2_star = np.maximum(rss_star, 0.0) / (n - k)
     diag = np.einsum("ij,ij->i", fit.r_inv[1:], fit.r_inv[1:])

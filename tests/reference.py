@@ -7,6 +7,8 @@ commands read the same estimates as moments(sample).mu[0] and
 cov_pair(m)[0], so a bit-exact comparison against them tests that code.
 full_square_estimates computes every derivative order and covariance block
 on the whole grid, the route the library's edge-only estimators shortcut.
+one_shot_bootstrap draws all R resamples as one R x n array, the route the
+library's blocked bootstrap must reproduce.
 """
 
 import numpy as np
@@ -120,3 +122,21 @@ def full_square_estimates(sample, l, u, K):
     cols = [_trapezoid_horner([S[a][b] for a in range(K + 1)], h, l, u) for b in range(K + 1)]
     rows = _trapezoid_horner([c.T for c in cols], h, l, u).T
     return _trapezoid_horner(mu, h, l, u), S[0][0], rows
+
+
+def one_shot_bootstrap(fit, R, seed):
+    """QR-form residual bootstrap statistics (R x J) from one R x n draw.
+
+    Every resample is drawn by a single rng.choice, then reduced by one
+    product with Q and one einsum, as before the draws were blocked.
+    """
+    n, k = fit.q.shape
+    rng = np.random.default_rng(seed)
+    resampled = rng.choice(fit.residuals, size=(R, n), replace=True)
+    w = resampled @ fit.q
+    rss_star = np.einsum("ij,ij->i", resampled, resampled) - np.einsum("ij,ij->i", w, w)
+    sigma2_star = np.maximum(rss_star, 0.0) / (n - k)
+    se_star = np.sqrt(sigma2_star[:, None] * np.einsum("ij,ij->i", fit.r_inv[1:], fit.r_inv[1:]))
+    delta = w @ fit.r_inv[1:].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(se_star > 0, (delta / se_star) ** 2, 0.0)

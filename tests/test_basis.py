@@ -16,6 +16,7 @@ from ftcfd.core import (
 )
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ArgumentError, NumericalError
+from ftcfd.estimators import fpca_scores
 
 
 def test_eval_basis_at_zero():
@@ -61,6 +62,17 @@ def test_basis_spec_validation():
 def test_eval_basis_rejects_points_outside_domain():
     with pytest.raises(ArgumentError):
         eval_basis(BasisSpec(3, (0.0, 1.0)), [1.5])
+
+
+@pytest.mark.parametrize("length", [1.0, 1e-13, 1e6])
+def test_eval_basis_domain_check_is_relative_to_the_domain(length):
+    inside = np.array([0.0, 0.5, 1.0, -1e-13, 1.0 + 1e-13])
+    outside = [-0.5, -1e-11, 1.0 + 1e-11, 1.5]
+    spec = BasisSpec(3, (0.0, length))
+    assert eval_basis(spec, inside * length).shape == (5, 3)
+    for u in outside:
+        with pytest.raises(ArgumentError, match="outside the basis domain"):
+            eval_basis(spec, [u * length])
 
 
 def test_project_constant_curves():
@@ -146,6 +158,22 @@ def test_select_j_validates_j_max():
     partial, _, _ = draw_sample(DgpConfig("DepDis", n=10, p=101, seed=0))
     with pytest.raises(ArgumentError, match="fully observed on the subdomain"):
         select_J(partial, 101, 5)
+
+
+@pytest.mark.parametrize("kind", ["DepDis", "DepCon", "IndDis", "IndCon"])
+def test_prefix_results_do_not_depend_on_the_memory_order(kind):
+    sample, _, _ = draw_sample(DgpConfig(kind, n=150, p=501, seed=(811, 0)))
+    fortran = FunctionalSample(
+        sample.grid, np.asfortranarray(sample.values), np.asfortranarray(sample.mask)
+    )
+    assert fortran.values.flags.f_contiguous and sample.values.flags.c_contiguous
+    prefix = fully_observed_prefix(summarize_observation(sample))
+    J, coef = select_J(sample, prefix, 51)
+    J_f, coef_f = select_J(fortran, prefix, 51)
+    assert J == J_f
+    assert np.array_equal(coef, coef_f)
+    for a, b in zip(fpca_scores(sample, prefix), fpca_scores(fortran, prefix)):
+        assert np.array_equal(a, b)
 
 
 def _select_j_reference(sample, prefix, J_max, basis_domain):

@@ -1,7 +1,10 @@
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftcfd import dgp, mcar
 from ftcfd.basis import select_J
@@ -18,6 +21,7 @@ from ftcfd.mcar import (
     fit_regression,
     romano_wolf,
 )
+from reference import one_shot_bootstrap
 
 
 def _design(n, J=5, seed=0):
@@ -157,6 +161,30 @@ def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
     _assert_close(fit.se, se)
     _assert_close(fit.t_sq, t_sq)
     _assert_close(bootstrap_statistics(fit, 500, seed=4), _reference_bootstrap(d, Xi, 500, 4))
+
+
+@functools.cache
+def _dgp_fit(n):
+    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=501, seed=(63, n)))
+    summ = summarize_observation(sample)
+    _, Xi = select_J(sample, fully_observed_prefix(summ), 51)
+    return fit_regression(summ.d_i, Xi)
+
+
+# R = 100 is the smallest bootstrap allowed; 101 and 250 end in a short block.
+@pytest.mark.parametrize("n", [151, 500])
+@pytest.mark.parametrize("R", [100, 101, 250, 1000])
+def test_blocked_bootstrap_matches_one_shot_draw(n, R):
+    fit = _dgp_fit(n)
+    _assert_close(bootstrap_statistics(fit, R, seed=5), one_shot_bootstrap(fit, R, 5))
+
+
+@settings(deadline=None, max_examples=30)
+@given(R_short=st.integers(100, 450), extra=st.integers(0, 250))
+def test_bootstrap_rows_do_not_depend_on_later_rows(R_short, extra):
+    fit = _dgp_fit(150)
+    full = bootstrap_statistics(fit, R_short + extra, seed=6)
+    _assert_close(full[:R_short], bootstrap_statistics(fit, R_short, seed=6))
 
 
 def test_fit_rank_deficiency_reports_the_lstsq_rank():
