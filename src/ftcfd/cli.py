@@ -99,7 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("input", help="sample CSV path")
     est.add_argument("--out", required=True, help="output directory")
     est.add_argument(
-        "--d-f", type=float, default=None, help="explicit integration anchor"
+        "--d-f",
+        type=float,
+        default=None,
+        help="a grid point every curve observes, needed without the interval "
+        "pattern; any such point gives the same estimates",
     )
     est.add_argument(
         "--fpc-scores",
@@ -186,7 +190,7 @@ def _cmd_estimate(args) -> int:
         ("cov_ftc.csv", write_matrix_csv, grid, cov_ftc),
     ]
     if args.fpc_scores:
-        prefix = fully_observed_prefix(m.obs)
+        prefix = fully_observed_prefix(sample)
         scores, explained = estimators.fpca_scores(sample, prefix)
         tables.append(("fpc_scores.csv", write_scores_csv, scores, explained))
     os.makedirs(args.out, exist_ok=True)

@@ -1,16 +1,15 @@
 """Data model for partially observed functional samples on a common grid.
 
-Curves live on one shared equidistant grid. Missingness is tracked by a
-boolean mask (True = observed); the value matrix carries NaN at masked-out
-cells so vectorized numpy code can rely on either representation. The mask
-is authoritative, and summarize_observation alone reads each curve's run.
+Curves live on one shared equidistant grid, and NaN in the value matrix is
+the one marker of a missing cell. A sample derives its boolean mask (True =
+observed) and each curve's observed run from the NaNs once, at construction.
 Under the interval pattern the part every curve observes, [t_1, d_min] in
 the paper, is held as its count of leading grid columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,83 +83,62 @@ def make_grid(p: int, a: float, b: float) -> Grid:
 
 @dataclass(frozen=True)
 class FunctionalSample:
-    """n curves on a shared grid with a per-cell observation mask.
+    """n curves on a shared grid, NaN marking each missing cell.
 
-    values[i, j] is NaN exactly where mask[i, j] is False. Every curve must
-    be observed at one grid point at least.
+    The constructor copies `values` and derives, read-only, the observation
+    mask and each curve's observed run: its first and last observed grid
+    index and its count of observed points. The run is contiguous exactly
+    when last - first + 1 == counts. Every curve must be observed at one
+    grid point at least.
     """
 
     grid: Grid
     values: np.ndarray
-    mask: np.ndarray
+    mask: np.ndarray = field(init=False)
+    first: np.ndarray = field(init=False)
+    last: np.ndarray = field(init=False)
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
+        values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.shape[1] != self.grid.p:
             raise ArgumentError("values must be an n x p matrix matching the grid")
-        if mask.shape != values.shape:
-            raise ArgumentError("mask shape must match values shape")
-        if not mask.any(axis=1).all():
+        # In place: one more n x p temporary here measurably slowed whole
+        # test-selection runs (allocation and page-fault effects).
+        mask = np.isnan(values)
+        np.logical_not(mask, out=mask)
+        counts = mask.sum(axis=1)
+        if not counts.all():
             raise ArgumentError("every curve needs at least one observed point")
-        if (np.isnan(values) & mask).any():
-            raise ArgumentError("observed cells must not be NaN")
-        # Keep the NaN sentinel in sync with the authoritative mask.
-        values = np.where(mask, values, np.nan)
-        values.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def from_values(cls, grid: Grid, values: np.ndarray) -> "FunctionalSample":
-        """Build a sample from a value matrix using NaN as the missing marker."""
-        values = np.asarray(values, dtype=float)
-        return cls(grid, values, ~np.isnan(values))
+        first = np.argmax(mask, axis=1)
+        last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+        derived = dict(values=values, mask=mask, first=first, last=last, counts=counts)
+        for name, arr in derived.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
+    @property
+    def d_i(self) -> np.ndarray:
+        """Each curve's last observed grid point; the paper's d_min is d_i.min()."""
+        return self.grid.points[self.last]
 
-@dataclass(frozen=True)
-class ObservationSummary:
-    """Per curve: first and last observed grid index, point count, endpoint.
-
-    A curve's observed run is contiguous exactly when last - first + 1 == counts.
-    Under the interval pattern the paper's d_min is d_i.min().
-    """
-
-    first: np.ndarray
-    last: np.ndarray
-    counts: np.ndarray
-    d_i: np.ndarray
-    interval_pattern: bool
+    @property
+    def interval_pattern(self) -> bool:
+        """Whether every curve's run starts at the first grid point and has no gap."""
+        return bool(np.all(self.first == 0) and np.all(self.last + 1 == self.counts))
 
 
-def summarize_observation(sample: FunctionalSample) -> ObservationSummary:
-    """Per-curve observed runs and endpoints, and the interval-pattern flag.
-
-    A sample has the interval pattern when every row mask looks like
-    {1,...,1,0,...,0} starting at the first grid point. d_i is the last
-    observed grid point of curve i.
-    """
-    mask = sample.mask
-    counts = mask.sum(axis=1)
-    first = np.argmax(mask, axis=1)
-    last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
-    # Prefix pattern: observed run starts at column 0 and is contiguous.
-    interval = bool(np.all(first == 0) and np.all(last + 1 == counts))
-    return ObservationSummary(first, last, counts, sample.grid.points[last], interval)
-
-
-def fully_observed_prefix(summary: ObservationSummary) -> int:
+def fully_observed_prefix(sample: FunctionalSample) -> int:
     """Number of leading grid columns, [t_1, d_min], that every curve observes.
 
     Needs the interval pattern and d_min > t_1, i.e. at least 2 columns.
     """
-    prefix = int(summary.last.min()) + 1
-    if not summary.interval_pattern or prefix < 2:
+    prefix = int(sample.last.min()) + 1
+    if not sample.interval_pattern or prefix < 2:
         raise ArgumentError(
             "no fully observed subdomain [t_1, d_min]: needs the interval "
             "pattern and d_min > t_1"

@@ -108,8 +108,8 @@ def draw_sample(config: DgpConfig):
         d = np.where((xi[:, 0] - mu1) + (xi[:, 1] - DEFAULT_MU[1]) < 0.0, 0.5, 1.0)
     grid = make_grid(config.p, 0.0, 1.0)
     values = xi @ _design_basis(config.kind, grid.points).T
-    mask = grid.points[None, :] <= d[:, None]
-    sample = FunctionalSample(grid, values, mask)
+    values[grid.points[None, :] > d[:, None]] = np.nan
+    sample = FunctionalSample(grid, values)
     return sample, d, xi
 
 

@@ -15,7 +15,7 @@ applied to the moments m = moments(sample, d_f, K): ftc_mean(m) = M_K mu and
 cov_pair(m) = (S[0][0], M_K S M_K^T), where mu stacks the derivative means
 of orders 0..K (mu[0] is the classical mean) and S[a][b] is the
 pairwise-complete covariance of orders a and b (S[0][0] the classical one).
-moments summarises the sample once; each derivative order is a bare array.
+moments reads the curves' observed runs off the sample; each order is a bare array.
 Orders k >= 1 keep only the edge columns 0..l, u..p-1, where the block is
 [l, l + 1]: P is the identity and W zero on [l, u], so M_K reads no more.
 
@@ -38,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FunctionalSample,
-    ObservationSummary,
-    prefix_values,
-    summarize_observation,
-)
+from .core import FunctionalSample, prefix_values
 from .errors import ArgumentError
 
 
@@ -144,13 +139,12 @@ class Moments:
 
     values[k] is the order-k derivative of every curve (k = 0..K, values[0]
     the sample's own), NaN off the sample's mask, and mu[k] its pointwise
-    mean; obs is the sample's observation summary. [l, u] is the maximal
-    fully observed run of grid indices around the grid point `anchor`.
+    mean. [l, u] is the block of grid indices every curve observes, which
+    holds the checked grid point `anchor`.
     Orders k >= 1 cover only `edges` (0..l, u..p-1), all that M_K reads.
     """
 
     sample: FunctionalSample
-    obs: ObservationSummary
     values: tuple[np.ndarray, ...]
     mu: tuple[np.ndarray, ...]
     l: int
@@ -160,37 +154,40 @@ class Moments:
 
 
 def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
-    """Derivative moments of orders 0..K, anchored at d_f (default d_min).
+    """Derivative moments of orders 0..K and the anchor block [l, u].
 
-    d_f is snapped to the nearest grid point, which must be observed by
-    every curve. Without d_f the sample must have the interval pattern and
-    the anchor is d_min, the last grid point every curve observes, i.e.
-    grid.points[prefix - 1] for core.fully_observed_prefix. Every observed
-    run must be contiguous, so [l, u] is the runs' common part.
+    Every observed run must be contiguous, and [l, u] is their common part,
+    [first.max(), last.min()]. d_f does not move it: d_f, snapped to the
+    nearest grid point, only has to be observed by every curve, so that the
+    block is not empty. Without d_f the sample must have the interval
+    pattern, and the anchor is d_min, the last grid point every curve
+    observes (grid.points[prefix - 1] for core.fully_observed_prefix). Every
+    fully observed grid point as d_f gives the same moments, bit for bit.
     """
     if K < 1:
         raise ArgumentError("K must be >= 1")
-    obs = summarize_observation(sample)
     _reject_curves(
-        obs.counts < K + 2,
+        sample.counts < K + 2,
         f"order-{K} stencils need >= {K + 2} observed points per curve",
     )
     if d_f is None:
-        if not obs.interval_pattern:
+        if not sample.interval_pattern:
             raise ArgumentError(
                 "sample does not have the interval observation pattern; "
                 "pass an explicit anchor d_f (--d-f)"
             )
-        j_f = int(obs.last.min())
+        j_f = int(sample.last.min())
     else:
         j_f = sample.grid.index_of(d_f)
     if not sample.mask[:, j_f].all():
         raise ArgumentError(
             f"grid point {sample.grid.points[j_f]} is not observed for the full sample"
         )
-    span = obs.last - obs.first + 1
-    _reject_curves(span != obs.counts, "observed set of each curve must be contiguous")
-    l, u = int(obs.first.max()), int(obs.last.min())
+    first, last = sample.first, sample.last
+    _reject_curves(
+        last - first + 1 != sample.counts, "observed set of each curve must be contiguous"
+    )
+    l, u = int(first.max()), int(last.min())
     # Order k at u reads order k - 1 at u - 1 and u - 2 (end stencil), so the
     # edges get K + 1 margin columns, spoilt one per order across the seam.
     # Basic slices, as numpy sums fancy-indexed columns in another order.
@@ -198,12 +195,12 @@ def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
     window = np.delete(sample.values, np.s_[cut: cut + gap], axis=1)
     values = [sample.values]
     for _ in range(K):
-        window = differentiate(window, obs.first, obs.last - gap, sample.grid.h)
+        window = differentiate(window, first, last - gap, sample.grid.h)
         values.append(np.concatenate([window[:, : l + 1], window[:, u - gap:]], axis=1))
     edge_mask = np.concatenate([sample.mask[:, : l + 1], sample.mask[:, u:]], axis=1)
     mu = (_mean(sample.values, sample.mask), *(_mean(v, edge_mask) for v in values[1:]))
     edges, anchor = np.r_[: l + 1, u: sample.grid.p], float(sample.grid.points[j_f])
-    return Moments(sample, obs, tuple(values), mu, l, u, edges, anchor)
+    return Moments(sample, tuple(values), mu, l, u, edges, anchor)
 
 
 def ftc_mean(m: Moments) -> np.ndarray:

@@ -316,14 +316,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     Each cell's replications are split into tasks of ``_CHUNK`` (the last
     one ragged). With more than one worker, a single process pool serves
     every cell; its ordered map, over the same tasks as a sequential run,
-    keeps the results independent of the worker count.
+    keeps the results independent of the worker count. The pool starts no
+    more workers than the run has tasks.
     """
     task_fn, cells_fn = _MODES[spec.mode]
     workers = _worker_count()
+    n_tasks = len(spec.kinds) * len(spec.n) * -(-spec.replications // _CHUNK)
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            pool = ProcessPoolExecutor(max_workers=min(workers, n_tasks))
+            mapper = stack.enter_context(pool).map
         cells = []
         for kind in spec.kinds:
             for n in spec.n:

@@ -107,7 +107,7 @@ def parse_sample_csv(text: str) -> FunctionalSample:
         j = next(j for j in range(p) if row[j + 1] and not np.isfinite(values[i, j]))
         raise ParseError(f"non-finite value {row[j + 1]!r} in field {j + 2}", line=lineno)
     try:
-        return FunctionalSample.from_values(grid, values)
+        return FunctionalSample(grid, values)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import check_J_max, select_J
-from .core import (
-    FunctionalSample,
-    check_seed,
-    fully_observed_prefix,
-    summarize_observation,
-)
+from .core import FunctionalSample, check_seed, fully_observed_prefix
 from .errors import ArgumentError, NumericalError
 
 OUTCOME_NULL = "Null"
@@ -149,7 +144,8 @@ def bootstrap_statistics(fit: RegressionFit, R: int, seed: int) -> np.ndarray:
     The fit's QR serves every replication: with w = Q^T u*, the refit moves
     the estimates by R^{-1} w and leaves the residual sum of squares
     ||u*||^2 - ||w||^2, so no d*, refit or residual array is formed.
-    Degenerate replications with zero residual variance yield 0.
+    Degenerate replications with zero residual variance yield 0, so an
+    exact fit, whose resamples are all zero, yields 0 throughout.
 
     The resamples are drawn and reduced to w and ||u*||^2 in blocks of
     _BLOCK rows, so memory is O(_BLOCK n + R J), not O(R n): an R x n
@@ -159,9 +155,6 @@ def bootstrap_statistics(fit: RegressionFit, R: int, seed: int) -> np.ndarray:
     """
     check_R(R)
     n, k = fit.q.shape
-    if not fit.residuals.any():
-        # Exact fit: every resample reproduces d, so all statistics vanish.
-        return np.zeros((R, k - 1))
     rng = np.random.default_rng(seed)
     w = np.empty((R, k))  # R x (J+1)
     rss_star = np.empty(R)
@@ -227,17 +220,16 @@ def classify_and_test(
     the degenerate-response flag set, after J_max, alpha, R and the seed are
     checked.
     """
-    summ = summarize_observation(sample)
-    if not summ.interval_pattern:
+    if not sample.interval_pattern:
         raise ArgumentError("test requires the interval observation pattern")
-    prefix = fully_observed_prefix(summ)
+    prefix = fully_observed_prefix(sample)
     check_J_max(J_max)
     check_alpha(alpha)
     check_R(R)
     check_seed(seed)
-    if np.ptp(summ.d_i) == 0.0:
+    if np.ptp(sample.d_i) == 0.0:
         return TestReport(
             frozenset(), (), OUTCOME_NULL, alpha, R, seed, degenerate_response=True
         )
     _, coefficients = select_J(sample, prefix, J_max)
-    return romano_wolf(summ.d_i, coefficients, alpha, R, seed)
+    return romano_wolf(sample.d_i, coefficients, alpha, R, seed)

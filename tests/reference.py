@@ -13,7 +13,7 @@ library's blocked bootstrap must reproduce.
 
 import numpy as np
 
-from ftcfd.core import FunctionalSample, make_grid, summarize_observation
+from ftcfd.core import FunctionalSample, make_grid
 from ftcfd.estimators import differentiate
 
 
@@ -52,7 +52,7 @@ def cov_est(sample: FunctionalSample) -> np.ndarray:
 def interval_sample(grid, values, d):
     """Curve i observed on the grid points up to d[i]."""
     mask = grid.points[None, :] <= np.asarray(d)[:, None]
-    return FunctionalSample(grid, np.where(mask, values, np.nan), mask)
+    return FunctionalSample(grid, np.where(mask, values, np.nan))
 
 
 def identical_curve_sample(p):
@@ -103,10 +103,9 @@ def full_square_estimates(sample, l, u, K):
     formed on the full p x p square, whatever M_K reads of it: the direct
     route that edge-only estimators must reproduce.
     """
-    obs = summarize_observation(sample)
     values = [sample.values]
     for _ in range(K):
-        values.append(differentiate(values[-1], obs.first, obs.last, sample.grid.h))
+        values.append(differentiate(values[-1], sample.first, sample.last, sample.grid.h))
     counts = sample.mask.sum(axis=0)
     mu, cs = [], []
     for v in values:

@@ -180,7 +180,7 @@ def test_criterion_7_estimator_and_test_properties():
     checks.append(("cov symmetry <= 1e-8", np.nanmax(np.abs(c - c.T)) <= 1e-8))
 
     # level-shift invariance
-    shifted = FunctionalSample(s.grid, s.values + 3.0, s.mask)
+    shifted = FunctionalSample(s.grid, s.values + 3.0)
     checks.append(
         (
             "shift invariance",

@@ -8,12 +8,7 @@ from ftcfd.basis import (
     eval_basis,
     select_J,
 )
-from ftcfd.core import (
-    FunctionalSample,
-    fully_observed_prefix,
-    make_grid,
-    summarize_observation,
-)
+from ftcfd.core import FunctionalSample, fully_observed_prefix, make_grid
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.estimators import fpca_scores
@@ -77,7 +72,7 @@ def test_eval_basis_domain_check_is_relative_to_the_domain(length):
 
 def test_project_constant_curves():
     g = make_grid(51, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.full((4, 51), 2.5))
+    s = FunctionalSample(g, np.full((4, 51), 2.5))
     J, coef = select_J(s, 51, 5)
     expected = np.zeros(J)
     expected[0] = 2.5
@@ -87,7 +82,7 @@ def test_project_constant_curves():
 def test_project_reproduces_basis_element():
     g = make_grid(101, 0.0, 1.0)
     psi2 = eval_basis(BasisSpec(3, (0.0, 1.0)), g.points)[:, 1]
-    s = FunctionalSample.from_values(g, psi2[None, :])
+    s = FunctionalSample(g, psi2[None, :])
     coef = select_J(s, 101, 3)[1]
     assert np.abs(coef[0] - [0.0, 1.0, 0.0]).max() < 1e-6
 
@@ -98,7 +93,7 @@ def _render(xi, sample):
 
 def test_project_recovers_generator_coefficients():
     sample, _, xi = draw_sample(DgpConfig("IndDis", n=20, p=201, seed=3))
-    full = FunctionalSample.from_values(sample.grid, _render(xi, sample))
+    full = FunctionalSample(sample.grid, _render(xi, sample))
     coef = select_J(full, 201, 11)[1]
     assert np.abs(coef - xi).max() < 1e-6
 
@@ -107,7 +102,7 @@ def test_project_residual_orthogonal_to_design():
     g = make_grid(101, 0.0, 1.0)
     rng = np.random.default_rng(1)
     vals = rng.standard_normal((5, 101))
-    s = FunctionalSample.from_values(g, vals)
+    s = FunctionalSample(g, vals)
     J, coef = select_J(s, 101, 7)
     design = eval_basis(BasisSpec(J, (0.0, 1.0)), g.points)
     resid = vals.T - design @ coef.T
@@ -117,14 +112,14 @@ def test_project_residual_orthogonal_to_design():
 
 def test_select_j_recovers_generator_dimension():
     sample, _, xi = draw_sample(DgpConfig("IndDis", n=50, p=201, seed=6))
-    full = FunctionalSample.from_values(sample.grid, _render(xi, sample))
+    full = FunctionalSample(sample.grid, _render(xi, sample))
     for j_max in (5, 11, 31):
         assert select_J(full, 201, j_max)[0] == 5
 
 
 def test_select_j_constant_sample():
     g = make_grid(101, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.full((10, 101), 3.0))
+    s = FunctionalSample(g, np.full((10, 101), 3.0))
     assert select_J(s, 101, 21)[0] == 3
 
 
@@ -140,7 +135,7 @@ def test_select_j_invariant_to_curve_order():
     sample, _, _ = draw_sample(DgpConfig("IndCon", n=30, p=101, seed=5))
     j1, c1 = select_J(sample, 51, 21)
     perm = np.random.default_rng(0).permutation(sample.n)
-    shuffled = FunctionalSample(sample.grid, sample.values[perm], sample.mask[perm])
+    shuffled = FunctionalSample(sample.grid, sample.values[perm])
     j2, c2 = select_J(shuffled, 51, 21)
     assert j2 == j1
     assert np.allclose(c2, c1[perm], rtol=1e-12, atol=0.0)
@@ -148,7 +143,7 @@ def test_select_j_invariant_to_curve_order():
 
 def test_select_j_validates_j_max():
     g = make_grid(11, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.ones((2, 11)))
+    s = FunctionalSample(g, np.ones((2, 11)))
     with pytest.raises(ArgumentError):
         select_J(s, 11, 4)
     with pytest.raises(ArgumentError, match="too few for J >= 3"):
@@ -163,11 +158,9 @@ def test_select_j_validates_j_max():
 @pytest.mark.parametrize("kind", ["DepDis", "DepCon", "IndDis", "IndCon"])
 def test_prefix_results_do_not_depend_on_the_memory_order(kind):
     sample, _, _ = draw_sample(DgpConfig(kind, n=150, p=501, seed=(811, 0)))
-    fortran = FunctionalSample(
-        sample.grid, np.asfortranarray(sample.values), np.asfortranarray(sample.mask)
-    )
+    fortran = FunctionalSample(sample.grid, np.asfortranarray(sample.values))
     assert fortran.values.flags.f_contiguous and sample.values.flags.c_contiguous
-    prefix = fully_observed_prefix(summarize_observation(sample))
+    prefix = fully_observed_prefix(sample)
     J, coef = select_J(sample, prefix, 51)
     J_f, coef_f = select_J(fortran, prefix, 51)
     assert J == J_f
@@ -219,7 +212,7 @@ def _assert_matches_reference(sample, prefix, J_max):
 def test_select_j_matches_lstsq_sweep_on_dgp_draws(kind, n):
     for rep in range(3):
         sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=501, seed=(810, rep)))
-        prefix = fully_observed_prefix(summarize_observation(sample))
+        prefix = fully_observed_prefix(sample)
         _assert_matches_reference(sample, prefix, 51)
 
 
@@ -233,5 +226,5 @@ def test_select_j_matches_lstsq_sweep_where_rank_breaks(p, hi, J_max, noise):
     g = make_grid(p, 0.0, 1.0)
     rng = np.random.default_rng(0)
     curves = rng.standard_normal((40, 7)) @ eval_basis(BasisSpec(7, (0, 1)), g.points).T
-    s = FunctionalSample.from_values(g, curves + noise * rng.standard_normal((40, p)))
+    s = FunctionalSample(g, curves + noise * rng.standard_normal((40, p)))
     _assert_matches_reference(s, round(hi * (p - 1)) + 1, J_max)

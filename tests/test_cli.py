@@ -349,8 +349,8 @@ def test_failed_estimate_leaves_no_output(tmp_path, capsys, rows, extra, code, m
 
 
 def test_estimate_differentiates_once_per_order(tmp_path, monkeypatch):
-    # Each estimate run differentiates once per order (K = 1) and summarises
-    # the observation pattern once, whichever module calls the summary.
+    # Each estimate run differentiates once per order (K = 1) and builds one
+    # sample, which finds every curve's observed run.
     calls = []
     differentiate = estimators.differentiate
     monkeypatch.setattr(
@@ -358,21 +358,19 @@ def test_estimate_differentiates_once_per_order(tmp_path, monkeypatch):
         "differentiate",
         lambda *a: calls.append("differentiate") or differentiate(*a),
     )
-    summarize = core.summarize_observation
-    for module in (core, estimators, cli):
-        if hasattr(module, "summarize_observation"):
-            monkeypatch.setattr(
-                module,
-                "summarize_observation",
-                lambda s: calls.append("summarize_observation") or summarize(s),
-            )
+    init = FunctionalSample.__init__
+    monkeypatch.setattr(
+        FunctionalSample,
+        "__init__",
+        lambda self, *a: calls.append("FunctionalSample") or init(self, *a),
+    )
     sample_path = tmp_path / "s.csv"
     _simulate(sample_path, "DepCon", 30, 41, 15)
     for extra in (["--fpc-scores"], ["--d-f", "0.25"]):
         calls.clear()
         argv = ["estimate", str(sample_path), "--out", str(tmp_path / "est"), *extra]
         assert main(argv) == EXIT_OK
-        assert sorted(calls) == ["differentiate", "summarize_observation"], extra
+        assert sorted(calls) == ["FunctionalSample", "differentiate"], extra
 
 
 def _simulate(path, kind, n, p, seed):
@@ -396,7 +394,7 @@ def test_estimate_separates_biased_and_corrected_means(tmp_path):
 
 def test_estimate_fully_observed_estimates_agree(tmp_path, capsys):
     sample, _, xi = draw_sample(DgpConfig("IndDis", n=40, p=101, seed=13))
-    full = FunctionalSample.from_values(
+    full = FunctionalSample(
         sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
     )
     sample_path = tmp_path / "full.csv"
@@ -426,7 +424,7 @@ def test_prefix_commands_run_on_a_grid_in_small_units(tmp_path, capsys):
     sample, _, _ = draw_sample(DgpConfig("DepDis", n=60, p=101, seed=1))
     grid = core.Grid(sample.grid.points * 1e-11)
     path = tmp_path / "small.csv"
-    write_sample_csv(FunctionalSample(grid, sample.values, sample.mask), path)
+    write_sample_csv(FunctionalSample(grid, sample.values), path)
     assert main(["test", str(path)]) == EXIT_OK
     assert "outcome=V" in capsys.readouterr().out
     argv = ["estimate", str(path), "--out", str(tmp_path / "est"), "--fpc-scores"]

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftcfd.core import (
-    FunctionalSample,
-    Grid,
-    fully_observed_prefix,
-    make_grid,
-    summarize_observation,
-)
+from ftcfd.core import FunctionalSample, Grid, fully_observed_prefix, make_grid
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ArgumentError
 
@@ -83,109 +77,96 @@ def test_index_of_rejects_off_grid_points(t):
         make_grid(11, 0.0, 1.0).index_of(t)
 
 
-def test_sample_syncs_nan_with_mask():
-    g = make_grid(3, 0.0, 1.0)
-    values = np.array([[1.0, 2.0, 3.0]])
-    mask = np.array([[True, True, False]])
-    s = FunctionalSample(g, values, mask)
-    assert np.isnan(s.values[0, 2])
-    assert s.values[0, 1] == 2.0
-
-
-def test_sample_rejects_nan_in_observed_cell():
-    g = make_grid(3, 0.0, 1.0)
-    with pytest.raises(ArgumentError, match=r"^observed cells must not be NaN$"):
-        FunctionalSample(g, np.array([[1.0, np.nan, 3.0]]), np.ones((1, 3), bool))
-    # NaN in a cell the mask leaves out is the missing marker, not an error.
-    s = FunctionalSample(g, np.array([[1.0, np.nan, 3.0]]), np.array([[True, False, True]]))
-    assert s.mask.sum() == 2
-
-
 def test_sample_rejects_fully_missing_curve():
     g = make_grid(3, 0.0, 1.0)
     with pytest.raises(ArgumentError):
-        FunctionalSample.from_values(g, np.array([[1.0, 2.0, 3.0], [np.nan] * 3]))
+        FunctionalSample(g, np.array([[1.0, 2.0, 3.0], [np.nan] * 3]))
 
 
-def test_sample_from_values_uses_nan_marker():
+def test_sample_rejects_values_off_the_grid():
     g = make_grid(3, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.array([[1.0, np.nan, 3.0]]))
+    for values in (np.ones(3), np.ones((2, 4)), np.ones((1, 3, 1))):
+        with pytest.raises(ArgumentError, match="n x p matrix"):
+            FunctionalSample(g, values)
+
+
+def test_sample_mask_marks_the_non_nan_cells():
+    g = make_grid(3, 0.0, 1.0)
+    s = FunctionalSample(g, np.array([[1.0, np.nan, 3.0]]))
     assert np.array_equal(s.mask, [[True, False, True]])
 
 
 def test_sample_arrays_are_immutable():
     g = make_grid(3, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.array([[1.0, 2.0, 3.0]]))
-    with pytest.raises(ValueError):
-        s.values[0, 0] = 9.0
-    with pytest.raises(ValueError):
-        s.mask[0, 0] = False
+    s = FunctionalSample(g, np.array([[1.0, 2.0, 3.0]]))
+    for name in ("values", "mask", "first", "last", "counts"):
+        with pytest.raises(ValueError):
+            getattr(s, name)[0] = 0
+
+
+def test_sample_leaves_the_callers_values_writable():
+    # The sample freezes its own copy, never the caller's array.
+    g = make_grid(3, 0.0, 1.0)
+    values = np.array([[1.0, 2.0, np.nan]])
+    s = FunctionalSample(g, values)
+    assert values.flags.writeable
+    values[0, 0] = 9.0
+    assert s.values[0, 0] == 1.0
 
 
 def test_summarize_fully_observed():
     g = make_grid(4, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.arange(8.0).reshape(2, 4))
-    summ = summarize_observation(s)
-    assert np.array_equal(summ.first, [0, 0])
-    assert np.array_equal(summ.last, [3, 3])
-    assert np.array_equal(summ.counts, [4, 4])
-    assert np.array_equal(summ.d_i, [1.0, 1.0])
-    assert summ.d_i.min() == 1.0
-    assert summ.interval_pattern
+    s = FunctionalSample(g, np.arange(8.0).reshape(2, 4))
+    assert np.array_equal(s.first, [0, 0])
+    assert np.array_equal(s.last, [3, 3])
+    assert np.array_equal(s.counts, [4, 4])
+    assert np.array_equal(s.d_i, [1.0, 1.0])
+    assert s.d_i.min() == 1.0
+    assert s.interval_pattern
 
 
 def test_summarize_hand_checked_two_curves():
     g = make_grid(3, 0.0, 1.0)
-    s = FunctionalSample.from_values(
-        g, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, np.nan]])
-    )
-    summ = summarize_observation(s)
-    assert np.array_equal(summ.first, [0, 0])
-    assert np.array_equal(summ.last, [2, 1])
-    assert np.array_equal(summ.counts, [3, 2])
-    assert np.array_equal(summ.d_i, [1.0, 0.5])
-    assert summ.d_i.min() == 0.5
-    assert summ.interval_pattern
+    s = FunctionalSample(g, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, np.nan]]))
+    assert np.array_equal(s.first, [0, 0])
+    assert np.array_equal(s.last, [2, 1])
+    assert np.array_equal(s.counts, [3, 2])
+    assert np.array_equal(s.d_i, [1.0, 0.5])
+    assert s.d_i.min() == 0.5
+    assert s.interval_pattern
 
 
 def test_summarize_endpoint_fraction_matches_sign_rule():
     sample, d, xi = draw_sample(DgpConfig("DepDis", n=500, p=101, seed=4))
-    summ = summarize_observation(sample)
-    assert np.array_equal(summ.d_i, d)
-    assert abs(np.mean(summ.d_i == 1.0) - 0.5) < 0.07
+    assert np.array_equal(sample.d_i, d)
+    assert abs(np.mean(sample.d_i == 1.0) - 0.5) < 0.07
 
 
 def test_summarize_is_pure_function_of_mask():
     g = make_grid(5, 0.0, 1.0)
-    mask = np.array([[True, True, True, False, False]])
-    a = FunctionalSample(g, np.ones((1, 5)), mask)
-    b = FunctionalSample(g, np.full((1, 5), 7.5), mask)
-    sa, sb = summarize_observation(a), summarize_observation(b)
+    missing = np.array([[False, False, False, True, True]])
+    a = FunctionalSample(g, np.where(missing, np.nan, 1.0))
+    b = FunctionalSample(g, np.where(missing, np.nan, 7.5))
     for field in ("first", "last", "counts", "d_i"):
-        assert np.array_equal(getattr(sa, field), getattr(sb, field))
-    # idempotent: calling twice gives the same summary
-    sa2 = summarize_observation(a)
-    assert np.array_equal(sa.counts, sa2.counts)
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_summarize_non_interval_pattern():
     g = make_grid(4, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.array([[1.0, np.nan, 2.0, 3.0]]))
-    summ = summarize_observation(s)
-    assert not summ.interval_pattern
+    s = FunctionalSample(g, np.array([[1.0, np.nan, 2.0, 3.0]]))
+    assert not s.interval_pattern
     with pytest.raises(ArgumentError, match="no fully observed subdomain"):
-        fully_observed_prefix(summ)
+        fully_observed_prefix(s)
     # The run 0..3 holds 3 points: it has a gap.
-    assert (summ.first[0], summ.last[0], summ.counts[0]) == (0, 3, 3)
+    assert (s.first[0], s.last[0], s.counts[0]) == (0, 3, 3)
 
 
 def test_interval_pattern_runs_are_prefixes():
     sample, _, _ = draw_sample(DgpConfig("IndCon", n=60, p=51, seed=2))
-    summ = summarize_observation(sample)
-    assert summ.interval_pattern
-    assert np.array_equal(summ.first, np.zeros(60))
-    assert np.array_equal(summ.counts, summ.last + 1)
-    assert np.array_equal(summ.d_i, sample.grid.points[summ.last])
+    assert sample.interval_pattern
+    assert np.array_equal(sample.first, np.zeros(60))
+    assert np.array_equal(sample.counts, sample.last + 1)
+    assert np.array_equal(sample.d_i, sample.grid.points[sample.last])
 
 
 @settings(deadline=None, max_examples=100)
@@ -195,6 +176,6 @@ def test_interval_pattern_runs_are_prefixes():
 )
 def test_fully_observed_prefix_counts_the_leading_observed_columns(lasts, p):
     mask = np.arange(p) <= np.array(lasts)[:, None]
-    sample = FunctionalSample(make_grid(p, 0.0, 1.0), np.zeros(mask.shape), mask)
+    sample = FunctionalSample(make_grid(p, 0.0, 1.0), np.where(mask, 0.0, np.nan))
     leading = int(np.argmin(np.append(mask.all(axis=0), False)))
-    assert fully_observed_prefix(summarize_observation(sample)) == leading
+    assert fully_observed_prefix(sample) == leading

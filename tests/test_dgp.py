@@ -89,7 +89,7 @@ def test_coefficient_moments():
 
 def test_rendered_curves_project_back_to_coefficients():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=20, p=201, seed=7))
-    full = FunctionalSample.from_values(
+    full = FunctionalSample(
         sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
     )
     coef = select_J(full, 201, 11)[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftcfd import dgp
-from ftcfd.core import FunctionalSample, make_grid, summarize_observation
+from ftcfd.core import FunctionalSample, make_grid
 from ftcfd.errors import ArgumentError
 from ftcfd.estimators import (
     _backtransform,
@@ -38,13 +38,13 @@ def _nan_equal(a, b):
 def test_mean_est_fully_observed():
     g = make_grid(5, 0.0, 1.0)
     vals = np.arange(10.0).reshape(2, 5)
-    s = FunctionalSample.from_values(g, vals)
+    s = FunctionalSample(g, vals)
     assert np.allclose(mean_est(s), vals.mean(axis=0))
 
 
 def test_mean_est_single_observer():
     g = make_grid(3, 0.0, 1.0)
-    s = FunctionalSample.from_values(
+    s = FunctionalSample(
         g, np.array([[1.0, 2.0, 7.0], [3.0, 4.0, np.nan]])
     )
     assert mean_est(s)[2] == 7.0
@@ -71,19 +71,18 @@ def test_mean_est_selection_bias_at_three_quarters():
 
 def _derivative(sample):
     """First derivative of a sample whose curves are contiguous runs."""
-    obs = summarize_observation(sample)
-    return differentiate(sample.values, obs.first, obs.last, sample.grid.h)
+    return differentiate(sample.values, sample.first, sample.last, sample.grid.h)
 
 
 def test_differentiate_exact_on_linear():
     g = make_grid(21, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, (1.5 + 2.5 * g.points)[None, :])
+    s = FunctionalSample(g, (1.5 + 2.5 * g.points)[None, :])
     assert np.allclose(_derivative(s), 2.5, atol=1e-12)
 
 
 def test_differentiate_sine_accuracy():
     g = make_grid(501, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.sin(2 * np.pi * g.points)[None, :])
+    s = FunctionalSample(g, np.sin(2 * np.pi * g.points)[None, :])
     err = np.abs(_derivative(s)[0] - 2 * np.pi * np.cos(2 * np.pi * g.points))
     assert err.max() < 1e-3
 
@@ -93,7 +92,8 @@ def test_differentiate_preserves_mask():
     g = make_grid(11, 0.0, 1.0)
     lo, hi = np.array([[0], [2], [4]]), np.array([[5], [10], [7]])
     idx = np.arange(11)
-    s = FunctionalSample(g, np.tile(g.points**2, (3, 1)), (idx >= lo) & (idx <= hi))
+    observed = (idx >= lo) & (idx <= hi)
+    s = FunctionalSample(g, np.where(observed, np.tile(g.points**2, (3, 1)), np.nan))
     d = _derivative(s)
     assert np.array_equal(~np.isnan(d), s.mask)
     want = np.broadcast_to(2 * g.points, s.mask.shape)
@@ -103,7 +103,7 @@ def test_differentiate_preserves_mask():
 def test_moments_rejects_non_contiguous_runs():
     # The error names the first offending curve by its 1-based row.
     g = make_grid(5, 0.0, 1.0)
-    s = FunctionalSample.from_values(
+    s = FunctionalSample(
         g, np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 2.0, 3.0, 4.0]])
     )
     with pytest.raises(ArgumentError, match=r"must be contiguous \(curve 2\)$"):
@@ -112,7 +112,7 @@ def test_moments_rejects_non_contiguous_runs():
 
 def test_moments_rejects_short_runs():
     g = make_grid(5, 0.0, 1.0)
-    s = FunctionalSample.from_values(
+    s = FunctionalSample(
         g,
         np.array(
             [[0.0, 1.0, 2.0, np.nan, np.nan]]
@@ -130,7 +130,7 @@ def test_cov_est_fully_observed_divisor_n():
     g = make_grid(4, 0.0, 1.0)
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((6, 4))
-    s = FunctionalSample.from_values(g, vals)
+    s = FunctionalSample(g, vals)
     expected = np.cov(vals.T, bias=True)
     assert np.allclose(cov_est(s), expected, atol=1e-12)
 
@@ -168,7 +168,7 @@ def test_cov_est_monte_carlo_against_truth():
             np.asarray(dgp.DEFAULT_LAMBDA)
         ) * rng.standard_normal((500, 5))
         vals = xi @ _fourier5(g.points).T
-        s = FunctionalSample.from_values(g, vals)
+        s = FunctionalSample(g, vals)
         acc += cov_est(s)
     assert np.abs(acc / reps - truth).max() < 1.5
 
@@ -222,7 +222,7 @@ def test_cum_int_stops_at_undefined_cells():
 
 def test_ftc_mean_equals_classical_under_full_observation():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=501, seed=2))
-    full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
+    full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     diff = ftc_mean(moments(full)) - mean_est(full)
     assert np.abs(diff).max() < 1e-4
 
@@ -237,14 +237,14 @@ def test_ftc_mean_matches_classical_on_observed_block():
 
 def test_ftc_mean_rejects_non_interval_pattern():
     g = make_grid(5, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.array([[np.nan, 1.0, 2.0, 3.0, 4.0]]))
+    s = FunctionalSample(g, np.array([[np.nan, 1.0, 2.0, 3.0, 4.0]]))
     with pytest.raises(ArgumentError):
         ftc_mean(moments(s))
 
 
 def test_ftc_cov_equals_classical_under_full_observation():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=40, p=201, seed=4))
-    full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
+    full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     diff = cov_pair(moments(full))[1] - cov_est(full)
     assert np.abs(diff).max() < 1e-2
 
@@ -283,19 +283,23 @@ def test_general_mean_reduces_to_interval_version():
     assert _nan_equal(a, b)
 
 
-def test_general_cov_reduces_to_interval_version():
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=9))
-    a = cov_pair(moments(sample))[1]
-    b = cov_pair(moments(sample, float(d.min())))[1]
-    assert np.nanmax(np.abs(a - b)) < 1e-10
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("observed", ["interval", "full"])
+def test_every_fully_observed_anchor_gives_the_same_bytes(observed, K):
+    # [l, u] is the runs' common part whatever d_f is, so every grid point
+    # that every curve observes gives the default anchor's estimates exactly.
+    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=9))
+    if observed == "full":
+        sample = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
 
+    def estimate_bytes(m):
+        return [a.tobytes() for a in (ftc_mean(m), *cov_pair(m))]
 
-def test_general_mean_any_anchor_under_full_observation():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=10))
-    full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    cl = mean_est(full)
-    for d_f in (0.1, 0.5, 0.9):
-        assert np.abs(ftc_mean(moments(full, d_f)) - cl).max() < 1e-4
+    want = estimate_bytes(moments(sample, K=K))
+    anchors = sample.grid.points[sample.mask.all(axis=0)]
+    assert anchors.size > 1
+    for d_f in anchors:
+        assert estimate_bytes(moments(sample, d_f, K)) == want
 
 
 def test_general_rejects_anchor_without_full_observation():
@@ -313,7 +317,7 @@ def test_general_mean_mirrored_design_unbiased():
     acc_c = np.zeros(p)
     for r in range(reps):
         s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(9, r)))
-        mirrored = FunctionalSample(g, s.values[:, ::-1].copy(), s.mask[:, ::-1].copy())
+        mirrored = FunctionalSample(g, s.values[:, ::-1])
         acc_f += ftc_mean(moments(mirrored, 1.0))
         acc_c += mean_est(mirrored)
     isb_f = np.trapezoid((acc_f / reps - truth) ** 2, dx=g.h)
@@ -333,14 +337,14 @@ def test_general_cov_symmetry():
 
 def test_recursive_mean_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=15))
-    full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
+    full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = mean_est(full)
     assert np.abs(ftc_mean(moments(full, 0.5, 2)) - cl).max() < 1e-3
 
 
 def test_recursive_cov_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=16))
-    full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
+    full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = cov_est(full)
     assert np.abs(cov_pair(moments(full, 0.5, 2))[1] - cl).max() < 5e-2
 
@@ -396,7 +400,7 @@ def _band_sample(name, seed=22):
     vals = rng.standard_normal((lo.size, 3)) @ np.vstack([np.ones(41), np.sin(3 * x), x**2])
     idx = np.arange(41)
     mask = (idx >= lo) & (idx <= hi)
-    return FunctionalSample(g, np.where(mask, vals, np.nan), mask)
+    return FunctionalSample(g, np.where(mask, vals, np.nan))
 
 
 def _reference_moments(sample, K):
@@ -405,10 +409,9 @@ def _reference_moments(sample, K):
     mu stacks the pointwise derivative means; S is the pairwise-complete
     covariance of all order pairs, masked where no curve observes a pair.
     """
-    obs = summarize_observation(sample)
     values = [sample.values]
     for _ in range(K):
-        values.append(differentiate(values[-1], obs.first, obs.last, sample.grid.h))
+        values.append(differentiate(values[-1], sample.first, sample.last, sample.grid.h))
     x = [np.ma.masked_array(v, ~sample.mask) for v in values]
     mu = np.ma.concatenate([xk.mean(axis=0) for xk in x]).filled(np.nan)
     c = np.ma.hstack([xk - xk.mean(axis=0) for xk in x]).filled(0.0)
@@ -522,7 +525,7 @@ def _gap_sample():
     g = make_grid(9, 0.0, 1.0)
     vals = np.tile(g.points**2, (3, 1))
     vals[1, 2] = np.nan
-    return FunctionalSample.from_values(g, vals)
+    return FunctionalSample(g, vals)
 
 
 def _short_gap_sample():
@@ -530,7 +533,7 @@ def _short_gap_sample():
     s = _gap_sample()
     vals = np.array(s.values)
     vals[1], vals[2, 2] = np.where(np.arange(9) < 2, vals[0], np.nan), np.nan
-    return FunctionalSample.from_values(s.grid, vals)
+    return FunctionalSample(s.grid, vals)
 
 
 @pytest.mark.parametrize(
@@ -606,7 +609,8 @@ def _run_samples(draw):
     idx = np.arange(p)
     mask = (idx >= lo) & (idx <= hi)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sample = FunctionalSample(make_grid(p, 0.0, 1.0), rng.standard_normal((n, p)), mask)
+    values = np.where(mask, rng.standard_normal((n, p)), np.nan)
+    sample = FunctionalSample(make_grid(p, 0.0, 1.0), values)
     return sample, j_f, K
 
 
@@ -625,8 +629,8 @@ def test_run_pair_counts_equal_pair_counts(draw):
     # The runs include single curves, columns nobody observes and anchor
     # blocks with l > 0 and u < p - 1, whose corners are counted directly.
     sample = draw[0]
-    obs = summarize_observation(sample)
-    counts = _run_pair_counts(sample.mask, int(obs.first.max()), int(obs.last.min()))
+    l, u = int(sample.first.max()), int(sample.last.min())
+    counts = _run_pair_counts(sample.mask, l, u)
     assert np.array_equal(counts, pair_counts(sample.mask), equal_nan=True)
 
 
@@ -692,7 +696,7 @@ def test_backtransform_keeps_the_bits_of_separate_integrals(p, K, axis, transpos
 )
 def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))
-    shifted = FunctionalSample(sample.grid, sample.values + shift, sample.mask)
+    shifted = FunctionalSample(sample.grid, sample.values + shift)
     pairs = cov_pair(moments(shifted)), cov_pair(moments(sample))
     for got, want in zip(*pairs):
         scale = np.nanmax(np.abs(want))
@@ -739,7 +743,7 @@ def test_back_transform_equals_classical_on_anchor_block(draw):
 def test_estimates_invariant_to_curve_order(draw, perm_seed):
     sample, d_f, K = draw
     order = np.random.default_rng(perm_seed).permutation(sample.n)
-    permuted = FunctionalSample(sample.grid, sample.values[order], sample.mask[order])
+    permuted = FunctionalSample(sample.grid, sample.values[order])
 
     def estimates(s):
         m = moments(s, d_f, K)
@@ -817,7 +821,7 @@ def test_cov_back_transform_error_is_second_order_in_h():
 
 def test_shift_invariances():
     sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=30, p=101, seed=17))
-    shifted = FunctionalSample(sample.grid, sample.values + 3.0, sample.mask)
+    shifted = FunctionalSample(sample.grid, sample.values + 3.0)
     assert np.allclose(
         mean_est(shifted), mean_est(sample) + 3.0, equal_nan=True
     )
@@ -840,9 +844,9 @@ def test_mean_est_linear_in_values():
     mask = g.points[None, :] <= rng.uniform(0.5, 1.0, (8, 1))
     a = np.where(mask, rng.standard_normal((8, 51)), np.nan)
     b = np.where(mask, rng.standard_normal((8, 51)), np.nan)
-    sa = FunctionalSample(g, a, mask)
-    sb = FunctionalSample(g, b, mask)
-    sab = FunctionalSample(g, np.where(mask, 2 * a + b, np.nan), mask)
+    sa = FunctionalSample(g, a)
+    sb = FunctionalSample(g, b)
+    sab = FunctionalSample(g, 2 * a + b)
     assert np.allclose(
         mean_est(sab),
         2 * mean_est(sa) + mean_est(sb),
@@ -874,7 +878,7 @@ def test_fpca_rank_one_sample():
     rng = np.random.default_rng(19)
     c = rng.standard_normal(40)
     shape = np.sin(2 * np.pi * g.points) + 2.0
-    s = FunctionalSample.from_values(g, c[:, None] * shape[None, :])
+    s = FunctionalSample(g, c[:, None] * shape[None, :])
     scores, explained = fpca_scores(s, 101)
     assert explained[0] == pytest.approx(1.0, abs=1e-8)
     centered = c - c.mean()
@@ -884,7 +888,7 @@ def test_fpca_rank_one_sample():
 
 def test_fpca_recovers_variance_fractions():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=500, p=201, seed=20))
-    full = FunctionalSample.from_values(sample.grid, xi @ _fourier5(sample.grid.points).T)
+    full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     _, explained = fpca_scores(full, 201)
     target = np.asarray(dgp.DEFAULT_LAMBDA) / sum(dgp.DEFAULT_LAMBDA)
     assert np.abs(explained[:5] - target).max() < 0.02
@@ -899,7 +903,7 @@ def test_fpca_explained_sums_to_one():
 
 def test_fpca_degenerate_sample():
     g = make_grid(51, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.tile(np.cos(g.points), (5, 1)))
+    s = FunctionalSample(g, np.tile(np.cos(g.points), (5, 1)))
     scores, explained = fpca_scores(s, 51)
     assert scores.shape == (5, 0)
     assert explained.size == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftcfd import estimators, harness
+from ftcfd.core import FunctionalSample
 from ftcfd.dgp import KINDS, true_cov, true_mean
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.harness import (
@@ -268,6 +269,44 @@ def test_one_pool_serves_every_cell(monkeypatch):
     assert started == [2]
 
 
+class _RecordingPool:
+    """Stand-in executor: records its size and maps in the calling process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "workers, kinds, n, reps, size",
+    [
+        ("1", ("IndCon",), (20,), 1, None),  # sequential: no pool at all
+        ("2", ("IndCon",), (20,), 1, 1),  # one task still runs in a pool
+        ("64", ("IndCon",), (20,), 12, 1),
+        ("64", ("IndCon",), (20,), 13, 2),  # ceil(13 / 12) tasks
+        ("64", ("IndCon", "DepDis"), (20, 30), 25, 12),
+        ("5", ("IndCon", "DepDis"), (20, 30), 25, 5),
+    ],
+)
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch, workers, kinds, n, reps, size):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setenv(harness.WORKERS_ENV, workers)
+    spec = _bv_spec(kinds=kinds, n=n, replications=reps)
+    assert len(run_experiment(spec).cells) == 2 * len(kinds) * len(n)
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
 def test_bias_is_scored_against_each_kinds_truth(monkeypatch):
     # The reducer asks for the truth of the cell's own kind, not a default.
     asked = []
@@ -281,17 +320,22 @@ def test_bias_is_scored_against_each_kinds_truth(monkeypatch):
 
 def test_replication_computes_moments_once(monkeypatch):
     # One replication of both targets differentiates once per order (K = 1)
-    # and summarises the observation pattern once.
+    # and builds one sample, which finds every curve's observed run.
     calls = []
-    for name in ("differentiate", "summarize_observation"):
-        original = getattr(estimators, name)
-        monkeypatch.setattr(
-            estimators, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
-        )
+    original = estimators.differentiate
+    monkeypatch.setattr(
+        estimators, "differentiate", lambda *a: calls.append("differentiate") or original(*a)
+    )
+    init = FunctionalSample.__init__
+    monkeypatch.setattr(
+        FunctionalSample,
+        "__init__",
+        lambda self, *a: calls.append("FunctionalSample") or init(self, *a),
+    )
     spec = _bv_spec(targets=("mean", "cov"))
     out = harness._bias_variance_rep((spec, "DepDis", 40, 0))
     assert sorted(out) == ["cov_classical", "cov_ftc", "mean_classical", "mean_ftc"]
-    assert sorted(calls) == ["differentiate", "summarize_observation"]
+    assert sorted(calls) == ["FunctionalSample", "differentiate"]
 
 
 def test_workers_env_must_be_integer(monkeypatch):

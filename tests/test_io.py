@@ -48,7 +48,7 @@ def test_round_trip_is_bit_exact(tmp_path):
 def test_round_trip_extreme_values(tmp_path):
     g = make_grid(3, 0.0, 1.0)
     vals = np.array([[1e-300, -1.2345678901234567e17, np.nan]])
-    s = FunctionalSample.from_values(g, vals)
+    s = FunctionalSample(g, vals)
     path = tmp_path / "s.csv"
     write_sample_csv(s, path)
     back = read_sample_csv(path)
@@ -161,7 +161,7 @@ def test_table_bytes_are_pinned(tmp_path):
     row = np.array([_NAN, _TENTH, _NEG0, _TINY, _BIG])
     grid_cells = "0,0.25,0.5,0.75,1"
 
-    sample = FunctionalSample.from_values(g, np.vstack([row, np.roll(row, -1)]))
+    sample = FunctionalSample(g, np.vstack([row, np.roll(row, -1)]))
     assert _written(tmp_path, lambda p: write_sample_csv(sample, p)) == (
         f"t,{grid_cells}\r\n"
         f"curve_1,{_ROW}\r\n"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ftcfd import dgp, mcar
 from ftcfd.basis import select_J
-from ftcfd.core import FunctionalSample, Grid, fully_observed_prefix, summarize_observation
+from ftcfd.core import FunctionalSample, Grid, fully_observed_prefix
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.estimators import fpca_scores
 from ftcfd.harness import _rep_seed
@@ -152,9 +152,8 @@ def _assert_close(a, b):
 @pytest.mark.parametrize("n", [150, 500])
 def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=501, seed=(61, n)))
-    summ = summarize_observation(sample)
-    _, Xi = select_J(sample, fully_observed_prefix(summ), 51)
-    d = summ.d_i
+    _, Xi = select_J(sample, fully_observed_prefix(sample), 51)
+    d = sample.d_i
     _, beta, se, t_sq, _, _, _ = _reference_fit(d, Xi)
     fit = fit_regression(d, Xi)
     _assert_close(fit.beta_hat, beta)
@@ -166,9 +165,8 @@ def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
 @functools.cache
 def _dgp_fit(n):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=501, seed=(63, n)))
-    summ = summarize_observation(sample)
-    _, Xi = select_J(sample, fully_observed_prefix(summ), 51)
-    return fit_regression(summ.d_i, Xi)
+    _, Xi = select_J(sample, fully_observed_prefix(sample), 51)
+    return fit_regression(sample.d_i, Xi)
 
 
 # R = 100 is the smallest bootstrap allowed; 101 and 250 end in a short block.
@@ -321,7 +319,7 @@ def _fully_observed_sample():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=101, seed=30))
     from ftcfd.basis import BasisSpec, eval_basis
 
-    return FunctionalSample.from_values(
+    return FunctionalSample(
         sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
     )
 
@@ -371,7 +369,7 @@ def test_classify_rejects_non_interval_pattern():
     from ftcfd.core import make_grid
 
     g = make_grid(5, 0.0, 1.0)
-    s = FunctionalSample.from_values(g, np.array([[np.nan, 1.0, 2.0, 3.0, 4.0]]))
+    s = FunctionalSample(g, np.array([[np.nan, 1.0, 2.0, 3.0, 4.0]]))
     with pytest.raises(ArgumentError):
         classify_and_test(s, R=200, seed=0)
 
@@ -385,12 +383,10 @@ def test_prefix_results_do_not_depend_on_the_grid_unit(kind, move):
     # The endpoints d_i are grid points, so the regression response moves too.
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=60, p=101, seed=1))
     scale, shift = move
-    moved = FunctionalSample(
-        Grid(sample.grid.points * scale + shift), sample.values, sample.mask
-    )
+    moved = FunctionalSample(Grid(sample.grid.points * scale + shift), sample.values)
     a, b = classify_and_test(sample), classify_and_test(moved)
     assert (b.outcome, b.J, b.p_values) == (a.outcome, a.J, a.p_values)
-    prefix = fully_observed_prefix(summarize_observation(sample))
+    prefix = fully_observed_prefix(sample)
     _, explained = fpca_scores(sample, prefix)
     _, explained_moved = fpca_scores(moved, prefix)
     assert explained_moved.size == explained.size
