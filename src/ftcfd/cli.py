@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--d-f",
         type=float,
         default=None,
-        help="a grid point every curve observes, needed without the interval "
-        "pattern; any such point gives the same estimates",
+        help="optional check: fail unless every curve observes this grid point; "
+        "the estimates never depend on it",
     )
     est.add_argument(
         "--fpc-scores",
@@ -180,7 +180,13 @@ def _cmd_estimate(args) -> int:
     every written path.
     """
     sample = read_sample_csv(args.input)
-    m = estimators.moments(sample, args.d_f)
+    m = estimators.moments(sample)
+    if args.d_f is not None:
+        j = sample.grid.index_of(args.d_f)
+        if not m.l <= j <= m.u:
+            raise ArgumentError(
+                f"grid point {sample.grid.points[j]} is not observed for the full sample"
+            )
     cov_cl, cov_ftc = estimators.cov_pair(m)
     grid = sample.grid
     tables = [

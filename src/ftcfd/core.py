@@ -3,8 +3,8 @@
 Curves live on one shared equidistant grid, and NaN in the value matrix is
 the one marker of a missing cell. A sample derives its boolean mask (True =
 observed) and each curve's observed run from the NaNs once, at construction.
-Under the interval pattern the part every curve observes, [t_1, d_min] in
-the paper, is held as its count of leading grid columns.
+fully_observed_block decides which grid columns every curve observes; under
+the interval pattern they are the paper's [t_1, d_min], a count of columns.
 """
 
 from __future__ import annotations
@@ -126,24 +126,42 @@ class FunctionalSample:
         """Each curve's last observed grid point; the paper's d_min is d_i.min()."""
         return self.grid.points[self.last]
 
-    @property
-    def interval_pattern(self) -> bool:
-        """Whether every curve's run starts at the first grid point and has no gap."""
-        return bool(np.all(self.first == 0) and np.all(self.last + 1 == self.counts))
+
+def reject_curves(bad: np.ndarray, message: str) -> None:
+    """Raise `message` naming the first flagged curve by its 1-based row."""
+    if bad.any():
+        raise ArgumentError(f"{message} (curve {int(np.argmax(bad)) + 1})")
+
+
+def fully_observed_block(sample: FunctionalSample) -> tuple[int, int]:
+    """Grid indices [l, u] = [first.max(), last.min()] that every curve observes.
+
+    Every curve's observed run must be contiguous, and the block must hold
+    one grid point at least (l == u is a valid block).
+    """
+    first, last = sample.first, sample.last
+    reject_curves(
+        last - first + 1 != sample.counts, "observed set of each curve must be contiguous"
+    )
+    l, u = int(first.max()), int(last.min())
+    if l > u:
+        raise ArgumentError("no grid point is observed by every curve")
+    return l, u
 
 
 def fully_observed_prefix(sample: FunctionalSample) -> int:
     """Number of leading grid columns, [t_1, d_min], that every curve observes.
 
-    Needs the interval pattern and d_min > t_1, i.e. at least 2 columns.
+    The block of fully_observed_block must start at t_1 (the interval
+    pattern) and hold d_min > t_1, i.e. at least 2 columns.
     """
-    prefix = int(sample.last.min()) + 1
-    if not sample.interval_pattern or prefix < 2:
+    l, u = fully_observed_block(sample)
+    if l > 0 or u < 1:
         raise ArgumentError(
             "no fully observed subdomain [t_1, d_min]: needs the interval "
             "pattern and d_min > t_1"
         )
-    return prefix
+    return u + 1
 
 
 def prefix_values(sample: FunctionalSample, prefix: int) -> np.ndarray:

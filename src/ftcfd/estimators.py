@@ -3,15 +3,15 @@
 The classical estimators average observed values pointwise (0/0 = NaN).
 Their back-transformed counterparts estimate derivative means/covariances,
 which stay unbiased when the missing mechanism depends only on low-order
-polynomial components, and integrate them back from an anchor block [l, u]
-where the full sample is observed.
+polynomial components, and integrate them back from the anchor block [l, u]
+of grid points every curve observes (core.fully_observed_block).
 
 With P taking the value at clip(t, [l, u]) and W the trapezoid integral
 from clip(t, [l, u]) to t, every back-transform is one linear operator
 
     M_K = [P, WP, ..., W^(K-1) P, W^K]
 
-applied to the moments m = moments(sample, d_f, K): ftc_mean(m) = M_K mu and
+applied to the moments m = moments(sample, K): ftc_mean(m) = M_K mu and
 cov_pair(m) = (S[0][0], M_K S M_K^T), where mu stacks the derivative means
 of orders 0..K (mu[0] is the classical mean) and S[a][b] is the
 pairwise-complete covariance of orders a and b (S[0][0] the classical one).
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, prefix_values
+from .core import FunctionalSample, fully_observed_block, prefix_values, reject_curves
 from .errors import ArgumentError
 
 
@@ -61,12 +61,6 @@ def differentiate(values, first, last, h: float) -> np.ndarray:
         3.0 * v[rows, last] - 4.0 * v[rows, last - 1] + v[rows, last - 2]
     ) / (2.0 * h)
     return d
-
-
-def _reject_curves(bad: np.ndarray, message: str) -> None:
-    """Raise `message` naming the first flagged curve by its 1-based row."""
-    if bad.any():
-        raise ArgumentError(f"{message} (curve {int(np.argmax(bad)) + 1})")
 
 
 def _mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -139,8 +133,7 @@ class Moments:
 
     values[k] is the order-k derivative of every curve (k = 0..K, values[0]
     the sample's own), NaN off the sample's mask, and mu[k] its pointwise
-    mean. [l, u] is the block of grid indices every curve observes, which
-    holds the checked grid point `anchor`.
+    mean. [l, u] is the block of grid indices every curve observes.
     Orders k >= 1 cover only `edges` (0..l, u..p-1), all that M_K reads.
     """
 
@@ -150,44 +143,24 @@ class Moments:
     l: int
     u: int
     edges: np.ndarray
-    anchor: float
 
 
-def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
+def moments(sample: FunctionalSample, K: int = 1) -> Moments:
     """Derivative moments of orders 0..K and the anchor block [l, u].
 
-    Every observed run must be contiguous, and [l, u] is their common part,
-    [first.max(), last.min()]. d_f does not move it: d_f, snapped to the
-    nearest grid point, only has to be observed by every curve, so that the
-    block is not empty. Without d_f the sample must have the interval
-    pattern, and the anchor is d_min, the last grid point every curve
-    observes (grid.points[prefix - 1] for core.fully_observed_prefix). Every
-    fully observed grid point as d_f gives the same moments, bit for bit.
+    [l, u] is core.fully_observed_block's, and every curve needs K + 2
+    observed points for its stencils. The paper integrates back from one
+    anchor d_f that every curve observes; here P is the identity on the
+    whole block, so every such d_f gives the same bytes and none is asked for.
     """
     if K < 1:
         raise ArgumentError("K must be >= 1")
-    _reject_curves(
+    reject_curves(
         sample.counts < K + 2,
         f"order-{K} stencils need >= {K + 2} observed points per curve",
     )
-    if d_f is None:
-        if not sample.interval_pattern:
-            raise ArgumentError(
-                "sample does not have the interval observation pattern; "
-                "pass an explicit anchor d_f (--d-f)"
-            )
-        j_f = int(sample.last.min())
-    else:
-        j_f = sample.grid.index_of(d_f)
-    if not sample.mask[:, j_f].all():
-        raise ArgumentError(
-            f"grid point {sample.grid.points[j_f]} is not observed for the full sample"
-        )
+    l, u = fully_observed_block(sample)
     first, last = sample.first, sample.last
-    _reject_curves(
-        last - first + 1 != sample.counts, "observed set of each curve must be contiguous"
-    )
-    l, u = int(first.max()), int(last.min())
     # Order k at u reads order k - 1 at u - 1 and u - 2 (end stencil), so the
     # edges get K + 1 margin columns, spoilt one per order across the seam.
     # Basic slices, as numpy sums fancy-indexed columns in another order.
@@ -199,8 +172,8 @@ def moments(sample: FunctionalSample, d_f=None, K: int = 1) -> Moments:
         values.append(np.concatenate([window[:, : l + 1], window[:, u - gap:]], axis=1))
     edge_mask = np.concatenate([sample.mask[:, : l + 1], sample.mask[:, u:]], axis=1)
     mu = (_mean(sample.values, sample.mask), *(_mean(v, edge_mask) for v in values[1:]))
-    edges, anchor = np.r_[: l + 1, u: sample.grid.p], float(sample.grid.points[j_f])
-    return Moments(sample, tuple(values), mu, l, u, edges, anchor)
+    edges = np.r_[: l + 1, u: sample.grid.p]
+    return Moments(sample, tuple(values), mu, l, u, edges)
 
 
 def ftc_mean(m: Moments) -> np.ndarray:

@@ -215,13 +215,11 @@ def classify_and_test(
 ) -> TestReport:
     """End-to-end test: basis-size selection with its coefficients, stepdown.
 
-    Requires the interval observation pattern. A constant endpoint vector
-    (e.g. a fully observed sample) short-circuits to the Null outcome with
-    the degenerate-response flag set, after J_max, alpha, R and the seed are
-    checked.
+    Needs core.fully_observed_prefix: the interval observation pattern with
+    d_min > t_1. A constant endpoint vector (e.g. a fully observed sample)
+    short-circuits to the Null outcome with the degenerate-response flag
+    set, after J_max, alpha, R and the seed are checked.
     """
-    if not sample.interval_pattern:
-        raise ArgumentError("test requires the interval observation pattern")
     prefix = fully_observed_prefix(sample)
     check_J_max(J_max)
     check_alpha(alpha)

@@ -12,7 +12,7 @@ from ftcfd.basis import BasisSpec, eval_basis
 from ftcfd.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from ftcfd.core import FunctionalSample
 from ftcfd.dgp import DgpConfig, draw_sample
-from ftcfd.io import write_sample_csv
+from ftcfd.io import read_sample_csv, write_sample_csv
 
 
 def test_simulate_then_estimate_pipeline(tmp_path, capsys):
@@ -297,15 +297,50 @@ _NON_INTERVAL_ROWS = [
 ]
 
 
-def test_estimate_non_interval_sample_needs_explicit_anchor(tmp_path, capsys):
+# Curves 1 and 2 observe 0.0 to 0.4, curve 3 only 0.6 to 1.0.
+_DISJOINT_ROWS = [_BASE[:5] + [None] * 6, _BASE[:5] + [None] * 6, [None] * 6 + _BASE[6:]]
+
+
+def test_estimate_non_interval_sample_needs_no_anchor(tmp_path, capsys):
     path = tmp_path / "s.csv"
     _write_rows(path, _NON_INTERVAL_ROWS)
-    out = ["--out", str(tmp_path / "est")]
-    assert main(["estimate", str(path)] + out) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "interval" in err and "explicit anchor" in err and "--d-f" in err
-    assert main(["estimate", str(path), "--d-f", "0.5"] + out) == EXIT_OK
+    assert main(["estimate", str(path), "--out", str(tmp_path / "est")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
     assert (tmp_path / "est" / "cov_ftc.csv").exists()
+
+
+def _estimate_bytes(path, out, extra=()):
+    """(exit code, {file name: bytes}) of one estimate run into a fresh directory."""
+    code = main(["estimate", str(path), "--out", str(out), *extra])
+    files = sorted(os.listdir(out)) if out.exists() else []
+    return code, {name: (out / name).read_bytes() for name in files}
+
+
+@pytest.mark.parametrize("observed", ["interval", "non_interval", "full"])
+def test_every_fully_observed_anchor_gives_the_same_bytes(tmp_path, capsys, observed):
+    # [l, u] is the runs' common part, so --d-f at any grid point that every
+    # curve observes only checks it: the estimates keep their bytes. Any
+    # other grid point fails the check and writes nothing.
+    path = tmp_path / "s.csv"
+    if observed == "interval":
+        _simulate(path, "DepCon", 50, 41, 9)
+    else:
+        rows = _NON_INTERVAL_ROWS if observed == "non_interval" else [_BASE, _BASE[::-1]]
+        _write_rows(path, rows)
+    code, want = _estimate_bytes(path, tmp_path / "default")
+    assert code == EXIT_OK and len(want) == 4
+    sample = read_sample_csv(path)
+    full = sample.mask.all(axis=0)
+    assert full.sum() > 1 and full.all() == (observed == "full")
+    for j, t in enumerate(sample.grid.points):
+        out = tmp_path / f"d_f_{j}"
+        code, got = _estimate_bytes(path, out, ["--d-f", repr(float(t))])
+        if full[j]:
+            assert (code, got) == (EXIT_OK, want), t
+        else:
+            assert (code, got) == (EXIT_USAGE, {}), t
+            message = f"grid point {t} is not observed for the full sample"
+            assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d_f", ["nan", "7"])
@@ -320,15 +355,16 @@ def test_estimate_rejects_off_grid_anchor(tmp_path, capsys, d_f):
 @pytest.mark.parametrize(
     "rows, extra, code, message",
     [
-        (_NON_INTERVAL_ROWS, [], EXIT_USAGE, "explicit anchor"),
+        (_DISJOINT_ROWS, [], EXIT_USAGE, "no grid point is observed by every curve"),
         # The estimates succeed; only the scores' subdomain is missing.
+        (_NON_INTERVAL_ROWS, ["--fpc-scores"], EXIT_USAGE, "no fully observed subdomain"),
+        (_NON_INTERVAL_ROWS, ["--d-f", "7"], EXIT_USAGE, "not on the grid"),
         (
             _NON_INTERVAL_ROWS,
-            ["--d-f", "0.5", "--fpc-scores"],
+            ["--d-f", "0.2"],
             EXIT_USAGE,
-            "no fully observed subdomain",
+            "grid point 0.2 is not observed for the full sample",
         ),
-        (_NON_INTERVAL_ROWS, ["--d-f", "7"], EXIT_USAGE, "not on the grid"),
         (
             [_BASE, _BASE[:2] + [None] + _BASE[3:]],
             ["--d-f", "0.5"],
@@ -337,7 +373,7 @@ def test_estimate_rejects_off_grid_anchor(tmp_path, capsys, d_f):
         ),
         ([_BASE, _BASE[:5] + [float("inf")] + _BASE[6:]], [], EXIT_DATA, "line 3"),
     ],
-    ids=["no_anchor", "no_score_subdomain", "off_grid", "gap", "parse"],
+    ids=["no_anchor", "no_score_subdomain", "off_grid", "not_fully_observed", "gap", "parse"],
 )
 def test_failed_estimate_leaves_no_output(tmp_path, capsys, rows, extra, code, message):
     path, out = tmp_path / "s.csv", tmp_path / "est"

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftcfd.core import FunctionalSample, Grid, fully_observed_prefix, make_grid
+from ftcfd.core import (
+    FunctionalSample,
+    Grid,
+    fully_observed_block,
+    fully_observed_prefix,
+    make_grid,
+)
 from ftcfd.dgp import DgpConfig, draw_sample
 from ftcfd.errors import ArgumentError
 
@@ -122,7 +128,7 @@ def test_summarize_fully_observed():
     assert np.array_equal(s.counts, [4, 4])
     assert np.array_equal(s.d_i, [1.0, 1.0])
     assert s.d_i.min() == 1.0
-    assert s.interval_pattern
+    assert fully_observed_prefix(s) == 4
 
 
 def test_summarize_hand_checked_two_curves():
@@ -133,7 +139,7 @@ def test_summarize_hand_checked_two_curves():
     assert np.array_equal(s.counts, [3, 2])
     assert np.array_equal(s.d_i, [1.0, 0.5])
     assert s.d_i.min() == 0.5
-    assert s.interval_pattern
+    assert fully_observed_prefix(s) == 2
 
 
 def test_summarize_endpoint_fraction_matches_sign_rule():
@@ -154,16 +160,35 @@ def test_summarize_is_pure_function_of_mask():
 def test_summarize_non_interval_pattern():
     g = make_grid(4, 0.0, 1.0)
     s = FunctionalSample(g, np.array([[1.0, np.nan, 2.0, 3.0]]))
-    assert not s.interval_pattern
-    with pytest.raises(ArgumentError, match="no fully observed subdomain"):
+    with pytest.raises(ArgumentError, match=r"must be contiguous \(curve 1\)$"):
         fully_observed_prefix(s)
     # The run 0..3 holds 3 points: it has a gap.
     assert (s.first[0], s.last[0], s.counts[0]) == (0, 3, 3)
 
 
+def _runs_sample(runs, p):
+    """Curves observed on the inclusive grid-index runs (first, last)."""
+    first, last = np.array(runs).T[:, :, None]
+    idx = np.arange(p)
+    mask = (idx >= first) & (idx <= last)
+    return FunctionalSample(make_grid(p, 0.0, 1.0), np.where(mask, 1.0, np.nan))
+
+
+@pytest.mark.parametrize(
+    "runs, p, block",
+    [
+        # No curve needs to start at t_1.
+        (10 * [(3, 40), (0, 34)], 41, (3, 34)),
+        ([(0, 4), (4, 9)], 10, (4, 4)),
+    ],
+    ids=["non_interval", "one_column"],
+)
+def test_fully_observed_block_is_the_common_part_of_the_runs(runs, p, block):
+    assert fully_observed_block(_runs_sample(runs, p)) == block
+
+
 def test_interval_pattern_runs_are_prefixes():
     sample, _, _ = draw_sample(DgpConfig("IndCon", n=60, p=51, seed=2))
-    assert sample.interval_pattern
     assert np.array_equal(sample.first, np.zeros(60))
     assert np.array_equal(sample.counts, sample.last + 1)
     assert np.array_equal(sample.d_i, sample.grid.points[sample.last])
@@ -179,3 +204,4 @@ def test_fully_observed_prefix_counts_the_leading_observed_columns(lasts, p):
     sample = FunctionalSample(make_grid(p, 0.0, 1.0), np.where(mask, 0.0, np.nan))
     leading = int(np.argmin(np.append(mask.all(axis=0), False)))
     assert fully_observed_prefix(sample) == leading
+    assert fully_observed_block(sample) == (0, leading - 1)

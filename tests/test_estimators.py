@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from ftcfd import dgp
-from ftcfd.core import FunctionalSample, make_grid
+from ftcfd.core import FunctionalSample, fully_observed_block, make_grid
 from ftcfd.errors import ArgumentError
 from ftcfd.estimators import (
     _backtransform,
@@ -107,7 +107,7 @@ def test_moments_rejects_non_contiguous_runs():
         g, np.array([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 2.0, 3.0, 4.0]])
     )
     with pytest.raises(ArgumentError, match=r"must be contiguous \(curve 2\)$"):
-        moments(s, 0.5)
+        moments(s)
 
 
 def test_moments_rejects_short_runs():
@@ -235,11 +235,14 @@ def test_ftc_mean_matches_classical_on_observed_block():
     assert np.array_equal(m_ftc[block], m_cl[block])
 
 
-def test_ftc_mean_rejects_non_interval_pattern():
+def test_ftc_mean_on_a_block_that_misses_t_1():
+    # The run 1..4 is its own anchor block; below it no derivative is
+    # observed, so the integral to t_1 is undefined.
     g = make_grid(5, 0.0, 1.0)
     s = FunctionalSample(g, np.array([[np.nan, 1.0, 2.0, 3.0, 4.0]]))
-    with pytest.raises(ArgumentError):
-        ftc_mean(moments(s))
+    m = moments(s)
+    assert (m.l, m.u) == (1, 4)
+    assert _nan_equal(ftc_mean(m), s.values[0])
 
 
 def test_ftc_cov_equals_classical_under_full_observation():
@@ -272,40 +275,17 @@ def test_ftc_cov_anchor_value_matches_classical():
     assert cov_pair(moments(sample))[1][j, j] == cov_est(sample)[j, j]
 
 
-# --- explicit anchors ---------------------------------------------------
+# --- anchor blocks away from t_1 -----------------------------------------
 
 
 def test_general_mean_reduces_to_interval_version():
-    # Without d_f the anchor is d_min; naming it explicitly changes nothing.
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=8))
-    a = ftc_mean(moments(sample))
-    b = ftc_mean(moments(sample, float(d.min())))
-    assert _nan_equal(a, b)
-
-
-@pytest.mark.parametrize("K", [1, 2])
-@pytest.mark.parametrize("observed", ["interval", "full"])
-def test_every_fully_observed_anchor_gives_the_same_bytes(observed, K):
-    # [l, u] is the runs' common part whatever d_f is, so every grid point
-    # that every curve observes gives the default anchor's estimates exactly.
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=9))
-    if observed == "full":
-        sample = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
-
-    def estimate_bytes(m):
-        return [a.tobytes() for a in (ftc_mean(m), *cov_pair(m))]
-
-    want = estimate_bytes(moments(sample, K=K))
-    anchors = sample.grid.points[sample.mask.all(axis=0)]
-    assert anchors.size > 1
-    for d_f in anchors:
-        assert estimate_bytes(moments(sample, d_f, K)) == want
-
-
-def test_general_rejects_anchor_without_full_observation():
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=80, p=101, seed=11))
-    with pytest.raises(ArgumentError):
-        ftc_mean(moments(sample, 0.75))
+    # Mirrored, the curves miss their beginnings and the block ends at t_p:
+    # the back-transform mean is the interval version's reversed, bit for
+    # bit (the end stencils and the integrals change sign exactly).
+    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=8))
+    mirrored = FunctionalSample(sample.grid, sample.values[:, ::-1])
+    for K in (1, 2):
+        assert _nan_equal(ftc_mean(moments(mirrored, K))[::-1], ftc_mean(moments(sample, K)))
 
 
 def test_general_mean_mirrored_design_unbiased():
@@ -318,7 +298,7 @@ def test_general_mean_mirrored_design_unbiased():
     for r in range(reps):
         s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(9, r)))
         mirrored = FunctionalSample(g, s.values[:, ::-1])
-        acc_f += ftc_mean(moments(mirrored, 1.0))
+        acc_f += ftc_mean(moments(mirrored))
         acc_c += mean_est(mirrored)
     isb_f = np.trapezoid((acc_f / reps - truth) ** 2, dx=g.h)
     isb_c = np.trapezoid((acc_c / reps - truth) ** 2, dx=g.h)
@@ -327,8 +307,9 @@ def test_general_mean_mirrored_design_unbiased():
 
 
 def test_general_cov_symmetry():
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("IndCon", n=50, p=101, seed=12))
-    c = cov_pair(moments(sample, float(d.min())))[1]
+    # Mirrored, the curves miss their beginnings: the block ends at t_p.
+    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("IndCon", n=50, p=101, seed=12))
+    c = cov_pair(moments(FunctionalSample(sample.grid, sample.values[:, ::-1])))[1]
     assert np.nanmax(np.abs(c - c.T)) < 1e-8
 
 
@@ -339,14 +320,14 @@ def test_recursive_mean_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=15))
     full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = mean_est(full)
-    assert np.abs(ftc_mean(moments(full, 0.5, 2)) - cl).max() < 1e-3
+    assert np.abs(ftc_mean(moments(full, 2)) - cl).max() < 1e-3
 
 
 def test_recursive_cov_full_observation_k2():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=16))
     full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = cov_est(full)
-    assert np.abs(cov_pair(moments(full, 0.5, 2))[1] - cl).max() < 5e-2
+    assert np.abs(cov_pair(moments(full, 2))[1] - cl).max() < 5e-2
 
 
 def test_recursive_mean_removes_second_order_dependence():
@@ -357,11 +338,10 @@ def test_recursive_mean_removes_second_order_dependence():
     truth = dgp.true_mean(g.points, kind="V2")
     acc = {"cl": np.zeros(p), "k1": np.zeros(p), "k2": np.zeros(p)}
     for r in range(reps):
-        s, d, _ = dgp.draw_sample(dgp.DgpConfig("V2", n=n, p=p, seed=(13, r)))
-        anchor = float(d.min())
+        s, _, _ = dgp.draw_sample(dgp.DgpConfig("V2", n=n, p=p, seed=(13, r)))
         acc["cl"] += mean_est(s)
-        acc["k1"] += ftc_mean(moments(s, anchor, 1))
-        acc["k2"] += ftc_mean(moments(s, anchor, 2))
+        acc["k1"] += ftc_mean(moments(s, 1))
+        acc["k2"] += ftc_mean(moments(s, 2))
     isb = {
         key: float(np.trapezoid((a / reps - truth) ** 2, dx=g.h))
         for key, a in acc.items()
@@ -376,7 +356,7 @@ def test_recursive_requires_enough_observed_points():
     vals = np.tile(g.points, (2, 1))
     s = interval_sample(g, vals, [1.0, 2.5 / 9.0])  # second curve: 3 points
     with pytest.raises(ArgumentError, match=r"\(curve 2\)$"):
-        moments(s, 0.1, 2)
+        moments(s, 2)
 
 
 # --- dense-operator oracle ------------------------------------------------
@@ -449,7 +429,7 @@ def test_ftc_estimators_equal_dense_operator(name, K):
     M, _ = _dense_operator(s, K)
     mu, S = _reference_moments(s, K)
     want_mean, want_cov = M @ mu, M @ S.filled(np.nan) @ M.T
-    m = moments(s, 0.5, K)
+    m = moments(s, K)
     got_mean, got_cov = ftc_mean(m), cov_pair(m)[1]
     assert np.abs(got_mean - want_mean).max() <= 1e-10 * np.abs(want_mean).max()
     assert np.abs(got_cov - want_cov).max() <= 1e-10 * np.abs(want_cov).max()
@@ -464,7 +444,7 @@ def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
     zero = (maskf.T @ maskf == 0).astype(float)
     want_nan = support.astype(float) @ zero @ support.T.astype(float) > 0
     _, S = _reference_moments(s, K)
-    got = cov_pair(moments(s, 0.5, K))[1]
+    got = cov_pair(moments(s, K))[1]
     assert want_nan.any() and not want_nan.all()
     assert np.array_equal(np.isnan(got), want_nan)
     want = M @ S.filled(0.0) @ M.T
@@ -475,14 +455,12 @@ def test_ftc_cov_undefined_exactly_where_rectangle_lacks_pairs(K):
 
 
 @pytest.mark.parametrize("K", [1, 2])
-@pytest.mark.parametrize(
-    "name, d_f", [("interval", None), ("interior", 0.5), ("corners", 0.5)]
-)
-def test_cov_pair_equals_separate_estimators(name, d_f, K):
+@pytest.mark.parametrize("name", ["interval", "interior", "corners"])
+def test_cov_pair_equals_separate_estimators(name, K):
     # The classical estimates read from the moments equal the reference
     # estimators bit for bit.
     s = _band_sample(name)
-    m = moments(s, d_f, K)
+    m = moments(s, K)
     assert np.array_equal(cov_pair(m)[0], cov_est(s), equal_nan=True)
     assert np.array_equal(m.mu[0], mean_est(s), equal_nan=True)
 
@@ -493,91 +471,68 @@ def _three_point_sample():
 
 
 @pytest.mark.parametrize(
-    "make, d_f, K, text",
+    "make, K, text",
     [
         (
-            lambda: _band_sample("interior"),
-            None,
-            1,
-            "sample does not have the interval observation pattern; "
-            "pass an explicit anchor d_f (--d-f)",
-        ),
-        (lambda: _band_sample("interval"), 7.0, 1, "7.0 is not on the grid [0.0, 1.0]"),
-        (
             _three_point_sample,
-            0.1,
             2,
             "order-2 stencils need >= 4 observed points per curve (curve 2)",
         ),
     ],
-    ids=["non_interval", "off_grid", "too_few_points"],
+    ids=["too_few_points"],
 )
-def test_cov_pair_errors_match_ftc_cov(make, d_f, K, text):
+def test_cov_pair_errors_match_ftc_cov(make, K, text):
     # moments raises the texts the back-transform covariance raised before
     # it read a Moments; the stencil error now also names the curve.
     with pytest.raises(ArgumentError) as exc:
-        moments(make(), d_f, K)
+        moments(make(), K)
     assert str(exc.value) == text
 
 
-def _gap_sample():
-    # Curve 2 misses the grid point 0.25; every other point is fully observed.
+def _observed(runs):
+    """Squares on a 9-point grid, curve i observed on the grid indices runs[i]."""
     g = make_grid(9, 0.0, 1.0)
-    vals = np.tile(g.points**2, (3, 1))
-    vals[1, 2] = np.nan
-    return FunctionalSample(g, vals)
+    mask = np.zeros((len(runs), 9), dtype=bool)
+    for row, idx in zip(mask, runs):
+        row[list(idx)] = True
+    return FunctionalSample(g, np.where(mask, g.points**2, np.nan))
 
 
-def _short_gap_sample():
-    # Curve 2 observes two points; curve 3 misses 0.25.
-    s = _gap_sample()
-    vals = np.array(s.values)
-    vals[1], vals[2, 2] = np.where(np.arange(9) < 2, vals[0], np.nan), np.nan
-    return FunctionalSample(s.grid, vals)
+# Curve 2 misses the grid point 0.25; every other point is fully observed.
+_GAP = [range(9), [0, 1, 3, 4, 5, 6, 7, 8], range(9)]
+# Curve 2 observes two points; curve 3 misses 0.25.
+_SHORT_GAP = [range(9), [0, 1], [0, 1, 3, 4, 5, 6, 7, 8]]
+# No column is observed by both curves.
+_DISJOINT = [range(4), range(5, 9)]
+# As _DISJOINT, with a gap (curve 2) or two points only (curve 2).
+_DISJOINT_GAP = [range(4), [5, 7, 8]]
+_DISJOINT_SHORT = [range(4), [7, 8]]
 
 
 @pytest.mark.parametrize(
-    "make, d_f, K, text",
+    "runs, K, text",
     [
-        (_gap_sample, 0.25, 1, "grid point 0.25 is not observed for the full sample"),
-        (_gap_sample, 0.0, 1, "observed set of each curve must be contiguous (curve 2)"),
-        (
-            _gap_sample,
-            None,
-            1,
-            "sample does not have the interval observation pattern; "
-            "pass an explicit anchor d_f (--d-f)",
-        ),
-        (_gap_sample, 7.0, 1, "7.0 is not on the grid [0.0, 1.0]"),
-        (_gap_sample, 0.25, 0, "K must be >= 1"),
-        (
-            _short_gap_sample,
-            None,
-            1,
-            "order-1 stencils need >= 3 observed points per curve (curve 2)",
-        ),
-        (
-            _short_gap_sample,
-            7.0,
-            1,
-            "order-1 stencils need >= 3 observed points per curve (curve 2)",
-        ),
+        (_GAP, 0, "K must be >= 1"),
+        (_SHORT_GAP, 1, "order-1 stencils need >= 3 observed points per curve (curve 2)"),
+        (_DISJOINT_SHORT, 1, "order-1 stencils need >= 3 observed points per curve (curve 2)"),
+        (_GAP, 1, "observed set of each curve must be contiguous (curve 2)"),
+        (_DISJOINT_GAP, 1, "observed set of each curve must be contiguous (curve 2)"),
+        (_DISJOINT, 1, "no grid point is observed by every curve"),
     ],
     ids=[
-        "anchor_before_contiguity",
-        "contiguity",
-        "interval_before_contiguity",
-        "grid_before_contiguity",
         "order_first",
-        "stencil_before_interval",
-        "stencil_before_grid",
+        "stencil_before_contiguity",
+        "stencil_before_empty_block",
+        "contiguity",
+        "contiguity_before_empty_block",
+        "empty_block",
     ],
 )
-def test_moments_check_order(make, d_f, K, text):
-    # The gap sample alone fails the contiguity check; where a sample fails
-    # two checks, the earlier one in moments' order names the error.
+def test_moments_check_order(runs, K, text):
+    # Where a sample fails two checks, the earlier one in moments' order
+    # (K, stencils, contiguity, empty block) names the error.
     with pytest.raises(ArgumentError) as exc:
-        moments(make(), d_f, K)
+        moments(_observed(runs), K)
     assert str(exc.value) == text
 
 
@@ -617,10 +572,21 @@ def _run_samples(draw):
 @settings(deadline=None, max_examples=60)
 @given(draw=_run_samples())
 def test_anchor_block_is_the_fully_observed_run_around_the_anchor(draw):
+    # Any grid point that every run covers lies in the one block.
     sample, j_f, K = draw
-    m = moments(sample, sample.grid.points[j_f], K)
+    m = moments(sample, K)
     assert (m.l, m.u) == _anchor_run(sample.mask, j_f)
-    assert m.anchor == sample.grid.points[j_f]
+
+
+@pytest.mark.parametrize(
+    "block",
+    [lambda l, u, p: l == u, lambda l, u, p: l == u and 0 < l < p - 1],
+    ids=["one_column", "one_interior_column"],
+)
+def test_run_samples_draw_single_column_blocks(block):
+    # The property tests on _run_samples cover single-column blocks, which
+    # ftc_mean and cov_pair pass on as the two-column block [l, l + 1].
+    find(_run_samples(), lambda d: block(*fully_observed_block(d[0]), d[0].grid.p))
 
 
 @settings(deadline=None, max_examples=200)
@@ -707,13 +673,8 @@ def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
         assert _nan_equal(ftc, ftc.T)
 
 
-def _moment_draw(kind, n, p, seed, d_f_frac, K):
-    sample = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))[0]
-    # Every design observes [0, 0.5] fully, and d_f snaps to the nearest grid
-    # point: a d_f up to the last grid point <= 0.5 snaps into that block.
-    pts = sample.grid.points
-    d_f = None if d_f_frac is None else d_f_frac * pts[pts <= 0.5][-1]
-    return sample, d_f, K
+def _moment_draw(kind, n, p, seed, K):
+    return dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))[0], K
 
 
 _moment_draws = st.builds(
@@ -722,7 +683,6 @@ _moment_draws = st.builds(
     n=st.integers(5, 40),
     p=st.integers(21, 51),
     seed=st.integers(0, 2**32 - 1),
-    d_f_frac=st.none() | st.floats(0.0, 1.0),
     K=st.sampled_from([1, 2, 3]),
 )
 
@@ -730,8 +690,8 @@ _moment_draws = st.builds(
 @settings(deadline=None, max_examples=30)
 @given(draw=_moment_draws)
 def test_back_transform_equals_classical_on_anchor_block(draw):
-    sample, d_f, K = draw
-    m = moments(sample, d_f, K)
+    sample, K = draw
+    m = moments(sample, K)
     block = slice(m.l, m.u + 1)
     classical, ftc = cov_pair(m)
     assert np.array_equal(ftc_mean(m)[block], m.mu[0][block])
@@ -741,12 +701,12 @@ def test_back_transform_equals_classical_on_anchor_block(draw):
 @settings(deadline=None, max_examples=30)
 @given(draw=_moment_draws, perm_seed=st.integers(0, 2**32 - 1))
 def test_estimates_invariant_to_curve_order(draw, perm_seed):
-    sample, d_f, K = draw
+    sample, K = draw
     order = np.random.default_rng(perm_seed).permutation(sample.n)
     permuted = FunctionalSample(sample.grid, sample.values[order])
 
     def estimates(s):
-        m = moments(s, d_f, K)
+        m = moments(s, K)
         return [mean_est(s), cov_est(s), ftc_mean(m), *cov_pair(m)]
 
     for got, want in zip(estimates(permuted), estimates(sample)):
@@ -757,15 +717,14 @@ def test_estimates_invariant_to_curve_order(draw, perm_seed):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    draw=_run_samples().map(lambda d: (d[0], d[0].grid.points[d[1]], d[2]))
-    | _moment_draws
+    draw=_run_samples().map(lambda d: (d[0], d[2])) | _moment_draws
 )
 def test_edge_only_estimates_match_the_full_square(draw):
     # Blocks so narrow that the edges' differentiation windows meet, and
     # wide ones, whose edges are differentiated apart; blocks with l > 0 or
     # u < p - 1, single-column blocks, and corners without pairs.
-    sample, d_f, K = draw
-    m = moments(sample, d_f, K)
+    sample, K = draw
+    m = moments(sample, K)
     mean, classical, ftc = full_square_estimates(sample, m.l, m.u, K)
     assert _same_bits(ftc_mean(m), mean)
     got_classical, got = cov_pair(m)
@@ -777,8 +736,8 @@ def test_edge_only_estimates_match_the_full_square(draw):
 @settings(deadline=None, max_examples=200)
 @given(draw=_run_samples())
 def test_back_transform_cov_equals_its_transpose_bit_for_bit(draw):
-    sample, j_f, K = draw
-    ftc = cov_pair(moments(sample, sample.grid.points[j_f], K))[1]
+    sample, _, K = draw
+    ftc = cov_pair(moments(sample, K))[1]
     assert _same_bits(ftc, ftc.T)
 
 
