@@ -182,11 +182,7 @@ def _cmd_estimate(args) -> int:
     sample = read_sample_csv(args.input)
     m = estimators.moments(sample)
     if args.d_f is not None:
-        j = sample.grid.index_of(args.d_f)
-        if not m.l <= j <= m.u:
-            raise ArgumentError(
-                f"grid point {sample.grid.points[j]} is not observed for the full sample"
-            )
+        estimators.anchor_index(m, args.d_f)
     cov_cl, cov_ftc = estimators.cov_pair(m)
     grid = sample.grid
     tables = [

@@ -176,6 +176,19 @@ def moments(sample: FunctionalSample, K: int = 1) -> Moments:
     return Moments(sample, tuple(values), mu, l, u, edges)
 
 
+def anchor_index(m: Moments, d_f: float) -> int:
+    """Grid index of the anchor d_f; raise unless every curve observes it.
+
+    The estimates never depend on d_f: it only has to lie in [l, u].
+    """
+    j = m.sample.grid.index_of(d_f)
+    if not m.l <= j <= m.u:
+        raise ArgumentError(
+            f"grid point {m.sample.grid.points[j]} is not observed for the full sample"
+        )
+    return j
+
+
 def ftc_mean(m: Moments) -> np.ndarray:
     """K-fold back-transform mean M_K mu.
 

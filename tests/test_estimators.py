@@ -11,6 +11,7 @@ from ftcfd.errors import ArgumentError
 from ftcfd.estimators import (
     _backtransform,
     _run_pair_counts,
+    anchor_index,
     cov_pair,
     differentiate,
     fpca_scores,
@@ -286,6 +287,37 @@ def test_general_mean_reduces_to_interval_version():
     mirrored = FunctionalSample(sample.grid, sample.values[:, ::-1])
     for K in (1, 2):
         assert _nan_equal(ftc_mean(moments(mirrored, K))[::-1], ftc_mean(moments(sample, K)))
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("observed", ["interval", "full"])
+def test_every_fully_observed_anchor_gives_the_same_bytes(observed, K):
+    # [l, u] is the runs' common part, so every grid point that every curve
+    # observes is an accepted anchor, and the estimates there carry the
+    # classical bytes: integrating back from any such d_f starts from the
+    # same values. Every other grid point is rejected.
+    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=9))
+    if observed == "full":
+        sample = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
+    m = moments(sample, K)
+    mean, (classical, ftc) = ftc_mean(m), cov_pair(m)
+    full = sample.mask.all(axis=0)
+    assert full.sum() > 1 and full.all() == (observed == "full")
+    for j, d_f in enumerate(sample.grid.points):
+        if full[j]:
+            assert anchor_index(m, float(d_f)) == j
+            assert mean[j].tobytes() == m.mu[0][j].tobytes()
+            assert ftc[j, full].tobytes() == classical[j, full].tobytes()
+        else:
+            with pytest.raises(ArgumentError, match="not observed for the full sample"):
+                anchor_index(m, float(d_f))
+
+
+def test_general_rejects_anchor_without_full_observation():
+    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=80, p=101, seed=11))
+    assert d.min() < 0.75
+    with pytest.raises(ArgumentError):
+        anchor_index(moments(sample), 0.75)
 
 
 def test_general_mean_mirrored_design_unbiased():
