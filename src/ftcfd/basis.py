@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, prefix_values
+from .core import FunctionalSample, subdomain_values
 from .errors import ArgumentError, NumericalError
 
 # Residual sums of squares below this relative level are numerical noise;
@@ -58,11 +58,12 @@ def check_J_max(J_max: int) -> None:
         raise ArgumentError(f"J_max must be odd and >= 3, got {J_max}")
 
 
-def select_J(sample: FunctionalSample, prefix: int, J_max: int) -> tuple[int, np.ndarray]:
+def select_J(sample: FunctionalSample, J_max: int) -> tuple[int, np.ndarray]:
     """BIC-median basis-size selection over odd J in {3, 5, ..., J_max}.
 
     Returns the selected J and the n x J least-squares coefficients of each
-    curve's first `prefix` values (all observed) on the first J basis functions.
+    curve's values on the fully observed subdomain [t_1, d_min]
+    (core.fully_observed_prefix) on the first J basis functions.
 
     Per curve, BIC(J) = m log(RSS/m) + J log(m) with m subdomain points;
     the sample uses the lower median of the per-curve minimizers. The basis
@@ -88,7 +89,7 @@ def select_J(sample: FunctionalSample, prefix: int, J_max: int) -> tuple[int, np
     selected J is one of the candidates that passed the rank rule.
     """
     check_J_max(J_max)
-    y = prefix_values(sample, prefix).T  # m x n
+    y = subdomain_values(sample).T  # m x n
     m = y.shape[0]
     pts = sample.grid.points[:m]
     domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))

@@ -16,7 +16,6 @@ import os
 import sys
 
 from . import estimators
-from .core import fully_observed_prefix
 from .dgp import ALL_KINDS, DgpConfig, draw_sample
 from .errors import ArgumentError, NumericalError, ParseError
 from .harness import (
@@ -192,8 +191,7 @@ def _cmd_estimate(args) -> int:
         ("cov_ftc.csv", write_matrix_csv, grid, cov_ftc),
     ]
     if args.fpc_scores:
-        prefix = fully_observed_prefix(sample)
-        scores, explained = estimators.fpca_scores(sample, prefix)
+        scores, explained = estimators.fpca_scores(sample)
         tables.append(("fpc_scores.csv", write_scores_csv, scores, explained))
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, name) for name, *_ in tables]

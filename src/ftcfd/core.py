@@ -108,8 +108,7 @@ class FunctionalSample:
         mask = np.isnan(values)
         np.logical_not(mask, out=mask)
         counts = mask.sum(axis=1)
-        if not counts.all():
-            raise ArgumentError("every curve needs at least one observed point")
+        reject_curves(counts == 0, "every curve needs at least one observed point")
         first = np.argmax(mask, axis=1)
         last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
         derived = dict(values=values, mask=mask, first=first, last=last, counts=counts)
@@ -164,14 +163,10 @@ def fully_observed_prefix(sample: FunctionalSample) -> int:
     return u + 1
 
 
-def prefix_values(sample: FunctionalSample, prefix: int) -> np.ndarray:
-    """Values on the first `prefix` grid columns, which every curve must observe.
+def subdomain_values(sample: FunctionalSample) -> np.ndarray:
+    """Values on [t_1, d_min], the leading columns of fully_observed_prefix.
 
     In Fortran order: numpy sums column reductions and Gram products of the
     C-strided slice in another order, moving select_J's and fpca_scores' last bits.
     """
-    if prefix < 0:
-        raise ArgumentError(f"prefix must be >= 0, got {prefix}")
-    if not sample.mask[:, :prefix].all():
-        raise ArgumentError("every curve must be fully observed on the subdomain")
-    return np.asfortranarray(sample.values[:, :prefix])
+    return np.asfortranarray(sample.values[:, :fully_observed_prefix(sample)])

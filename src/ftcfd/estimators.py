@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSample, fully_observed_block, prefix_values, reject_curves
+from .core import FunctionalSample, fully_observed_block, reject_curves, subdomain_values
 from .errors import ArgumentError
 
 
@@ -236,17 +236,16 @@ def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
     return S[0, 0], ftc
 
 
-def fpca_scores(sample: FunctionalSample, prefix: int) -> tuple[np.ndarray, np.ndarray]:
-    """Principal component scores on the first `prefix` grid points.
+def fpca_scores(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray]:
+    """Principal component scores on the fully observed subdomain [t_1, d_min].
 
-    Every curve must observe them. Eigendecomposes the classical covariance
-    restricted to them, scaled by the grid spacing for the integral inner
-    product. Returns (scores, explained) with explained fractions
-    non-increasing and summing to 1 over the retained positive eigenvalues.
+    Needs core.fully_observed_prefix: the interval observation pattern with
+    d_min > t_1. Eigendecomposes the classical covariance restricted to the
+    subdomain, scaled by the grid spacing for the integral inner product.
+    Returns (scores, explained) with explained fractions non-increasing and
+    summing to 1 over the retained positive eigenvalues.
     """
-    vals = prefix_values(sample, prefix)
-    if vals.shape[1] < 2:
-        raise ArgumentError("subdomain contains fewer than 2 grid points")
+    vals = subdomain_values(sample)
     h = sample.grid.h
     # Every curve observes the subdomain, so each pair count there is n.
     c = vals - vals.mean(axis=0)

@@ -213,14 +213,14 @@ def classify_and_test(
     R: int = 1000,
     seed: int = 0,
 ) -> TestReport:
-    """End-to-end test: basis-size selection with its coefficients, stepdown.
+    """End-to-end test: basis-size selection on [t_1, d_min], stepdown.
 
     Needs core.fully_observed_prefix: the interval observation pattern with
-    d_min > t_1. A constant endpoint vector (e.g. a fully observed sample)
-    short-circuits to the Null outcome with the degenerate-response flag
-    set, after J_max, alpha, R and the seed are checked.
+    d_min > t_1, checked before J_max, alpha, R and the seed. A constant
+    endpoint vector (e.g. a fully observed sample) short-circuits to the
+    Null outcome with the degenerate-response flag set, after those checks.
     """
-    prefix = fully_observed_prefix(sample)
+    fully_observed_prefix(sample)
     check_J_max(J_max)
     check_alpha(alpha)
     check_R(R)
@@ -229,5 +229,5 @@ def classify_and_test(
         return TestReport(
             frozenset(), (), OUTCOME_NULL, alpha, R, seed, degenerate_response=True
         )
-    _, coefficients = select_J(sample, prefix, J_max)
+    _, coefficients = select_J(sample, J_max)
     return romano_wolf(sample.d_i, coefficients, alpha, R, seed)

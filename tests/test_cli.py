@@ -372,8 +372,22 @@ def test_estimate_rejects_off_grid_anchor(tmp_path, capsys, d_f):
             "observed set of each curve must be contiguous (curve 2)",
         ),
         ([_BASE, _BASE[:5] + [float("inf")] + _BASE[6:]], [], EXIT_DATA, "line 3"),
+        (
+            [_BASE, [None] * 11],
+            [],
+            EXIT_DATA,
+            "every curve needs at least one observed point (curve 2)",
+        ),
     ],
-    ids=["no_anchor", "no_score_subdomain", "off_grid", "not_fully_observed", "gap", "parse"],
+    ids=[
+        "no_anchor",
+        "no_score_subdomain",
+        "off_grid",
+        "not_fully_observed",
+        "gap",
+        "parse",
+        "empty_curve",
+    ],
 )
 def test_failed_estimate_leaves_no_output(tmp_path, capsys, rows, extra, code, message):
     path, out = tmp_path / "s.csv", tmp_path / "est"

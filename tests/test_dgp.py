@@ -92,7 +92,7 @@ def test_rendered_curves_project_back_to_coefficients():
     full = FunctionalSample(
         sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
     )
-    coef = select_J(full, 201, 11)[1]
+    coef = select_J(full, 11)[1]
     assert np.abs(coef - xi).max() < 1e-6
 
 

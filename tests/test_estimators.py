@@ -870,7 +870,7 @@ def test_fpca_rank_one_sample():
     c = rng.standard_normal(40)
     shape = np.sin(2 * np.pi * g.points) + 2.0
     s = FunctionalSample(g, c[:, None] * shape[None, :])
-    scores, explained = fpca_scores(s, 101)
+    scores, explained = fpca_scores(s)
     assert explained[0] == pytest.approx(1.0, abs=1e-8)
     centered = c - c.mean()
     corr = np.corrcoef(scores[:, 0], centered)[0, 1]
@@ -880,14 +880,14 @@ def test_fpca_rank_one_sample():
 def test_fpca_recovers_variance_fractions():
     sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=500, p=201, seed=20))
     full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
-    _, explained = fpca_scores(full, 201)
+    _, explained = fpca_scores(full)
     target = np.asarray(dgp.DEFAULT_LAMBDA) / sum(dgp.DEFAULT_LAMBDA)
     assert np.abs(explained[:5] - target).max() < 0.02
 
 
 def test_fpca_explained_sums_to_one():
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=21))
-    _, explained = fpca_scores(sample, 51)
+    _, explained = fpca_scores(sample)
     assert explained.sum() == pytest.approx(1.0)
     assert np.all(np.diff(explained) <= 1e-12)
 
@@ -895,6 +895,6 @@ def test_fpca_explained_sums_to_one():
 def test_fpca_degenerate_sample():
     g = make_grid(51, 0.0, 1.0)
     s = FunctionalSample(g, np.tile(np.cos(g.points), (5, 1)))
-    scores, explained = fpca_scores(s, 51)
+    scores, explained = fpca_scores(s)
     assert scores.shape == (5, 0)
     assert explained.size == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ftcfd import dgp, mcar
 from ftcfd.basis import select_J
-from ftcfd.core import FunctionalSample, Grid, fully_observed_prefix
+from ftcfd.core import FunctionalSample, Grid
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.estimators import fpca_scores
 from ftcfd.harness import _rep_seed
@@ -152,7 +152,7 @@ def _assert_close(a, b):
 @pytest.mark.parametrize("n", [150, 500])
 def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=501, seed=(61, n)))
-    _, Xi = select_J(sample, fully_observed_prefix(sample), 51)
+    _, Xi = select_J(sample, 51)
     d = sample.d_i
     _, beta, se, t_sq, _, _, _ = _reference_fit(d, Xi)
     fit = fit_regression(d, Xi)
@@ -165,7 +165,7 @@ def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
 @functools.cache
 def _dgp_fit(n):
     sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=501, seed=(63, n)))
-    _, Xi = select_J(sample, fully_observed_prefix(sample), 51)
+    _, Xi = select_J(sample, 51)
     return fit_regression(sample.d_i, Xi)
 
 
@@ -386,9 +386,8 @@ def test_prefix_results_do_not_depend_on_the_grid_unit(kind, move):
     moved = FunctionalSample(Grid(sample.grid.points * scale + shift), sample.values)
     a, b = classify_and_test(sample), classify_and_test(moved)
     assert (b.outcome, b.J, b.p_values) == (a.outcome, a.J, a.p_values)
-    prefix = fully_observed_prefix(sample)
-    _, explained = fpca_scores(sample, prefix)
-    _, explained_moved = fpca_scores(moved, prefix)
+    _, explained = fpca_scores(sample)
+    _, explained_moved = fpca_scores(moved)
     assert explained_moved.size == explained.size
     assert np.allclose(explained_moved, explained, rtol=1e-9, atol=0.0)
 
