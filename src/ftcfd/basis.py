@@ -8,7 +8,6 @@ counts are used so sin/cos pairs stay together.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,32 +20,21 @@ _RSS_REL_FLOOR = 1e-8
 _RSS_ABS_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Fourier system size and the interval it is rescaled to."""
-
-    J: int
-    domain: tuple[float, float]
-
-    def __post_init__(self):
-        if self.J < 3 or self.J % 2 == 0:
-            raise ArgumentError(f"J must be odd and >= 3, got {self.J}")
-        lo, hi = self.domain
-        if not lo < hi:
-            raise ArgumentError(f"domain must satisfy lo < hi, got {self.domain}")
-
-
-def eval_basis(spec: BasisSpec, grid_points) -> np.ndarray:
-    """Evaluate the J basis functions at the given points (len x J matrix)."""
+def eval_basis(J: int, domain: tuple[float, float], grid_points) -> np.ndarray:
+    """Evaluate the J basis functions on the domain at the points (len x J)."""
+    if J < 3 or J % 2 == 0:
+        raise ArgumentError(f"J must be odd and >= 3, got {J}")
+    lo, hi = domain
+    if not lo < hi:
+        raise ArgumentError(f"domain must satisfy lo < hi, got {domain}")
     t = np.asarray(grid_points, dtype=float)
-    lo, hi = spec.domain
     # Relative to the domain's length, plus the rounding of its endpoints.
     tol = 1e-12 * (hi - lo) + 4 * np.finfo(float).eps * max(abs(lo), abs(hi))
     if np.any(t < lo - tol) or np.any(t > hi + tol):
         raise ArgumentError("points outside the basis domain")
     u = (t - lo) / (hi - lo)
     cols = [np.ones_like(u)]
-    for k in range(1, (spec.J - 1) // 2 + 1):
+    for k in range(1, (J - 1) // 2 + 1):
         cols.append(np.sqrt(2.0) * np.sin(2.0 * np.pi * k * u))
         cols.append(np.sqrt(2.0) * np.cos(2.0 * np.pi * k * u))
     return np.column_stack(cols)
@@ -96,7 +84,7 @@ def select_J(sample: FunctionalSample, J_max: int) -> tuple[int, np.ndarray]:
     candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
     if not candidates:
         raise ArgumentError(f"subdomain has only {m} points, too few for J >= 3")
-    design_full = eval_basis(BasisSpec(candidates[-1], domain), pts)
+    design_full = eval_basis(candidates[-1], domain, pts)
     # One m x n buffer holds y^2, then Q z, the residual and its square.
     work = np.square(y)
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(work, axis=0), _RSS_ABS_FLOOR)

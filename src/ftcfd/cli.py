@@ -15,8 +15,10 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import estimators
-from .dgp import ALL_KINDS, DgpConfig, draw_sample
+from .dgp import ALL_KINDS, draw_sample
 from .errors import ArgumentError, NumericalError, ParseError
 from .harness import (
     MODE_BIAS_VARIANCE,
@@ -163,7 +165,7 @@ def _experiment_spec(args) -> ExperimentSpec:
 
 
 def _cmd_simulate(args) -> int:
-    sample, d, xi = draw_sample(DgpConfig(args.dgp, n=args.n, p=args.p, seed=args.seed))
+    sample, d, xi = draw_sample(args.dgp, args.n, args.p, args.seed)
     write_sample_csv(sample, args.out)
     if args.sidecar:
         write_coefficient_sidecar(args.sidecar, d, xi)
@@ -241,7 +243,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"ftcfd: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"ftcfd: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ArgumentError as exc:

@@ -16,11 +16,10 @@ order-2 back-transform removes the bias. ALL_KINDS lists all five.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, eval_basis
+from .basis import eval_basis
 from .core import FunctionalSample, check_grid_size, check_seed, make_grid
 from .errors import ArgumentError
 
@@ -41,27 +40,6 @@ def _check_kind(kind):
         raise ArgumentError(f"unknown kind {kind!r}, expected one of {ALL_KINDS}")
 
 
-@dataclass(frozen=True)
-class DgpConfig:
-    """One draw: design kind, n curves on p grid points, and the seed.
-
-    The coefficients always have means DEFAULT_MU and variances
-    DEFAULT_LAMBDA, the values true_mean/true_cov score estimates against.
-    """
-
-    kind: str
-    n: int
-    p: int = 501
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        if self.n < 1:
-            raise ArgumentError(f"n must be >= 1, got {self.n}")
-        check_grid_size(self.p)
-        check_seed(self.seed)
-
-
 def _dep_con_endpoints(xi1, mu1, lam1, n) -> np.ndarray:
     # Imported here: scipy.special costs ~0.3 s and ~24 MB at start-up, and
     # only DepCon draws need it.
@@ -79,35 +57,42 @@ def _design_basis(kind, points) -> np.ndarray:
     """psi_1..psi_5 of the given kind at the points (len x 5 matrix)."""
     _check_kind(kind)
     points = np.asarray(points, dtype=float)
-    basis = eval_basis(BasisSpec(5, (0.0, 1.0)), points)
+    basis = eval_basis(5, (0.0, 1.0), points)
     if kind == V2:
         return np.column_stack([basis[:, 0], points, basis[:, 1:4]])
     return basis
 
 
-def draw_sample(config: DgpConfig):
-    """Draw (sample, d, xi) for one replication.
+def draw_sample(kind: str, n: int, p: int = 501, seed=0):
+    """Draw (sample, d, xi) for one replication: n curves on p grid points.
 
+    The coefficients always have means DEFAULT_MU and variances
+    DEFAULT_LAMBDA, the values true_mean/true_cov score estimates against.
     The coefficient matrix is drawn first from a seed-determined stream, so
     different kinds with the same seed share xi and differ only in d.
     Values at grid points beyond d_i are missing.
     """
-    rng = np.random.default_rng(config.seed)
-    xi = np.asarray(DEFAULT_MU) + np.sqrt(DEFAULT_LAMBDA) * rng.standard_normal((config.n, 5))
+    _check_kind(kind)
+    if n < 1:
+        raise ArgumentError(f"n must be >= 1, got {n}")
+    check_grid_size(p)
+    check_seed(seed)
+    rng = np.random.default_rng(seed)
+    xi = np.asarray(DEFAULT_MU) + np.sqrt(DEFAULT_LAMBDA) * rng.standard_normal((n, 5))
     mu1, lam1 = DEFAULT_MU[0], DEFAULT_LAMBDA[0]
-    if config.kind == DEP_DIS:
+    if kind == DEP_DIS:
         # Boundary xi_1 = mu_1 (probability zero) maps to d = 1.
         d = np.where(xi[:, 0] - mu1 < 0.0, 0.5, 1.0)
-    elif config.kind == DEP_CON:
-        d = _dep_con_endpoints(xi[:, 0], mu1, lam1, config.n)
-    elif config.kind == IND_DIS:
-        d = np.where(rng.random(config.n) < 0.5, 0.5, 1.0)
-    elif config.kind == IND_CON:
-        d = rng.uniform(0.5, 1.0, config.n)
+    elif kind == DEP_CON:
+        d = _dep_con_endpoints(xi[:, 0], mu1, lam1, n)
+    elif kind == IND_DIS:
+        d = np.where(rng.random(n) < 0.5, 0.5, 1.0)
+    elif kind == IND_CON:
+        d = rng.uniform(0.5, 1.0, n)
     else:  # V2
         d = np.where((xi[:, 0] - mu1) + (xi[:, 1] - DEFAULT_MU[1]) < 0.0, 0.5, 1.0)
-    grid = make_grid(config.p, 0.0, 1.0)
-    values = xi @ _design_basis(config.kind, grid.points).T
+    grid = make_grid(p, 0.0, 1.0)
+    values = xi @ _design_basis(kind, grid.points).T
     values[grid.points[None, :] > d[:, None]] = np.nan
     sample = FunctionalSample(grid, values)
     return sample, d, xi

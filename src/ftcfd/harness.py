@@ -27,7 +27,7 @@ import numpy as np
 from . import estimators
 from .basis import check_J_max
 from .core import check_grid_size, check_seed
-from .dgp import KINDS, DgpConfig, draw_sample, true_cov, true_mean
+from .dgp import KINDS, draw_sample, true_cov, true_mean
 from .errors import ArgumentError, FtcfdError
 from .mcar import (
     OUTCOME_NULL,
@@ -146,7 +146,7 @@ def _rep_seed(seed: int, rep: int) -> int:
 
 def _draw(task):
     spec, kind, n, rep = task
-    sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=spec.p, seed=(spec.seed, rep)))
+    sample, _, _ = draw_sample(kind, n, spec.p, (spec.seed, rep))
     return sample
 
 

@@ -1,8 +1,8 @@
 """CSV reading of functional samples and writing of every table the package emits.
 
 Sample format: header row ``t,<t_1>,...,<t_p>``, then one row per curve
-``curve_<i>,v_1,...,v_p`` with empty cells for missing values. UTF-8,
-``.`` decimal separator.
+``curve_<i>,v_1,...,v_p`` with empty cells for missing values. UTF-8 (a
+leading byte-order mark is read and ignored), ``.`` decimal separator.
 
 Every table (samples, coefficient sidecars, mean vectors, covariance
 matrices, principal component scores, experiment results) is written by
@@ -66,7 +66,7 @@ def write_sample_csv(sample: FunctionalSample, path) -> None:
 
 
 def read_sample_csv(path) -> FunctionalSample:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     return parse_sample_csv(text)
 
 

@@ -49,12 +49,18 @@ class TestReport:
 
     rejected: frozenset
     p_values: tuple
-    outcome: str
     alpha: float
     R: int
     seed: int
     J: int = 0
     degenerate_response: bool = False
+
+    @property
+    def outcome(self) -> str:
+        """The rejection set's classification (see the module docstring)."""
+        if not self.rejected:
+            return OUTCOME_NULL
+        return OUTCOME_V if self.rejected == frozenset({1}) else OUTCOME_OTHER
 
     def serialize(self) -> str:
         """Flat key=value text block for CLI output."""
@@ -69,14 +75,6 @@ class TestReport:
             f"degenerate_response={str(self.degenerate_response).lower()}",
         ]
         return "\n".join(lines) + "\n"
-
-
-def _classify(rejected: frozenset) -> str:
-    if not rejected:
-        return OUTCOME_NULL
-    if rejected == frozenset({1}):
-        return OUTCOME_V
-    return OUTCOME_OTHER
 
 
 def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
@@ -202,8 +200,7 @@ def romano_wolf(d, Xi, alpha: float, R: int, seed: int) -> TestReport:
         j_star = remaining[int(np.argmax(obs))]
         rejected.add(j_star)
         remaining.remove(j_star)
-    rejected = frozenset(rejected)
-    return TestReport(rejected, tuple(p_values), _classify(rejected), alpha, R, seed, J)
+    return TestReport(frozenset(rejected), tuple(p_values), alpha, R, seed, J)
 
 
 def classify_and_test(
@@ -226,8 +223,6 @@ def classify_and_test(
     check_R(R)
     check_seed(seed)
     if np.ptp(sample.d_i) == 0.0:
-        return TestReport(
-            frozenset(), (), OUTCOME_NULL, alpha, R, seed, degenerate_response=True
-        )
+        return TestReport(frozenset(), (), alpha, R, seed, degenerate_response=True)
     _, coefficients = select_J(sample, J_max)
     return romano_wolf(sample.d_i, coefficients, alpha, R, seed)

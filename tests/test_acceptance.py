@@ -152,9 +152,7 @@ def test_criterion_5_test_classification_rates():
 
 
 def test_criterion_6_pointwise_bias_matches_analytic_value():
-    sample, _, _ = dgp.draw_sample(
-        dgp.DgpConfig("DepDis", n=10_000, p=501, seed=(1, 0))
-    )
+    sample, _, _ = dgp.draw_sample("DepDis", n=10_000, p=501, seed=(1, 0))
     j = sample.grid.index_of(0.75)
     bias = mean_est(sample)[j] - dgp.true_mean(0.75)
     target = math.sqrt(20.0 / math.pi)
@@ -171,7 +169,7 @@ def test_criterion_7_estimator_and_test_properties():
     checks = []
 
     # back-transform equals classical on the fully observed block, bitwise
-    s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=50, p=101, seed=3))
+    s, _, _ = dgp.draw_sample("DepDis", n=50, p=101, seed=3)
     block = s.mask.all(axis=0)
     checks.append(
         (
@@ -181,7 +179,7 @@ def test_criterion_7_estimator_and_test_properties():
     )
 
     # symmetry of the back-transform covariance
-    s2, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=6))
+    s2, _, _ = dgp.draw_sample("DepCon", n=60, p=101, seed=6)
     c = cov_pair(moments(s2))[1]
     checks.append(("cov symmetry <= 1e-8", np.nanmax(np.abs(c - c.T)) <= 1e-8))
 
@@ -229,7 +227,7 @@ def test_criterion_7_estimator_and_test_properties():
         truth = dgp.true_mean(0.75)
         errs = np.empty(reps)
         for r in range(reps):
-            sm, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(7, r)))
+            sm, _, _ = dgp.draw_sample("DepDis", n=n, p=p, seed=(7, r))
             errs[r] = ftc_mean(moments(sm))[150] - truth
         return float(np.sqrt(np.mean(errs**2)))
 
@@ -272,7 +270,7 @@ def test_criterion_8_higher_order_back_transform():
     # order 1 against the full-square oracle: the mean and the classical
     # covariance bit for bit, the back-transform covariance on the same NaN
     # cells to 1e-14 relative (its edge-only blocks sum in another order)
-    s, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=13))
+    s, d, _ = dgp.draw_sample("DepCon", n=60, p=101, seed=13)
 
     def nan_eq(a, b):
         return np.array_equal(
@@ -301,10 +299,10 @@ def test_criterion_8_higher_order_back_transform():
     acc_c_cl = np.zeros((p, p))
     acc_c_k2 = np.zeros((p, p))
     for r in range(reps):
-        sm, dm, _ = dgp.draw_sample(dgp.DgpConfig("V2", n=n, p=p, seed=(13, r)))
+        sm, dm, _ = dgp.draw_sample("V2", n=n, p=p, seed=(13, r))
         acc_m_cl += mean_est(sm)
         acc_m_k2 += ftc_mean(moments(sm, 2))
-        sc, dc, _ = dgp.draw_sample(dgp.DgpConfig("V2", n=n, p=p, seed=(14, r)))
+        sc, dc, _ = dgp.draw_sample("V2", n=n, p=p, seed=(14, r))
         acc_c_cl += cov_est(sc)
         acc_c_k2 += cov_pair(moments(sc, 2))[1]
 

@@ -4,36 +4,35 @@ import pytest
 from ftcfd.basis import (
     _RSS_ABS_FLOOR,
     _RSS_REL_FLOOR,
-    BasisSpec,
     eval_basis,
     select_J,
 )
 from ftcfd.core import FunctionalSample, fully_observed_prefix, make_grid
-from ftcfd.dgp import DgpConfig, draw_sample
+from ftcfd.dgp import draw_sample
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.estimators import fpca_scores
 from reference import interval_sample
 
 
 def test_eval_basis_at_zero():
-    row = eval_basis(BasisSpec(3, (0.0, 1.0)), [0.0])[0]
+    row = eval_basis(3, (0.0, 1.0), [0.0])[0]
     assert row == pytest.approx([1.0, 0.0, np.sqrt(2.0)])
 
 
 def test_eval_basis_at_quarter():
-    row = eval_basis(BasisSpec(3, (0.0, 1.0)), [0.25])[0]
+    row = eval_basis(3, (0.0, 1.0), [0.25])[0]
     assert row == pytest.approx([1.0, np.sqrt(2.0), 0.0], abs=1e-12)
 
 
 def test_eval_basis_rescales_domain():
     # u = (t - lo)/(hi - lo); t = 1.25 on [1, 2] behaves like t = 0.25 on [0, 1]
-    row = eval_basis(BasisSpec(3, (1.0, 2.0)), [1.25])[0]
+    row = eval_basis(3, (1.0, 2.0), [1.25])[0]
     assert row == pytest.approx([1.0, np.sqrt(2.0), 0.0], abs=1e-12)
 
 
 def test_eval_basis_numerical_orthonormality():
     g = make_grid(501, 0.0, 1.0)
-    cols = eval_basis(BasisSpec(5, (0.0, 1.0)), g.points)
+    cols = eval_basis(5, (0.0, 1.0), g.points)
     for j in range(1, 5):
         assert abs(np.trapezoid(cols[:, j], dx=g.h)) < 1e-3
         assert abs(np.trapezoid(cols[:, j] ** 2, dx=g.h) - 1.0) < 1e-3
@@ -41,34 +40,39 @@ def test_eval_basis_numerical_orthonormality():
 
 def test_eval_basis_gram_near_identity_at_j51():
     g = make_grid(501, 0.0, 1.0)
-    cols = eval_basis(BasisSpec(51, (0.0, 1.0)), g.points)
+    cols = eval_basis(51, (0.0, 1.0), g.points)
     gram = g.h * cols.T @ cols
     assert np.abs(gram - np.eye(51)).max() < 1e-2
 
 
-def test_basis_spec_validation():
-    with pytest.raises(ArgumentError):
-        BasisSpec(4, (0.0, 1.0))
-    with pytest.raises(ArgumentError):
-        BasisSpec(1, (0.0, 1.0))
-    with pytest.raises(ArgumentError):
-        BasisSpec(3, (1.0, 1.0))
+def test_eval_basis_validation():
+    with pytest.raises(ArgumentError, match="J must be odd and >= 3, got 4"):
+        eval_basis(4, (0.0, 1.0), [0.5])
+    with pytest.raises(ArgumentError, match="J must be odd and >= 3, got 1"):
+        eval_basis(1, (0.0, 1.0), [0.5])
+    with pytest.raises(ArgumentError, match=r"lo < hi, got \(1.0, 1.0\)"):
+        eval_basis(3, (1.0, 1.0), [1.0])
+    # The checks run in the order J, domain, points.
+    with pytest.raises(ArgumentError, match="J must be odd"):
+        eval_basis(4, (1.0, 1.0), [5.0])
+    with pytest.raises(ArgumentError, match="lo < hi"):
+        eval_basis(3, (1.0, 1.0), [5.0])
 
 
 def test_eval_basis_rejects_points_outside_domain():
     with pytest.raises(ArgumentError):
-        eval_basis(BasisSpec(3, (0.0, 1.0)), [1.5])
+        eval_basis(3, (0.0, 1.0), [1.5])
 
 
 @pytest.mark.parametrize("length", [1.0, 1e-13, 1e6])
 def test_eval_basis_domain_check_is_relative_to_the_domain(length):
     inside = np.array([0.0, 0.5, 1.0, -1e-13, 1.0 + 1e-13])
     outside = [-0.5, -1e-11, 1.0 + 1e-11, 1.5]
-    spec = BasisSpec(3, (0.0, length))
-    assert eval_basis(spec, inside * length).shape == (5, 3)
+    domain = (0.0, length)
+    assert eval_basis(3, domain, inside * length).shape == (5, 3)
     for u in outside:
         with pytest.raises(ArgumentError, match="outside the basis domain"):
-            eval_basis(spec, [u * length])
+            eval_basis(3, domain, [u * length])
 
 
 def test_select_j_fits_constant_curves():
@@ -82,18 +86,18 @@ def test_select_j_fits_constant_curves():
 
 def test_select_j_reproduces_basis_element():
     g = make_grid(101, 0.0, 1.0)
-    psi2 = eval_basis(BasisSpec(3, (0.0, 1.0)), g.points)[:, 1]
+    psi2 = eval_basis(3, (0.0, 1.0), g.points)[:, 1]
     s = FunctionalSample(g, psi2[None, :])
     coef = select_J(s, 3)[1]
     assert np.abs(coef[0] - [0.0, 1.0, 0.0]).max() < 1e-6
 
 
 def _render(xi, sample):
-    return xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
+    return xi @ eval_basis(5, (0.0, 1.0), sample.grid.points).T
 
 
 def test_select_j_recovers_generator_coefficients():
-    sample, _, xi = draw_sample(DgpConfig("IndDis", n=20, p=201, seed=3))
+    sample, _, xi = draw_sample("IndDis", n=20, p=201, seed=3)
     full = FunctionalSample(sample.grid, _render(xi, sample))
     coef = select_J(full, 11)[1]
     assert np.abs(coef - xi).max() < 1e-6
@@ -105,14 +109,14 @@ def test_select_j_residual_orthogonal_to_design():
     vals = rng.standard_normal((5, 101))
     s = FunctionalSample(g, vals)
     J, coef = select_J(s, 7)
-    design = eval_basis(BasisSpec(J, (0.0, 1.0)), g.points)
+    design = eval_basis(J, (0.0, 1.0), g.points)
     resid = vals.T - design @ coef.T
     rel = np.abs(design.T @ resid).max() / max(np.abs(vals).max(), 1.0)
     assert rel < 1e-8
 
 
 def test_select_j_recovers_generator_dimension():
-    sample, _, xi = draw_sample(DgpConfig("IndDis", n=50, p=201, seed=6))
+    sample, _, xi = draw_sample("IndDis", n=50, p=201, seed=6)
     full = FunctionalSample(sample.grid, _render(xi, sample))
     for j_max in (5, 11, 31):
         assert select_J(full, j_max)[0] == 5
@@ -127,7 +131,7 @@ def test_select_j_constant_sample():
 def test_select_j_on_observed_subdomain_monte_carlo():
     hits = 0
     for r in range(100):
-        sample, _, _ = draw_sample(DgpConfig("DepDis", n=150, p=501, seed=(800, r)))
+        sample, _, _ = draw_sample("DepDis", n=150, p=501, seed=(800, r))
         hits += select_J(sample, 51)[0] == 5
     assert hits >= 95
 
@@ -143,7 +147,7 @@ def _cut_first_curve(sample, m):
 
 
 def test_select_j_invariant_to_curve_order():
-    drawn, _, _ = draw_sample(DgpConfig("IndCon", n=30, p=101, seed=5))
+    drawn, _, _ = draw_sample("IndCon", n=30, p=101, seed=5)
     sample = _cut_first_curve(drawn, 51)
     assert fully_observed_prefix(sample) == 51
     j1, c1 = select_J(sample, 21)
@@ -172,7 +176,7 @@ def test_select_j_validates_j_max():
 
 @pytest.mark.parametrize("kind", ["DepDis", "DepCon", "IndDis", "IndCon"])
 def test_prefix_results_do_not_depend_on_the_memory_order(kind):
-    sample, _, _ = draw_sample(DgpConfig(kind, n=150, p=501, seed=(811, 0)))
+    sample, _, _ = draw_sample(kind, n=150, p=501, seed=(811, 0))
     fortran = FunctionalSample(sample.grid, np.asfortranarray(sample.values))
     assert fortran.values.flags.f_contiguous and sample.values.flags.c_contiguous
     J, coef = select_J(sample, 51)
@@ -192,7 +196,7 @@ def _select_j_reference(sample, J_max, basis_domain):
     m = idx.size
     candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
     pts = sample.grid.points[idx]
-    design_full = eval_basis(BasisSpec(candidates[-1], basis_domain), pts)
+    design_full = eval_basis(candidates[-1], basis_domain, pts)
     y = sample.values[:, idx].T
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(y**2, axis=0), _RSS_ABS_FLOOR)
     bic_rows, kept, coefs = [], [], []
@@ -225,7 +229,7 @@ def _assert_matches_reference(sample, J_max):
 @pytest.mark.parametrize("n", [50, 150])
 def test_select_j_matches_lstsq_sweep_on_dgp_draws(kind, n):
     for rep in range(3):
-        sample, _, _ = draw_sample(DgpConfig(kind, n=n, p=501, seed=(810, rep)))
+        sample, _, _ = draw_sample(kind, n=n, p=501, seed=(810, rep))
         _assert_matches_reference(sample, 51)
 
 
@@ -238,6 +242,6 @@ def test_select_j_matches_lstsq_sweep_on_dgp_draws(kind, n):
 def test_select_j_matches_lstsq_sweep_where_rank_breaks(p, hi, J_max, noise):
     g = make_grid(p, 0.0, 1.0)
     rng = np.random.default_rng(0)
-    curves = rng.standard_normal((40, 7)) @ eval_basis(BasisSpec(7, (0, 1)), g.points).T
+    curves = rng.standard_normal((40, 7)) @ eval_basis(7, (0, 1), g.points).T
     full = FunctionalSample(g, curves + noise * rng.standard_normal((40, p)))
     _assert_matches_reference(_cut_first_curve(full, round(hi * (p - 1)) + 1), J_max)

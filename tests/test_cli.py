@@ -8,10 +8,10 @@ import pytest
 
 import ftcfd
 from ftcfd import cli, core, estimators, harness
-from ftcfd.basis import BasisSpec, eval_basis
-from ftcfd.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from ftcfd.basis import eval_basis
+from ftcfd.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from ftcfd.core import FunctionalSample
-from ftcfd.dgp import DgpConfig, draw_sample
+from ftcfd.dgp import draw_sample
 from ftcfd.io import read_sample_csv, write_sample_csv
 
 
@@ -228,7 +228,7 @@ def test_experiment_replication_error_names_its_cell(tmp_path, capsys, monkeypat
 )
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     sample = tmp_path / "sample.csv"
-    write_sample_csv(draw_sample(DgpConfig("DepDis", n=20, p=21, seed=1))[0], sample)
+    write_sample_csv(draw_sample("DepDis", n=20, p=21, seed=1)[0], sample)
     out = tmp_path / "out.csv"
     argv = [str(sample) if a == "SAMPLE" else a for a in argv]
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
@@ -398,6 +398,21 @@ def test_failed_estimate_leaves_no_output(tmp_path, capsys, rows, extra, code, m
     assert not out.exists()
 
 
+# Values near 1e160 overflow the covariance, so its eigendecomposition fails.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_linalg_failure_exits_with_numerical_code(tmp_path, capsys):
+    values = np.random.default_rng(0).standard_normal((6, 11)) * 1e160
+    values[:3, 8:] = np.nan
+    path, out = tmp_path / "s.csv", tmp_path / "est"
+    write_sample_csv(FunctionalSample(core.make_grid(11, 0.0, 1.0), values), path)
+    argv = ["estimate", str(path), "--out", str(out), "--fpc-scores"]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "ftcfd: Eigenvalues did not converge\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_estimate_differentiates_once_per_order(tmp_path, monkeypatch):
     # Each estimate run differentiates once per order (K = 1) and builds one
     # sample, which finds every curve's observed run.
@@ -443,9 +458,9 @@ def test_estimate_separates_biased_and_corrected_means(tmp_path):
 
 
 def test_estimate_fully_observed_estimates_agree(tmp_path, capsys):
-    sample, _, xi = draw_sample(DgpConfig("IndDis", n=40, p=101, seed=13))
+    sample, _, xi = draw_sample("IndDis", n=40, p=101, seed=13)
     full = FunctionalSample(
-        sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
+        sample.grid, xi @ eval_basis(5, (0.0, 1.0), sample.grid.points).T
     )
     sample_path = tmp_path / "full.csv"
     write_sample_csv(full, sample_path)
@@ -471,7 +486,7 @@ def test_estimate_writes_component_scores(tmp_path, capsys):
 
 def test_prefix_commands_run_on_a_grid_in_small_units(tmp_path, capsys):
     # [0, 1e-11]: spacing 1e-13, below any absolute tolerance on the grid.
-    sample, _, _ = draw_sample(DgpConfig("DepDis", n=60, p=101, seed=1))
+    sample, _, _ = draw_sample("DepDis", n=60, p=101, seed=1)
     grid = core.Grid(sample.grid.points * 1e-11)
     path = tmp_path / "small.csv"
     write_sample_csv(FunctionalSample(grid, sample.values), path)
@@ -486,7 +501,7 @@ def test_prefix_commands_run_on_a_grid_in_small_units(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def dep_dis_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("dep") / "dep.csv"
-    dep, _, _ = draw_sample(DgpConfig("DepDis", n=250, p=501, seed=(71, 0)))
+    dep, _, _ = draw_sample("DepDis", n=250, p=501, seed=(71, 0))
     write_sample_csv(dep, path)
     return path
 
@@ -498,7 +513,7 @@ def test_test_outcomes(tmp_path, capsys, dep_dis_path):
     assert "outcome=V" in report.read_text()
     assert main(["test", str(dep_dis_path)]) == EXIT_OK
     assert capsys.readouterr().out == report.read_text()
-    ind, _, _ = draw_sample(DgpConfig("IndDis", n=250, p=501, seed=(73, 0)))
+    ind, _, _ = draw_sample("IndDis", n=250, p=501, seed=(73, 0))
     ind_path = tmp_path / "ind.csv"
     write_sample_csv(ind, ind_path)
     assert main(["test", str(ind_path)]) == EXIT_OK

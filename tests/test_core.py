@@ -10,7 +10,7 @@ from ftcfd.core import (
     fully_observed_prefix,
     make_grid,
 )
-from ftcfd.dgp import DgpConfig, draw_sample
+from ftcfd.dgp import draw_sample
 from ftcfd.errors import ArgumentError
 
 
@@ -143,7 +143,7 @@ def test_summarize_hand_checked_two_curves():
 
 
 def test_summarize_endpoint_fraction_matches_sign_rule():
-    sample, d, xi = draw_sample(DgpConfig("DepDis", n=500, p=101, seed=4))
+    sample, d, xi = draw_sample("DepDis", n=500, p=101, seed=4)
     assert np.array_equal(sample.d_i, d)
     assert abs(np.mean(sample.d_i == 1.0) - 0.5) < 0.07
 
@@ -188,7 +188,7 @@ def test_fully_observed_block_is_the_common_part_of_the_runs(runs, p, block):
 
 
 def test_interval_pattern_runs_are_prefixes():
-    sample, _, _ = draw_sample(DgpConfig("IndCon", n=60, p=51, seed=2))
+    sample, _, _ = draw_sample("IndCon", n=60, p=51, seed=2)
     assert np.array_equal(sample.first, np.zeros(60))
     assert np.array_equal(sample.counts, sample.last + 1)
     assert np.array_equal(sample.d_i, sample.grid.points[sample.last])

@@ -4,45 +4,50 @@ import numpy as np
 import pytest
 
 from ftcfd import dgp
-from ftcfd.basis import BasisSpec, eval_basis, select_J
+from ftcfd.basis import eval_basis, select_J
 from ftcfd.core import FunctionalSample
 from ftcfd.errors import ArgumentError
 
 
-def test_config_validation():
+def test_draw_sample_validation():
     for kind in dgp.ALL_KINDS:
-        assert dgp.DgpConfig(kind, n=10).kind == kind
+        assert dgp.draw_sample(kind, n=10)[0].values.shape == (10, 501)
     with pytest.raises(ArgumentError):
-        dgp.DgpConfig("Nope", n=10)
+        dgp.draw_sample("Nope", n=10)
     with pytest.raises(ArgumentError, match="n must be >= 1, got 0"):
-        dgp.DgpConfig("DepDis", n=0)
+        dgp.draw_sample("DepDis", n=0)
     with pytest.raises(ArgumentError, match="p must be >= 3, got 2"):
-        dgp.DgpConfig("DepDis", n=10, p=2)
+        dgp.draw_sample("DepDis", n=10, p=2)
     with pytest.raises(ArgumentError, match="seed must be >= 0, got -1"):
-        dgp.DgpConfig("DepDis", n=10, seed=-1)
+        dgp.draw_sample("DepDis", n=10, seed=-1)
     with pytest.raises(ArgumentError, match=r"seed must be >= 0, got \(3, -1\)"):
-        dgp.DgpConfig("DepDis", n=10, seed=(3, -1))
+        dgp.draw_sample("DepDis", n=10, seed=(3, -1))
+    # The checks run in the order kind, n, p, seed.
+    with pytest.raises(ArgumentError, match="unknown kind 'Nope'"):
+        dgp.draw_sample("Nope", n=0, p=2, seed=-1)
+    with pytest.raises(ArgumentError, match="n must be >= 1"):
+        dgp.draw_sample("DepDis", n=0, p=2, seed=-1)
+    with pytest.raises(ArgumentError, match="p must be >= 3"):
+        dgp.draw_sample("DepDis", n=10, p=2, seed=-1)
 
 
 def test_draw_is_deterministic():
-    a = dgp.draw_sample(dgp.DgpConfig("DepCon", n=20, p=51, seed=7))
-    b = dgp.draw_sample(dgp.DgpConfig("DepCon", n=20, p=51, seed=7))
+    a = dgp.draw_sample("DepCon", n=20, p=51, seed=7)
+    b = dgp.draw_sample("DepCon", n=20, p=51, seed=7)
     assert np.array_equal(a[1], b[1])
     assert np.array_equal(a[2], b[2])
     assert np.array_equal(a[0].mask, b[0].mask)
+    assert np.array_equal(a[0].values, b[0].values, equal_nan=True)
 
 
 def test_kinds_share_coefficients_given_seed():
-    xis = [
-        dgp.draw_sample(dgp.DgpConfig(kind, n=15, p=51, seed=3))[2]
-        for kind in dgp.ALL_KINDS
-    ]
+    xis = [dgp.draw_sample(kind, n=15, p=51, seed=3)[2] for kind in dgp.ALL_KINDS]
     for xi in xis[1:]:
         assert np.array_equal(xis[0], xi)
 
 
 def test_dep_dis_endpoint_balance():
-    _, d, xi = dgp.draw_sample(dgp.DgpConfig("DepDis", n=40_000, p=11, seed=2))
+    _, d, xi = dgp.draw_sample("DepDis", n=40_000, p=11, seed=2)
     assert set(np.unique(d)) == {0.5, 1.0}
     assert abs(np.mean(d == 1.0) - 0.5) < 0.015
     # sign rule: d = 1 exactly when the level coefficient is above its mean
@@ -51,7 +56,7 @@ def test_dep_dis_endpoint_balance():
 
 def test_dep_con_point_masses():
     n = 10_000
-    _, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=n, p=11, seed=2))
+    _, d, _ = dgp.draw_sample("DepCon", n=n, p=11, seed=2)
     assert np.sum(d == 1.0) == math.ceil(0.02 * n)
     assert abs(np.mean(d == 0.5) - 0.5) < 0.02
     assert np.all((d >= 0.5) & (d <= 1.0))
@@ -59,13 +64,13 @@ def test_dep_con_point_masses():
 
 def test_dep_con_exact_mass_small_n():
     for n in (49, 50, 51, 150):
-        _, d, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=n, p=11, seed=3))
+        _, d, _ = dgp.draw_sample("DepCon", n=n, p=11, seed=3)
         assert np.sum(d == 1.0) == math.ceil(0.02 * n)
 
 
 def test_lower_half_always_observed():
     for kind in dgp.ALL_KINDS:
-        sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=50, p=101, seed=4))
+        sample, _, _ = dgp.draw_sample(kind, n=50, p=101, seed=4)
         half = sample.grid.points <= 0.5
         assert sample.mask[:, half].all()
 
@@ -73,24 +78,24 @@ def test_lower_half_always_observed():
 def test_endpoint_coefficient_correlations():
     n = 10_000
     for kind in ("DepDis", "DepCon"):
-        _, d, xi = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=11, seed=5))
+        _, d, xi = dgp.draw_sample(kind, n=n, p=11, seed=5)
         assert np.corrcoef(d, xi[:, 0])[0, 1] > 0.5
     for kind in ("IndDis", "IndCon"):
-        _, d, xi = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=11, seed=5))
+        _, d, xi = dgp.draw_sample(kind, n=n, p=11, seed=5)
         for j in range(5):
             assert abs(np.corrcoef(d, xi[:, j])[0, 1]) < 0.05
 
 
 def test_coefficient_moments():
-    _, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=10_000, p=11, seed=6))
+    _, _, xi = dgp.draw_sample("IndDis", n=10_000, p=11, seed=6)
     assert np.abs(xi.mean(axis=0) - dgp.DEFAULT_MU).max() < 0.1
     assert np.abs(xi.var(axis=0) - dgp.DEFAULT_LAMBDA).max() < 0.5
 
 
 def test_rendered_curves_project_back_to_coefficients():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=20, p=201, seed=7))
+    sample, _, xi = dgp.draw_sample("IndDis", n=20, p=201, seed=7)
     full = FunctionalSample(
-        sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
+        sample.grid, xi @ eval_basis(5, (0.0, 1.0), sample.grid.points).T
     )
     coef = select_J(full, 11)[1]
     assert np.abs(coef - xi).max() < 1e-6
@@ -122,7 +127,7 @@ def test_true_cov_matches_sample_moments():
     # t = 0.1 and 0.4 lie in the half every curve observes
     idx = [1, 4]
     for kind in ("IndDis", "V2"):
-        sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=200_00, p=11, seed=8))
+        sample, _, _ = dgp.draw_sample(kind, n=200_00, p=11, seed=8)
         pts = sample.grid.points[idx]
         emp = np.cov(sample.values[:, idx].T, bias=True)
         assert np.abs(emp - dgp.true_cov(pts, pts, kind=kind)).max() < 0.8
@@ -150,7 +155,7 @@ def test_analytic_bias_integrates_to_table_value():
 
 
 def test_v2_sample_shape_and_endpoints():
-    sample, d, xi = dgp.draw_sample(dgp.DgpConfig("V2", n=100, p=51, seed=10))
+    sample, d, xi = dgp.draw_sample("V2", n=100, p=51, seed=10)
     assert sample.values.shape == (100, 51)
     assert set(np.unique(d)) == {0.5, 1.0}
     centered = (xi[:, 0] - 5.0) + (xi[:, 1] - 2.0)
@@ -184,6 +189,6 @@ def test_truth_rejects_unknown_kinds(kind):
 
 
 def test_v2_curves_match_coefficients():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("V2", n=10, p=21, seed=11))
+    sample, _, xi = dgp.draw_sample("V2", n=10, p=21, seed=11)
     # at t = 0 the basis row is (1, 0, 0, sqrt(2), 0)
     assert np.allclose(sample.values[:, 0], xi[:, 0] + math.sqrt(2) * xi[:, 3])

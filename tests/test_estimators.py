@@ -62,7 +62,7 @@ def test_mean_est_selection_bias_at_three_quarters():
     acc = 0.0
     reps = 100
     for r in range(reps):
-        s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=500, p=101, seed=(100, r)))
+        s, _, _ = dgp.draw_sample("DepDis", n=500, p=101, seed=(100, r))
         acc += mean_est(s)[75]
     assert abs(acc / reps - target) < 0.25
 
@@ -152,7 +152,7 @@ def test_cov_est_identical_curves_zero():
     + [(kind, n, 501) for kind in ("DepDis", "IndCon", "DepCon") for n in (150, 500)],
 )
 def test_cov_est_symmetric_exactly(kind, n, p):
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=1))
+    sample, _, _ = dgp.draw_sample(kind, n=n, p=p, seed=1)
     for c in (cov_est(sample), cov_pair(moments(sample))[0]):
         assert _nan_equal(c, c.T)
 
@@ -175,9 +175,9 @@ def test_cov_est_monte_carlo_against_truth():
 
 
 def _fourier5(points):
-    from ftcfd.basis import BasisSpec, eval_basis
+    from ftcfd.basis import eval_basis
 
-    return eval_basis(BasisSpec(5, (0.0, 1.0)), points)
+    return eval_basis(5, (0.0, 1.0), points)
 
 
 # --- cumulative integral ------------------------------------------------
@@ -222,14 +222,14 @@ def test_cum_int_stops_at_undefined_cells():
 
 
 def test_ftc_mean_equals_classical_under_full_observation():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=501, seed=2))
+    sample, _, xi = dgp.draw_sample("IndDis", n=30, p=501, seed=2)
     full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     diff = ftc_mean(moments(full)) - mean_est(full)
     assert np.abs(diff).max() < 1e-4
 
 
 def test_ftc_mean_matches_classical_on_observed_block():
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=50, p=101, seed=3))
+    sample, _, _ = dgp.draw_sample("DepDis", n=50, p=101, seed=3)
     m_ftc = ftc_mean(moments(sample))
     m_cl = mean_est(sample)
     block = sample.mask.all(axis=0)
@@ -247,7 +247,7 @@ def test_ftc_mean_on_a_block_that_misses_t_1():
 
 
 def test_ftc_cov_equals_classical_under_full_observation():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=40, p=201, seed=4))
+    sample, _, xi = dgp.draw_sample("IndDis", n=40, p=201, seed=4)
     full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     diff = cov_pair(moments(full))[1] - cov_est(full)
     assert np.abs(diff).max() < 1e-2
@@ -265,13 +265,13 @@ def test_ftc_cov_identical_curves_is_zero():
 
 
 def test_ftc_cov_symmetry():
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=6))
+    sample, _, _ = dgp.draw_sample("DepCon", n=60, p=101, seed=6)
     c = cov_pair(moments(sample))[1]
     assert np.nanmax(np.abs(c - c.T)) < 1e-8
 
 
 def test_ftc_cov_anchor_value_matches_classical():
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=40, p=101, seed=7))
+    sample, d, _ = dgp.draw_sample("DepDis", n=40, p=101, seed=7)
     j = sample.grid.index_of(float(d.min()))
     assert cov_pair(moments(sample))[1][j, j] == cov_est(sample)[j, j]
 
@@ -283,7 +283,7 @@ def test_general_mean_reduces_to_interval_version():
     # Mirrored, the curves miss their beginnings and the block ends at t_p:
     # the back-transform mean is the interval version's reversed, bit for
     # bit (the end stencils and the integrals change sign exactly).
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=8))
+    sample, _, _ = dgp.draw_sample("DepCon", n=50, p=101, seed=8)
     mirrored = FunctionalSample(sample.grid, sample.values[:, ::-1])
     for K in (1, 2):
         assert _nan_equal(ftc_mean(moments(mirrored, K))[::-1], ftc_mean(moments(sample, K)))
@@ -296,7 +296,7 @@ def test_every_fully_observed_anchor_gives_the_same_bytes(observed, K):
     # observes is an accepted anchor, and the estimates there carry the
     # classical bytes: integrating back from any such d_f starts from the
     # same values. Every other grid point is rejected.
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("DepCon", n=50, p=101, seed=9))
+    sample, _, xi = dgp.draw_sample("DepCon", n=50, p=101, seed=9)
     if observed == "full":
         sample = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     m = moments(sample, K)
@@ -314,7 +314,7 @@ def test_every_fully_observed_anchor_gives_the_same_bytes(observed, K):
 
 
 def test_general_rejects_anchor_without_full_observation():
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=80, p=101, seed=11))
+    sample, d, _ = dgp.draw_sample("DepDis", n=80, p=101, seed=11)
     assert d.min() < 0.75
     with pytest.raises(ArgumentError):
         anchor_index(moments(sample), 0.75)
@@ -328,7 +328,7 @@ def test_general_mean_mirrored_design_unbiased():
     acc_f = np.zeros(p)
     acc_c = np.zeros(p)
     for r in range(reps):
-        s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(9, r)))
+        s, _, _ = dgp.draw_sample("DepDis", n=n, p=p, seed=(9, r))
         mirrored = FunctionalSample(g, s.values[:, ::-1])
         acc_f += ftc_mean(moments(mirrored))
         acc_c += mean_est(mirrored)
@@ -340,7 +340,7 @@ def test_general_mean_mirrored_design_unbiased():
 
 def test_general_cov_symmetry():
     # Mirrored, the curves miss their beginnings: the block ends at t_p.
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("IndCon", n=50, p=101, seed=12))
+    sample, _, _ = dgp.draw_sample("IndCon", n=50, p=101, seed=12)
     c = cov_pair(moments(FunctionalSample(sample.grid, sample.values[:, ::-1])))[1]
     assert np.nanmax(np.abs(c - c.T)) < 1e-8
 
@@ -349,14 +349,14 @@ def test_general_cov_symmetry():
 
 
 def test_recursive_mean_full_observation_k2():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=15))
+    sample, _, xi = dgp.draw_sample("IndDis", n=30, p=201, seed=15)
     full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = mean_est(full)
     assert np.abs(ftc_mean(moments(full, 2)) - cl).max() < 1e-3
 
 
 def test_recursive_cov_full_observation_k2():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=201, seed=16))
+    sample, _, xi = dgp.draw_sample("IndDis", n=30, p=201, seed=16)
     full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     cl = cov_est(full)
     assert np.abs(cov_pair(moments(full, 2))[1] - cl).max() < 5e-2
@@ -370,7 +370,7 @@ def test_recursive_mean_removes_second_order_dependence():
     truth = dgp.true_mean(g.points, kind="V2")
     acc = {"cl": np.zeros(p), "k1": np.zeros(p), "k2": np.zeros(p)}
     for r in range(reps):
-        s, _, _ = dgp.draw_sample(dgp.DgpConfig("V2", n=n, p=p, seed=(13, r)))
+        s, _, _ = dgp.draw_sample("V2", n=n, p=p, seed=(13, r))
         acc["cl"] += mean_est(s)
         acc["k1"] += ftc_mean(moments(s, 1))
         acc["k2"] += ftc_mean(moments(s, 2))
@@ -693,7 +693,7 @@ def test_backtransform_keeps_the_bits_of_separate_integrals(p, K, axis, transpos
     shift=st.floats(-100.0, 100.0),
 )
 def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))
+    sample, _, _ = dgp.draw_sample(kind, n=n, p=p, seed=seed)
     shifted = FunctionalSample(sample.grid, sample.values + shift)
     pairs = cov_pair(moments(shifted)), cov_pair(moments(sample))
     for got, want in zip(*pairs):
@@ -706,7 +706,7 @@ def test_cov_pair_level_shift_invariant_and_symmetric(kind, n, p, seed, shift):
 
 
 def _moment_draw(kind, n, p, seed, K):
-    return dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=p, seed=seed))[0], K
+    return dgp.draw_sample(kind, n=n, p=p, seed=seed)[0], K
 
 
 _moment_draws = st.builds(
@@ -811,7 +811,7 @@ def test_cov_back_transform_error_is_second_order_in_h():
 
 
 def test_shift_invariances():
-    sample, d, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=30, p=101, seed=17))
+    sample, d, _ = dgp.draw_sample("DepDis", n=30, p=101, seed=17)
     shifted = FunctionalSample(sample.grid, sample.values + 3.0)
     assert np.allclose(
         mean_est(shifted), mean_est(sample) + 3.0, equal_nan=True
@@ -853,7 +853,7 @@ def test_rmse_halves_when_n_quadruples():
         truth = dgp.true_mean(0.75)
         errs = np.empty(reps)
         for r in range(reps):
-            s, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=p, seed=(7, r)))
+            s, _, _ = dgp.draw_sample("DepDis", n=n, p=p, seed=(7, r))
             errs[r] = ftc_mean(moments(s))[150] - truth
         return float(np.sqrt(np.mean(errs**2)))
 
@@ -878,7 +878,7 @@ def test_fpca_rank_one_sample():
 
 
 def test_fpca_recovers_variance_fractions():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=500, p=201, seed=20))
+    sample, _, xi = dgp.draw_sample("IndDis", n=500, p=201, seed=20)
     full = FunctionalSample(sample.grid, xi @ _fourier5(sample.grid.points).T)
     _, explained = fpca_scores(full)
     target = np.asarray(dgp.DEFAULT_LAMBDA) / sum(dgp.DEFAULT_LAMBDA)
@@ -886,7 +886,7 @@ def test_fpca_recovers_variance_fractions():
 
 
 def test_fpca_explained_sums_to_one():
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepCon", n=60, p=101, seed=21))
+    sample, _, _ = dgp.draw_sample("DepCon", n=60, p=101, seed=21)
     _, explained = fpca_scores(sample)
     assert explained.sum() == pytest.approx(1.0)
     assert np.all(np.diff(explained) <= 1e-12)

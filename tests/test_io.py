@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ftcfd
 from ftcfd.core import FunctionalSample, make_grid
-from ftcfd.dgp import DgpConfig, draw_sample
+from ftcfd.dgp import draw_sample
 from ftcfd.errors import ParseError
 from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
@@ -33,7 +33,7 @@ from ftcfd.io import (
 
 
 def test_round_trip_is_bit_exact(tmp_path):
-    sample, _, _ = draw_sample(DgpConfig("DepCon", n=25, p=41, seed=8))
+    sample, _, _ = draw_sample("DepCon", n=25, p=41, seed=8)
     path = tmp_path / "sample.csv"
     write_sample_csv(sample, path)
     back = read_sample_csv(path)
@@ -43,6 +43,18 @@ def test_round_trip_is_bit_exact(tmp_path):
         np.nan_to_num(back.values, nan=-1.25e308),
         np.nan_to_num(sample.values, nan=-1.25e308),
     )
+
+
+def test_read_ignores_a_utf8_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start the file with a byte-order mark.
+    sample, _, _ = draw_sample("DepCon", n=25, p=41, seed=8)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_sample_csv(sample, plain)
+    assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = read_sample_csv(plain), read_sample_csv(marked)
+    assert np.array_equal(b.grid.points, a.grid.points)
+    assert np.array_equal(b.values, a.values, equal_nan=True)
 
 
 def test_round_trip_extreme_values(tmp_path):

@@ -151,7 +151,7 @@ def _assert_close(a, b):
 @pytest.mark.parametrize("kind", ["DepDis", "DepCon", "IndDis", "IndCon"])
 @pytest.mark.parametrize("n", [150, 500])
 def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=501, seed=(61, n)))
+    sample, _, _ = dgp.draw_sample(kind, n=n, p=501, seed=(61, n))
     _, Xi = select_J(sample, 51)
     d = sample.d_i
     _, beta, se, t_sq, _, _, _ = _reference_fit(d, Xi)
@@ -164,7 +164,7 @@ def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
 
 @functools.cache
 def _dgp_fit(n):
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=n, p=501, seed=(63, n)))
+    sample, _, _ = dgp.draw_sample("DepDis", n=n, p=501, seed=(63, n))
     _, Xi = select_J(sample, 51)
     return fit_regression(sample.d_i, Xi)
 
@@ -286,7 +286,7 @@ def test_stepdown_validates_alpha():
 def _classify(kind, n, J_max, base, reps):
     counts = {OUTCOME_NULL: 0, OUTCOME_V: 0, OUTCOME_OTHER: 0}
     for r in range(reps):
-        sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=n, p=501, seed=(base, r)))
+        sample, _, _ = dgp.draw_sample(kind, n=n, p=501, seed=(base, r))
         outcome = classify_and_test(
             sample, J_max=J_max, R=1000, seed=_rep_seed(base, r)
         ).outcome
@@ -316,11 +316,11 @@ def test_classify_family_wise_error_under_independence():
 
 
 def _fully_observed_sample():
-    sample, _, xi = dgp.draw_sample(dgp.DgpConfig("IndDis", n=30, p=101, seed=30))
-    from ftcfd.basis import BasisSpec, eval_basis
+    sample, _, xi = dgp.draw_sample("IndDis", n=30, p=101, seed=30)
+    from ftcfd.basis import eval_basis
 
     return FunctionalSample(
-        sample.grid, xi @ eval_basis(BasisSpec(5, (0.0, 1.0)), sample.grid.points).T
+        sample.grid, xi @ eval_basis(5, (0.0, 1.0), sample.grid.points).T
     )
 
 
@@ -359,7 +359,7 @@ def test_classify_fits_the_regression_once(monkeypatch):
 
     monkeypatch.setattr(mcar, "fit_regression", counted)
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=150, p=201, seed=32))
+    sample, _, _ = dgp.draw_sample("DepDis", n=150, p=201, seed=32)
     report = classify_and_test(sample, R=200, seed=0)
     assert len(calls) == 1
     assert calls[0] == (150, report.J)
@@ -381,7 +381,7 @@ def test_classify_rejects_non_interval_pattern():
 )
 def test_prefix_results_do_not_depend_on_the_grid_unit(kind, move):
     # The endpoints d_i are grid points, so the regression response moves too.
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig(kind, n=60, p=101, seed=1))
+    sample, _, _ = dgp.draw_sample(kind, n=60, p=101, seed=1)
     scale, shift = move
     moved = FunctionalSample(Grid(sample.grid.points * scale + shift), sample.values)
     a, b = classify_and_test(sample), classify_and_test(moved)
@@ -392,8 +392,18 @@ def test_prefix_results_do_not_depend_on_the_grid_unit(kind, move):
     assert np.allclose(explained_moved, explained, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "rejected, outcome",
+    [((), OUTCOME_NULL), ((1,), OUTCOME_V), ((2,), OUTCOME_OTHER), ((1, 3), OUTCOME_OTHER)],
+)
+def test_report_outcome_follows_the_rejection_set(rejected, outcome):
+    report = mcar.TestReport(frozenset(rejected), (), 0.05, 100, 0)
+    assert report.outcome == outcome
+    assert f"outcome={outcome}\n" in report.serialize()
+
+
 def test_report_serialization_round_trip_keys():
-    sample, _, _ = dgp.draw_sample(dgp.DgpConfig("DepDis", n=100, p=101, seed=31))
+    sample, _, _ = dgp.draw_sample("DepDis", n=100, p=101, seed=31)
     report = classify_and_test(sample, R=200, seed=5)
     text = report.serialize()
     fields = dict(line.split("=", 1) for line in text.strip().splitlines())
