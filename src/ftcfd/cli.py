@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config(path) -> dict:
     out = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -177,8 +177,9 @@ def _cmd_estimate(args) -> int:
 
     Both mean estimates are emitted side by side so they can be overlaid
     directly. Every estimate is computed before the output directory is
-    created, so input the estimators reject leaves no files behind. Prints
-    every written path.
+    created, so input the estimators reject, or whose mean or covariance
+    estimates overflow to +-inf, leaves no files behind. Prints every
+    written path.
     """
     sample = read_sample_csv(args.input)
     m = estimators.moments(sample)
@@ -195,6 +196,8 @@ def _cmd_estimate(args) -> int:
     if args.fpc_scores:
         scores, explained = estimators.fpca_scores(sample)
         tables.append(("fpc_scores.csv", write_scores_csv, scores, explained))
+    if any(np.isinf(values).any() for *_, values in tables[:4]):
+        raise NumericalError("estimates overflow float64")
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, name) for name, *_ in tables]
     for path, (_, writer, *table) in zip(paths, tables):
@@ -223,8 +226,7 @@ def _cmd_experiment(args) -> int:
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    result = run_experiment(spec)
-    write_experiment_csv(result, args.out)
+    write_experiment_csv(spec, run_experiment(spec), args.out)
     print(args.out)
     return EXIT_OK
 

@@ -122,12 +122,6 @@ class SelectionCell:
     other_pct: float
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    spec: ExperimentSpec
-    cells: tuple
-
-
 def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
@@ -144,35 +138,29 @@ def _rep_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence((seed, rep)).generate_state(1)[0])
 
 
-def _draw(task):
-    spec, kind, n, rep = task
-    sample, _, _ = draw_sample(kind, n, spec.p, (spec.seed, rep))
-    return sample
-
-
 def _replications(rep_fn, task):
-    """Each output of one task's replications, in replication order.
+    """``rep_fn(spec, sample, rep)`` of each of one task's replications, in order.
 
-    A replication's error is re-raised with the same class, its message
-    prefixed by the cell and the replication that failed.
+    Replication ``rep`` draws its sample with seed ``(spec.seed, rep)``. An
+    error in the draw or in ``rep_fn`` is re-raised with the same class, its
+    message prefixed by the cell and the replication that failed.
     """
     spec, kind, n, reps = task
     for rep in reps:
         try:
-            out = rep_fn((spec, kind, n, rep))
+            out = rep_fn(spec, draw_sample(kind, n, spec.p, (spec.seed, rep))[0], rep)
         except FtcfdError as exc:
             raise type(exc)(f"{kind}, n={n}, replication {rep}: {exc}") from exc
         yield out
 
 
-def _bias_variance_rep(task):
-    targets = task[0].targets
-    m = estimators.moments(_draw(task))
+def _bias_variance_rep(spec, sample, rep):
+    m = estimators.moments(sample)
     out = {}
-    if "mean" in targets:
+    if "mean" in spec.targets:
         out["mean_classical"] = m.mu[0]
         out["mean_ftc"] = estimators.ftc_mean(m)
-    if "cov" in targets:
+    if "cov" in spec.targets:
         out["cov_classical"], out["cov_ftc"] = estimators.cov_pair(m)
     return out
 
@@ -223,12 +211,11 @@ class _Accumulator:
 
     def summarize(self, truth, reps, h):
         included = self.cnt >= max(_DEFINED_FRACTION * reps, 1.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(self.cnt > 0, self.sum / np.maximum(self.cnt, 1), np.nan)
-            var = (self.sumsq - np.maximum(self.cnt, 1) * mean**2) / np.maximum(
-                self.cnt - 1, 1
-            )
-        var = np.clip(np.where(self.cnt > 1, var, 0.0), 0.0, None)
+        # Every included cell has cnt >= 1, and there the variance is exactly
+        # 0 at cnt == 1; the excluded cells are zeroed below.
+        cnt = np.maximum(self.cnt, 1)
+        mean = self.sum / cnt
+        var = np.clip((self.sumsq - cnt * mean**2) / np.maximum(self.cnt - 1, 1), 0.0, None)
         bias_sq = np.where(included, (mean - truth) ** 2, 0.0)
         var = np.where(included, var, 0.0)
 
@@ -283,10 +270,9 @@ def _bias_variance_cells(spec, kind, n, chunks):
     return cells
 
 
-def _test_selection_rep(task):
-    spec, _, _, rep = task
+def _test_selection_rep(spec, sample, rep):
     return classify_and_test(
-        _draw(task), J_max=spec.J_max, alpha=spec.alpha, R=spec.R,
+        sample, J_max=spec.J_max, alpha=spec.alpha, R=spec.R,
         seed=_rep_seed(spec.seed, rep),
     ).outcome
 
@@ -310,8 +296,8 @@ _MODES = {
 }
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run every (kind, n) cell of the spec's mode, in spec order.
+def run_experiment(spec: ExperimentSpec) -> tuple:
+    """The cells of every (kind, n) of the spec's mode, in spec order.
 
     Each cell's replications are split into tasks of ``_CHUNK`` (the last
     one ragged). With more than one worker, a single process pool serves
@@ -335,4 +321,4 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                     for start in range(0, spec.replications, _CHUNK)
                 ]
                 cells += cells_fn(spec, kind, n, mapper(task_fn, tasks))
-    return ExperimentResult(spec, tuple(cells))
+    return tuple(cells)

@@ -27,15 +27,11 @@ from dataclasses import asdict, astuple, fields
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import FunctionalSample, Grid
 from .errors import ParseError
-
-if TYPE_CHECKING:
-    from .harness import ExperimentResult
 
 _FMT = "%.17g"
 
@@ -167,19 +163,20 @@ def write_scores_csv(path, scores: np.ndarray, explained: np.ndarray) -> None:
     )
 
 
-def write_experiment_csv(result: ExperimentResult, path) -> None:
+def write_experiment_csv(spec, cells, path) -> None:
     """Result table with a self-describing ``# key=value`` header.
 
-    One comment line per spec field; the columns are the cell's fields, with
-    ``kind`` written as ``dgp`` and bools as ``true``/``false``.
+    One comment line per field of ``spec``, an ``ExperimentSpec``, then one
+    row per cell; the columns are the cells' fields, with ``kind`` written
+    as ``dgp`` and bools as ``true``/``false``.
     """
     comments = [
         f"{key}={','.join(map(str, v)) if isinstance(v, (tuple, list)) else v}"
-        for key, v in asdict(result.spec).items()
+        for key, v in asdict(spec).items()
     ]
-    header = ["dgp" if f.name == "kind" else f.name for f in fields(result.cells[0])]
+    header = ["dgp" if f.name == "kind" else f.name for f in fields(cells[0])]
     rows = (
         [str(v).lower() if isinstance(v, bool) else v for v in astuple(c)]
-        for c in result.cells
+        for c in cells
     )
     _write_table(path, header, rows, comments)

@@ -8,7 +8,9 @@ cov_pair(m)[0], so a bit-exact comparison against them tests that code.
 full_square_estimates computes every derivative order and covariance block
 on the whole grid, the route the library's edge-only estimators shortcut.
 one_shot_bootstrap draws all R resamples as one R x n array, the route the
-library's blocked bootstrap must reproduce.
+library's blocked bootstrap must reproduce. cell_summary scores a stack of
+replicated estimates by a two-pass mean and variance, where the library's
+experiment harness streams counts, sums and sums of squares.
 """
 
 import numpy as np
@@ -139,3 +141,29 @@ def one_shot_bootstrap(fit, R, seed):
     delta = w @ fit.r_inv[1:].T
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(se_star > 0, (delta / se_star) ** 2, 0.0)
+
+
+def cell_summary(arrays, truth, reps, h):
+    """(integrated squared bias, integrated variance, excluded fraction).
+
+    arrays holds one estimate per replication, non-finite cells undefined.
+    A grid point is included when at least max(reps / 2, 1) replications
+    define it; there the bias is that of the two-pass mean and the variance
+    the ddof=1 one (0 from a single value); elsewhere both are 0. Each is
+    integrated by the trapezoidal rule, the first axis first.
+    """
+    stack = np.array([np.where(np.isfinite(a), a, np.nan) for a in arrays])
+    defined = ~np.isnan(stack)
+    counts = defined.sum(axis=0)
+    included = counts >= max(0.5 * reps, 1)
+    mean = np.where(defined, stack, 0.0).sum(axis=0) / np.maximum(counts, 1)
+    dev = np.where(defined, stack - mean, 0.0)
+    var = (dev * dev).sum(axis=0) / np.maximum(counts - 1, 1)
+
+    def integrate(a):
+        while a.ndim:
+            a = np.trapezoid(a, dx=h, axis=0)
+        return float(a)
+
+    bias_sq = np.where(included, (mean - truth) ** 2, 0.0)
+    return integrate(bias_sq), integrate(np.where(included, var, 0.0)), 1.0 - included.mean()

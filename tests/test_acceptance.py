@@ -36,8 +36,8 @@ def _report(k, ok, detail):
     assert ok, detail
 
 
-def _cell(result, **match):
-    for c in result.cells:
+def _cell(cells, **match):
+    for c in cells:
         if all(getattr(c, key) == val for key, val in match.items()):
             return c
     raise AssertionError(f"no cell matching {match}")
@@ -135,7 +135,7 @@ def test_criterion_5_test_classification_rates():
             R=1000,
             seed=0,
         )
-        return run_experiment(spec).cells[0]
+        return run_experiment(spec)[0]
 
     dep150 = run("DepDis", 150)
     ind150 = run("IndDis", 150)

@@ -128,6 +128,18 @@ def test_experiment_config_file_supplies_defaults(tmp_path):
     assert "# replications=3" in out2.read_text()
 
 
+def test_experiment_config_ignores_a_utf8_byte_order_mark(tmp_path):
+    # Editors that save "UTF-8 with BOM" prefix the first key with U+FEFF.
+    text = "mode=bias_variance\ndgp=IndDis\nn=15\nreps=2\np=31\ntargets=mean\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    tables = [tmp_path / "plain.csv", tmp_path / "bom.csv"]
+    for cfg, out in zip((plain, bom), tables):
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert tables[0].read_bytes() == tables[1].read_bytes()
+
+
 # One non-default value per experiment option, small enough to run quickly.
 _EXPERIMENT_BASE = {
     "mode": "test_selection", "dgp": "IndDis", "n": "30", "reps": "1", "p": "31",
@@ -192,7 +204,7 @@ def test_experiment_checks_test_options_before_drawing(
     tmp_path, capsys, monkeypatch, flag, value, text
 ):
     # Rejected by the spec, before any sample is drawn or replication runs.
-    monkeypatch.setattr(harness, "_draw", _no_replication)
+    monkeypatch.setattr(harness, "draw_sample", _no_replication)
     monkeypatch.setattr(harness, "_test_selection_rep", _no_replication)
     out = tmp_path / "sel.csv"
     argv = ["experiment", "--mode", "test_selection", "--dgp", "DepDis", "--n", "50",
@@ -249,7 +261,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
 def test_experiment_checks_grid_and_targets_before_drawing(
     tmp_path, capsys, monkeypatch, flag, value, text
 ):
-    monkeypatch.setattr(harness, "_draw", _no_replication)
+    monkeypatch.setattr(harness, "draw_sample", _no_replication)
     out = tmp_path / "bv.csv"
     argv = ["experiment", "--dgp", "DepDis", "--n", "20", "--reps", "2", "--p", "21"]
     assert main(argv + [flag, value, "--out", str(out)]) == EXIT_USAGE
@@ -268,7 +280,7 @@ def test_experiment_unwritable_out_dir_fails_before_running(tmp_path, capsys, mo
     assert "blocker" in capsys.readouterr().err
 
 
-def _no_replication(task):
+def _no_replication(*args):
     raise AssertionError("a replication ran")
 
 
@@ -398,18 +410,36 @@ def test_failed_estimate_leaves_no_output(tmp_path, capsys, rows, extra, code, m
     assert not out.exists()
 
 
-# Values near 1e160 overflow the covariance, so its eigendecomposition fails.
+def _overflowing_sample(path):
+    """6 curves on 11 points with values near 1e160, which overflow the covariance."""
+    values = np.random.default_rng(0).standard_normal((6, 11)) * 1e160
+    values[:3, 8:] = np.nan
+    write_sample_csv(FunctionalSample(core.make_grid(11, 0.0, 1.0), values), path)
+
+
+# The covariance overflows, so its eigendecomposition fails.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_linalg_failure_exits_with_numerical_code(tmp_path, capsys):
-    values = np.random.default_rng(0).standard_normal((6, 11)) * 1e160
-    values[:3, 8:] = np.nan
     path, out = tmp_path / "s.csv", tmp_path / "est"
-    write_sample_csv(FunctionalSample(core.make_grid(11, 0.0, 1.0), values), path)
+    _overflowing_sample(path)
     argv = ["estimate", str(path), "--out", str(out), "--fpc-scores"]
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.err == "ftcfd: Eigenvalues did not converge\n" and captured.out == ""
+    assert not out.exists()
+
+
+# Without the scores, the overflow reaches the estimates themselves: +-inf
+# cells are not data, so nothing is written.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_estimates_exit_with_numerical_code(tmp_path, capsys):
+    path, out = tmp_path / "s.csv", tmp_path / "est"
+    _overflowing_sample(path)
+    assert main(["estimate", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "ftcfd: estimates overflow float64\n" and captured.out == ""
     assert not out.exists()
 
 

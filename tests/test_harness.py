@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ftcfd import estimators, harness
 from ftcfd.core import FunctionalSample
-from ftcfd.dgp import KINDS, true_cov, true_mean
+from ftcfd.dgp import KINDS, draw_sample, true_cov, true_mean
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
@@ -16,6 +16,8 @@ from ftcfd.harness import (
     run_experiment,
 )
 from ftcfd.io import write_experiment_csv
+
+from reference import cell_summary
 
 
 def _bv_spec(**kw):
@@ -30,6 +32,11 @@ def _bv_spec(**kw):
     )
     base.update(kw)
     return ExperimentSpec(**base)
+
+
+def _rep_sample(spec, kind, n, rep):
+    """The sample that replication ``rep`` of the (kind, n) cell draws."""
+    return draw_sample(kind, n, spec.p, (spec.seed, rep))[0]
 
 
 def test_spec_validation():
@@ -72,9 +79,9 @@ def test_spec_validation():
 
 
 def test_bias_variance_cells_are_nonnegative():
-    result = run_experiment(_bv_spec())
-    assert len(result.cells) == 2  # classical + ftc, one kind/n/target
-    for cell in result.cells:
+    cells = run_experiment(_bv_spec())
+    assert len(cells) == 2  # classical + ftc, one kind/n/target
+    for cell in cells:
         assert cell.int_sq_bias >= 0.0
         assert cell.int_variance >= 0.0
         assert 0.0 <= cell.excluded_fraction < 1.0
@@ -82,8 +89,7 @@ def test_bias_variance_cells_are_nonnegative():
 
 
 def test_bias_variance_single_replication_is_degenerate():
-    result = run_experiment(_bv_spec(replications=1))
-    for cell in result.cells:
+    for cell in run_experiment(_bv_spec(replications=1)):
         assert cell.degenerate
         assert cell.int_variance == 0.0
 
@@ -91,8 +97,8 @@ def test_bias_variance_single_replication_is_degenerate():
 def test_bias_variance_excludes_rarely_defined_points():
     # IndCon endpoints are < 1 almost surely, so the right edge of the grid
     # is undefined in most replications and must be dropped from the integrals.
-    result = run_experiment(_bv_spec(kinds=("IndCon",), replications=6))
-    classical = next(c for c in result.cells if c.estimator == "classical")
+    cells = run_experiment(_bv_spec(kinds=("IndCon",), replications=6))
+    classical = next(c for c in cells if c.estimator == "classical")
     assert classical.excluded_fraction > 0.0
 
 
@@ -107,17 +113,17 @@ def test_selection_percentages_sum_to_hundred():
         R=200,
         seed=0,
     )
-    result = run_experiment(spec)
-    assert len(result.cells) == 2
-    for cell in result.cells:
+    cells = run_experiment(spec)
+    assert len(cells) == 2
+    for cell in cells:
         assert cell.null_pct + cell.v_pct + cell.other_pct == pytest.approx(100.0)
 
 
 def test_result_csv_is_deterministic(tmp_path):
     spec = _bv_spec(replications=3)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_experiment_csv(run_experiment(spec), a)
-    write_experiment_csv(run_experiment(spec), b)
+    write_experiment_csv(spec, run_experiment(spec), a)
+    write_experiment_csv(spec, run_experiment(spec), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -131,11 +137,11 @@ def test_workers_do_not_change_results(tmp_path, monkeypatch, targets):
     spec = _bv_spec(n=(20, 30), replications=reps, targets=targets)
     seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
     monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
-    result = run_experiment(spec)
-    assert any(0.0 < c.excluded_fraction for c in result.cells)
-    write_experiment_csv(result, seq)
+    cells = run_experiment(spec)
+    assert any(0.0 < c.excluded_fraction for c in cells)
+    write_experiment_csv(spec, cells, seq)
     monkeypatch.setenv(harness.WORKERS_ENV, "2")
-    write_experiment_csv(run_experiment(spec), par)
+    write_experiment_csv(spec, run_experiment(spec), par)
     assert seq.read_bytes() == par.read_bytes()
 
 
@@ -167,7 +173,7 @@ def test_chunked_accumulation_matches_one_replication_at_a_time(kind, seed, reps
     for acc in accs.values():
         acc.cnt = acc.cnt.astype(float)
     for rep in range(reps):
-        out = harness._bias_variance_rep((spec, kind, 30, rep))
+        out = harness._bias_variance_rep(spec, _rep_sample(spec, kind, 30, rep), rep)
         for (t, est), acc in accs.items():
             acc.add(out[f"{t}_{est}"])
     assert len(merged) == len(keys)
@@ -176,6 +182,32 @@ def test_chunked_accumulation_matches_one_replication_at_a_time(kind, seed, reps
         want = acc.summarize(truth[t], reps, pts[1] - pts[0])
         assert got[2] == want[2]
         np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5, 13])
+def test_cells_match_the_reference_summary(monkeypatch, reps):
+    # The streamed counts, sums and sums of squares against a two-pass mean
+    # and variance of the stacked replications. At n = 3 and 8 some grid
+    # points are excluded and others defined in a single replication.
+    monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+    spec = _bv_spec(kinds=("IndCon", "DepDis", "DepCon"), n=(3, 8), p=31,
+                    replications=reps, targets=("mean", "cov"))
+    pts = np.linspace(0.0, 1.0, spec.p)
+    cells = iter(run_experiment(spec))
+    for kind in spec.kinds:
+        for n in spec.n:
+            outs = [harness._bias_variance_rep(spec, _rep_sample(spec, kind, n, rep), rep)
+                    for rep in range(reps)]
+            for t in spec.targets:
+                truth = true_mean(pts, kind) if t == "mean" else true_cov(pts, pts, kind)
+                for est in ("classical", "ftc"):
+                    cell = next(cells)
+                    assert (cell.kind, cell.n, cell.target, cell.estimator) == (kind, n, t, est)
+                    want = cell_summary([o[f"{t}_{est}"] for o in outs], truth, reps,
+                                        pts[1] - pts[0])
+                    got = (cell.int_sq_bias, cell.int_variance, cell.excluded_fraction)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert next(cells, None) is None
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -198,7 +230,8 @@ def test_chunks_ship_covariance_triangles(kind):
     for r in reps:
         full = {}
         for rep in r:
-            for key, arr in harness._bias_variance_rep((spec, kind, 30, rep)).items():
+            sample = _rep_sample(spec, kind, 30, rep)
+            for key, arr in harness._bias_variance_rep(spec, sample, rep).items():
                 full.setdefault(key, harness._Accumulator(arr.shape)).add(arr)
         for key, acc in full.items():
             if key in merged:
@@ -224,10 +257,10 @@ def test_first_failing_replication_is_reported(monkeypatch, workers):
         pytest.skip("pool workers see the patched replication only when forked")
     original = harness._bias_variance_rep
 
-    def failing(task):
-        if task[3] in (14, 30):
+    def failing(spec, sample, rep):
+        if rep in (14, 30):
             raise NumericalError("degenerate draw")
-        return original(task)
+        return original(spec, sample, rep)
 
     monkeypatch.setattr(harness, "_bias_variance_rep", failing)
     monkeypatch.setenv(harness.WORKERS_ENV, workers)
@@ -248,9 +281,9 @@ def test_selection_workers_do_not_change_results(tmp_path, monkeypatch):
     )
     seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
     monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
-    write_experiment_csv(run_experiment(spec), seq)
+    write_experiment_csv(spec, run_experiment(spec), seq)
     monkeypatch.setenv(harness.WORKERS_ENV, "2")
-    write_experiment_csv(run_experiment(spec), par)
+    write_experiment_csv(spec, run_experiment(spec), par)
     assert seq.read_bytes() == par.read_bytes()
 
 
@@ -265,7 +298,7 @@ def test_one_pool_serves_every_cell(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setenv(harness.WORKERS_ENV, "2")
     spec = _bv_spec(kinds=("IndCon", "DepDis"), n=(20, 30), replications=2)
-    assert len(run_experiment(spec).cells) == 8
+    assert len(run_experiment(spec)) == 8
     assert started == [2]
 
 
@@ -303,7 +336,7 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch, workers, kinds, n, 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setenv(harness.WORKERS_ENV, workers)
     spec = _bv_spec(kinds=kinds, n=n, replications=reps)
-    assert len(run_experiment(spec).cells) == 2 * len(kinds) * len(n)
+    assert len(run_experiment(spec)) == 2 * len(kinds) * len(n)
     assert _RecordingPool.sizes == ([] if size is None else [size])
 
 
@@ -333,7 +366,8 @@ def test_replication_computes_moments_once(monkeypatch):
         lambda self, *a: calls.append("FunctionalSample") or init(self, *a),
     )
     spec = _bv_spec(targets=("mean", "cov"))
-    out = harness._bias_variance_rep((spec, "DepDis", 40, 0))
+    sample = _rep_sample(spec, "DepDis", 40, 0)
+    out = harness._bias_variance_rep(spec, sample, 0)
     assert sorted(out) == ["cov_classical", "cov_ftc", "mean_classical", "mean_ftc"]
     assert sorted(calls) == ["FunctionalSample", "differentiate"]
 
@@ -354,7 +388,7 @@ def test_workers_env_must_be_positive(monkeypatch, raw):
 def test_result_csv_metadata_header(tmp_path):
     spec = _bv_spec(replications=2)
     path = tmp_path / "r.csv"
-    write_experiment_csv(run_experiment(spec), path)
+    write_experiment_csv(spec, run_experiment(spec), path)
     lines = path.read_text().splitlines()
     meta = [l for l in lines if l.startswith("# ")]
     keys = {l[2:].split("=", 1)[0] for l in meta}

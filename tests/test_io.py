@@ -15,7 +15,6 @@ from ftcfd.harness import (
     MODE_BIAS_VARIANCE,
     MODE_TEST_SELECTION,
     BiasVarianceCell,
-    ExperimentResult,
     ExperimentSpec,
     SelectionCell,
 )
@@ -252,14 +251,12 @@ def _metadata(mode):
 def test_experiment_table_bytes_are_pinned(tmp_path):
     spec = dict(kinds=("DepDis",), n=(5,), replications=2, p=3, alpha=0.1,
                 targets=("mean",))
-    bv = ExperimentResult(
-        ExperimentSpec(mode=MODE_BIAS_VARIANCE, **spec),
-        (
-            BiasVarianceCell("DepDis", 5, "classical", "mean", _TENTH, _NEG0, _TINY),
-            BiasVarianceCell("DepDis", 5, "ftc", "mean", _NAN, _BIG, 0.5, True),
-        )
+    bv_spec = ExperimentSpec(mode=MODE_BIAS_VARIANCE, **spec)
+    bv = (
+        BiasVarianceCell("DepDis", 5, "classical", "mean", _TENTH, _NEG0, _TINY),
+        BiasVarianceCell("DepDis", 5, "ftc", "mean", _NAN, _BIG, 0.5, True),
     )
-    assert _written(tmp_path, lambda p: write_experiment_csv(bv, p)) == _metadata(
+    assert _written(tmp_path, lambda p: write_experiment_csv(bv_spec, bv, p)) == _metadata(
         "bias_variance"
     ) + (
         b"dgp,n,estimator,target,int_sq_bias,int_variance,excluded_fraction,"
@@ -267,11 +264,9 @@ def test_experiment_table_bytes_are_pinned(tmp_path):
         b"DepDis,5,classical,mean,0.10000000000000001,-0,1e-300,false\r\n"
         b"DepDis,5,ftc,mean,,1.2345678901234566e+17,0.5,true\r\n"
     )
-    sel = ExperimentResult(
-        ExperimentSpec(mode=MODE_TEST_SELECTION, **spec),
-        (SelectionCell("DepDis", 5, 100.0 / 3, _NEG0, _NAN),)
-    )
-    assert _written(tmp_path, lambda p: write_experiment_csv(sel, p)) == _metadata(
+    sel_spec = ExperimentSpec(mode=MODE_TEST_SELECTION, **spec)
+    sel = (SelectionCell("DepDis", 5, 100.0 / 3, _NEG0, _NAN),)
+    assert _written(tmp_path, lambda p: write_experiment_csv(sel_spec, sel, p)) == _metadata(
         "test_selection"
     ) + (
         b"dgp,n,null_pct,v_pct,other_pct\r\n"
@@ -285,7 +280,7 @@ def test_experiment_metadata_joins_lists_like_tuples(tmp_path):
     as_lists = ExperimentSpec(kinds=["DepDis"], n=[5], targets=["mean"], **spec)
     as_tuples = ExperimentSpec(kinds=("DepDis",), n=(5,), targets=("mean",), **spec)
     written = [
-        _written(tmp_path, lambda p, s=s: write_experiment_csv(ExperimentResult(s, cells), p))
+        _written(tmp_path, lambda p, s=s: write_experiment_csv(s, cells, p))
         for s in (as_lists, as_tuples)
     ]
     assert written[0] == written[1]

@@ -42,10 +42,11 @@ _ROW_KEYS = ("dgp", "n", "estimator", "target")
 
 def table_bytes(mode: str) -> bytes:
     """The table of one mode at the spec defaults, as write_experiment_csv writes it."""
-    result = run_experiment(ExperimentSpec(mode=mode))
+    spec = ExperimentSpec(mode=mode)
+    cells = run_experiment(spec)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        write_experiment_csv(result, path)
+        write_experiment_csv(spec, cells, path)
         return path.read_bytes()
 
 
