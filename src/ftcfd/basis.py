@@ -8,6 +8,7 @@ counts are used so sin/cos pairs stay together.
 from __future__ import annotations
 
 import bisect
+import functools
 
 import numpy as np
 
@@ -46,6 +47,23 @@ def check_J_max(J_max: int) -> None:
         raise ArgumentError(f"J_max must be odd and >= 3, got {J_max}")
 
 
+@functools.lru_cache(maxsize=32)
+def _factors(pts: bytes, domain: tuple[float, float], candidates: tuple[int, ...]):
+    """Read-only Q and R of the largest candidate design, and the sizes kept."""
+    t = np.frombuffer(pts)
+    q, r = np.linalg.qr(eval_basis(candidates[-1], domain, t))
+
+    def loses_rank(J):
+        sv = np.linalg.svd(r[:J, :J], compute_uv=False)
+        return bool(sv[-1] <= np.finfo(float).eps * t.size * sv[0])
+
+    kept = candidates[: bisect.bisect_left(candidates, True, key=loses_rank)]
+    if not kept:
+        raise NumericalError("rank-deficient basis design at the smallest J")
+    q.flags.writeable = r.flags.writeable = False
+    return q, r, kept
+
+
 def select_J(sample: FunctionalSample, J_max: int) -> tuple[int, np.ndarray]:
     """BIC-median basis-size selection over odd J in {3, 5, ..., J_max}.
 
@@ -75,28 +93,21 @@ def select_J(sample: FunctionalSample, J_max: int) -> tuple[int, np.ndarray]:
 
     The same factors give the coefficients, R[:J, :J]^{-1} z[:J]: the
     selected J is one of the candidates that passed the rank rule.
+
+    Q, R and the rank sweep read no values: a 32-entry cache keeps them,
+    read-only, keyed on the prefix points' bytes, domain and candidates.
     """
     check_J_max(J_max)
     y = subdomain_values(sample).T  # m x n
     m = y.shape[0]
-    pts = sample.grid.points[:m]
     domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
-    candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
+    candidates = tuple(J for J in range(3, J_max + 1, 2) if J <= m)
     if not candidates:
         raise ArgumentError(f"subdomain has only {m} points, too few for J >= 3")
-    design_full = eval_basis(candidates[-1], domain, pts)
+    q, r, kept = _factors(sample.grid.points[:m].tobytes(), domain, candidates)
     # One m x n buffer holds y^2, then Q z, the residual and its square.
     work = np.square(y)
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(work, axis=0), _RSS_ABS_FLOOR)
-    q, r = np.linalg.qr(design_full)
-
-    def loses_rank(J):
-        sv = np.linalg.svd(r[:J, :J], compute_uv=False)
-        return bool(sv[-1] <= np.finfo(float).eps * m * sv[0])
-
-    kept = candidates[: bisect.bisect_left(candidates, True, key=loses_rank)]
-    if not kept:
-        raise NumericalError("rank-deficient basis design at the smallest J")
     z = q.T @ y
     np.matmul(q, z, out=work)
     np.subtract(y, work, out=work)

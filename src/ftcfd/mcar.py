@@ -10,7 +10,9 @@ residual (model-based) bootstrap. The rejection set is classified as
 
 Two factorisations serve one test: the basis QR inside select_J yields the
 coefficients, and one QR of the regression design X = [1, Xi] = Q R yields
-the estimates, their standard errors and every bootstrap replication.
+the estimates, their standard errors and every bootstrap replication. The
+basis factors depend only on the grid prefix; select_J computes them once
+per prefix, not once per test.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
 
     With X = Q R, beta = R^{-1} Q^T d and diag((X^T X)^{-1}) is the squared
     row norms of R^{-1}. The rank is counted with the rule np.linalg.lstsq
-    applies: singular values of R above eps max(n, J+1) times the largest.
+    applies, on R with unit-norm columns: singular values above eps
+    max(n, J+1) times the largest, whatever the unit of Xi.
     """
     d = np.asarray(d, dtype=float)
     Xi = np.asarray(Xi, dtype=float)
@@ -93,7 +96,8 @@ def fit_regression(d: np.ndarray, Xi: np.ndarray) -> RegressionFit:
         raise ArgumentError(f"need n > J+1 regressors, got n={n}, J={J}")
     X = np.column_stack([np.ones(n), Xi])
     q, r = np.linalg.qr(X)
-    sv = np.linalg.svd(r, compute_uv=False)
+    norms = np.linalg.norm(r, axis=0)
+    sv = np.linalg.svd(r / np.where(norms > 0, norms, 1.0), compute_uv=False)
     rank = np.count_nonzero(sv > np.finfo(float).eps * max(n, J + 1) * sv[0])
     if rank < J + 1:
         raise NumericalError(f"rank-deficient regression design (rank {rank})")

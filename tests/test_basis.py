@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from ftcfd import basis
 from ftcfd.basis import (
     _RSS_ABS_FLOOR,
     _RSS_REL_FLOOR,
     eval_basis,
     select_J,
 )
-from ftcfd.core import FunctionalSample, fully_observed_prefix, make_grid
+from ftcfd.core import FunctionalSample, Grid, fully_observed_prefix, make_grid
 from ftcfd.dgp import draw_sample
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.estimators import fpca_scores
@@ -185,6 +186,76 @@ def test_prefix_results_do_not_depend_on_the_memory_order(kind):
     assert np.array_equal(coef, coef_f)
     for a, b in zip(fpca_scores(sample), fpca_scores(fortran)):
         assert np.array_equal(a, b)
+
+
+def test_select_j_cold_and_warm_cache_agree():
+    kinds = ("DepDis", "DepCon", "IndDis", "IndCon")
+    # Interleaved, so entries of different prefixes fill the cache in turn.
+    draws = [
+        draw_sample(kind, n=n, p=501, seed=(813, rep))[0]
+        for rep in range(2)
+        for n in (60, 150)
+        for kind in kinds
+    ]
+    cold = []
+    for sample in draws:
+        basis._factors.cache_clear()
+        cold.append(select_J(sample, 51))
+    basis._factors.cache_clear()
+    for _ in range(2):
+        for (J, coef), sample in zip(cold, draws):
+            J_warm, coef_warm = select_J(sample, 51)
+            assert J_warm == J
+            assert np.array_equal(coef_warm, coef)
+    info = basis._factors.cache_info()
+    assert info.hits >= len(draws) and info.misses < len(draws)
+
+
+def _cached_factors(sample, J_max):
+    """The cache entry select_J reads for the sample, with its key's parts."""
+    m = fully_observed_prefix(sample)
+    pts = sample.grid.points[:m]
+    domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
+    candidates = tuple(range(3, min(J_max, m) + 1, 2))
+    return basis._factors(pts.tobytes(), domain, candidates), pts, domain, candidates
+
+
+def test_grids_with_equal_p_keep_their_own_cache_entries():
+    sample, _, _ = draw_sample("DepDis", n=60, p=101, seed=2)
+    moved = FunctionalSample(Grid(sample.grid.points * 3.0 + 0.5), sample.values)
+    basis._factors.cache_clear()
+    for s in (sample, moved):
+        select_J(s, 21)
+    assert basis._factors.cache_info().currsize == 2
+    for s in (sample, moved):
+        (q, r, kept), pts, domain, candidates = _cached_factors(s, 21)
+        q_fresh, r_fresh = np.linalg.qr(eval_basis(candidates[-1], domain, pts))
+        assert np.array_equal(q, q_fresh) and np.array_equal(r, r_fresh)
+        assert kept == candidates
+    assert basis._factors.cache_info().currsize == 2
+
+
+def test_cached_factors_are_read_only_and_bounded():
+    sample, _, _ = draw_sample("IndDis", n=60, p=101, seed=2)
+    (q, r, _), *_ = _cached_factors(sample, 21)
+    for a in (q, r):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    assert basis._factors.cache_info().maxsize is not None
+
+
+def test_select_j_failures_raise_on_every_call():
+    g = make_grid(11, 0.0, 1.0)
+    short = interval_sample(g, np.ones((2, 11)), [g.points[1], 1.0])
+    # On three points 0, 1/2, 1 the sine column vanishes to rounding.
+    flat = FunctionalSample(make_grid(3, 0.0, 1.0), np.ones((2, 3)))
+    basis._factors.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ArgumentError, match="too few for J >= 3"):
+            select_J(short, 5)
+        with pytest.raises(NumericalError, match="rank-deficient basis design"):
+            select_J(flat, 3)
+    assert basis._factors.cache_info().currsize == 0
 
 
 def _select_j_reference(sample, J_max, basis_domain):

@@ -77,6 +77,9 @@ def test_fit_rejects_bad_shapes_and_rank():
     bad = np.column_stack([Xi[:, 0], Xi[:, 0], Xi[:, 1]])
     with pytest.raises(NumericalError):
         fit_regression(np.arange(10.0), bad)
+    zero = np.column_stack([Xi[:, 0], np.zeros(10), Xi[:, 1]])
+    with pytest.raises(NumericalError, match=re.escape("(rank 3)")):
+        fit_regression(np.arange(10.0), zero)
 
 
 # --- bootstrap_statistics --------------------------------------------------
@@ -390,6 +393,16 @@ def test_prefix_results_do_not_depend_on_the_grid_unit(kind, move):
     _, explained_moved = fpca_scores(moved)
     assert explained_moved.size == explained.size
     assert np.allclose(explained_moved, explained, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["DepDis", "IndCon", "DepCon"])
+def test_results_do_not_depend_on_the_value_unit(kind):
+    # The intercept column stays at 1 while the coefficient columns scale.
+    sample, _, _ = dgp.draw_sample(kind, n=60, p=101, seed=1)
+    a = classify_and_test(sample)
+    for scale in (1e-60, 1e-14, 1e14, 1e60):
+        b = classify_and_test(FunctionalSample(sample.grid, sample.values * scale))
+        assert (b.outcome, b.J, b.p_values) == (a.outcome, a.J, a.p_values)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
-"""tools/check_tables.py's diff printer on small table bytes; no experiment runs."""
+"""tools/check_tables.py's diff printer and table directory on small table bytes.
+
+No experiment runs: table_bytes is replaced by fixed bytes.
+"""
 
 import importlib.util
 import math
@@ -45,3 +48,18 @@ def test_a_non_numeric_change_reads_inf():
 def test_a_changed_row_count_reads_layout_changed():
     (line,) = _moves(_TABLE + "IndCon,500,ftc,mean,1.0,false\n")
     assert line.startswith("layout changed: 2 -> 3 rows")
+
+
+def test_a_compare_run_reads_the_tables_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(check_tables, "table_bytes", lambda mode: _TABLE.encode())
+    assert check_tables.main(["--update", "--tables", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{mode}.csv" for mode in check_tables.MODES
+    )
+    assert check_tables.main(["--tables", str(tmp_path)]) == 0
+    (tmp_path / "test_selection.csv").write_text(_TABLE.replace("4.0", "5.0"))
+    capsys.readouterr()
+    assert check_tables.main(["--tables", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "bias_variance: identical" in out
+    assert f"test_selection: DIFFERS from {tmp_path / 'test_selection.csv'}" in out

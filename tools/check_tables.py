@@ -8,6 +8,11 @@ same must regenerate both byte for byte:
     PYTHONPATH=src python tools/check_tables.py            # compare
     PYTHONPATH=src python tools/check_tables.py --update   # re-pin
 
+--tables DIR reads and writes the tables in DIR instead. Where the pinned
+last bits do not hold on a machine, compare against the parent commit's
+fresh tables: run `--update --tables DIR` in a checkout of the parent, then
+`--tables DIR` in the change's.
+
 Set FTCFD_WORKERS to spread the replications over processes; the tables do
 not depend on it. Where a table's bytes differ, the largest relative move of
 each column is printed with the row it occurs in. Exits 1 if any table
@@ -88,12 +93,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--update", action="store_true", help="write the tables instead of comparing"
     )
+    parser.add_argument(
+        "--tables", type=Path, default=TABLES, help="directory of the pinned tables"
+    )
     args = parser.parse_args(argv)
     differs = False
     for mode in MODES:
-        pinned_path, fresh = TABLES / f"{mode}.csv", table_bytes(mode)
+        pinned_path, fresh = args.tables / f"{mode}.csv", table_bytes(mode)
         if args.update:
-            TABLES.mkdir(exist_ok=True)
+            args.tables.mkdir(exist_ok=True)
             pinned_path.write_bytes(fresh)
             print(f"{mode}: wrote {pinned_path}")
             continue
