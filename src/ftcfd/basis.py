@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .core import FunctionalSample, subdomain_values
+from .core import FunctionalSample, subdomain, subdomain_values
 from .errors import ArgumentError, NumericalError
 
 # Residual sums of squares below this relative level are numerical noise;
@@ -68,8 +68,8 @@ def select_J(sample: FunctionalSample, J_max: int) -> tuple[int, np.ndarray]:
     """BIC-median basis-size selection over odd J in {3, 5, ..., J_max}.
 
     Returns the selected J and the n x J least-squares coefficients of each
-    curve's values on the fully observed subdomain [t_1, d_min]
-    (core.fully_observed_prefix) on the first J basis functions.
+    curve's values on the fully observed subdomain (core.subdomain) on the
+    first J basis functions.
 
     Per curve, BIC(J) = m log(RSS/m) + J log(m) with m subdomain points;
     the sample uses the lower median of the per-curve minimizers. The basis
@@ -95,16 +95,17 @@ def select_J(sample: FunctionalSample, J_max: int) -> tuple[int, np.ndarray]:
     selected J is one of the candidates that passed the rank rule.
 
     Q, R and the rank sweep read no values: a 32-entry cache keeps them,
-    read-only, keyed on the prefix points' bytes, domain and candidates.
+    read-only, keyed on the subdomain points' bytes, domain and candidates.
     """
     check_J_max(J_max)
+    cols, _ = subdomain(sample)
     y = subdomain_values(sample).T  # m x n
     m = y.shape[0]
     domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
     candidates = tuple(J for J in range(3, J_max + 1, 2) if J <= m)
     if not candidates:
         raise ArgumentError(f"subdomain has only {m} points, too few for J >= 3")
-    q, r, kept = _factors(sample.grid.points[:m].tobytes(), domain, candidates)
+    q, r, kept = _factors(sample.grid.points[cols].tobytes(), domain, candidates)
     # One m x n buffer holds y^2, then Q z, the residual and its square.
     work = np.square(y)
     floor = np.maximum(m * (_RSS_REL_FLOOR**2) * np.mean(work, axis=0), _RSS_ABS_FLOOR)

@@ -4,7 +4,7 @@ Curves live on one shared equidistant grid, and NaN in the value matrix is
 the one marker of a missing cell. A sample derives its boolean mask (True =
 observed) and each curve's observed run from the NaNs once, at construction.
 fully_observed_block decides which grid columns every curve observes; under
-the interval pattern they are the paper's [t_1, d_min], a count of columns.
+the interval pattern they are the paper's [t_1, d_min].
 """
 
 from __future__ import annotations
@@ -148,25 +148,26 @@ def fully_observed_block(sample: FunctionalSample) -> tuple[int, int]:
     return l, u
 
 
-def fully_observed_prefix(sample: FunctionalSample) -> int:
-    """Number of leading grid columns, [t_1, d_min], that every curve observes.
+def subdomain(sample: FunctionalSample) -> tuple[slice, np.ndarray]:
+    """Columns of the fully observed subdomain, and each curve's varying endpoint.
 
-    The block of fully_observed_block must start at t_1 (the interval
-    pattern) and hold d_min > t_1, i.e. at least 2 columns.
+    The block [l, u] of fully_observed_block must hold 2 columns at least
+    and touch t_1 or t_p. At l == 0 (the paper's [t_1, d_min]) the endpoint
+    is each curve's last observed grid point, d_i; else its first.
     """
     l, u = fully_observed_block(sample)
-    if l > 0 or u < 1:
+    if u == l or (0 < l and u < sample.grid.p - 1):
         raise ArgumentError(
-            "no fully observed subdomain [t_1, d_min]: needs the interval "
-            "pattern and d_min > t_1"
+            "no fully observed subdomain: every curve must observe t_1, or every "
+            "curve t_p, and 2 grid points in common"
         )
-    return u + 1
+    return slice(l, u + 1), sample.grid.points[sample.first if l else sample.last]
 
 
 def subdomain_values(sample: FunctionalSample) -> np.ndarray:
-    """Values on [t_1, d_min], the leading columns of fully_observed_prefix.
+    """Values on the columns of subdomain(sample).
 
     In Fortran order: numpy sums column reductions and Gram products of the
     C-strided slice in another order, moving select_J's and fpca_scores' last bits.
     """
-    return np.asfortranarray(sample.values[:, :fully_observed_prefix(sample)])
+    return np.asfortranarray(sample.values[:, subdomain(sample)[0]])

@@ -237,11 +237,10 @@ def cov_pair(m: Moments) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fpca_scores(sample: FunctionalSample) -> tuple[np.ndarray, np.ndarray]:
-    """Principal component scores on the fully observed subdomain [t_1, d_min].
+    """Principal component scores on the fully observed subdomain (core.subdomain).
 
-    Needs core.fully_observed_prefix: the interval observation pattern with
-    d_min > t_1. Eigendecomposes the classical covariance restricted to the
-    subdomain, scaled by the grid spacing for the integral inner product.
+    Eigendecomposes the classical covariance restricted to the subdomain,
+    scaled by the grid spacing for the integral inner product.
     Returns (scores, explained) with explained fractions non-increasing and
     summing to 1 over the retained positive eigenvalues.
     """

@@ -1,8 +1,8 @@
 """Stepdown bootstrap test linking observation endpoints to basis coefficients.
 
-Regresses the per-curve endpoint d_i on the subdomain basis coefficients and
-runs a Romano-Wolf style stepdown over the J coefficient hypotheses with a
-residual (model-based) bootstrap. The rejection set is classified as
+Regresses each curve's varying endpoint on its basis coefficients, both from
+core.subdomain, and runs a Romano-Wolf style stepdown over the J coefficient
+hypotheses with a residual (model-based) bootstrap. Rejection sets are classified as
 
   Null  -- nothing rejected: consistent with missing-completely-at-random,
   V     -- only the level coefficient rejected: level-shift dependence,
@@ -11,8 +11,8 @@ residual (model-based) bootstrap. The rejection set is classified as
 Two factorisations serve one test: the basis QR inside select_J yields the
 coefficients, and one QR of the regression design X = [1, Xi] = Q R yields
 the estimates, their standard errors and every bootstrap replication. The
-basis factors depend only on the grid prefix; select_J computes them once
-per prefix, not once per test.
+basis factors depend only on the subdomain's points; select_J computes them
+once per subdomain, not once per test.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import check_J_max, select_J
-from .core import FunctionalSample, check_seed, fully_observed_prefix
+from .core import FunctionalSample, check_seed, subdomain
 from .errors import ArgumentError, NumericalError
 
 OUTCOME_NULL = "Null"
@@ -214,19 +214,18 @@ def classify_and_test(
     R: int = 1000,
     seed: int = 0,
 ) -> TestReport:
-    """End-to-end test: basis-size selection on [t_1, d_min], stepdown.
+    """End-to-end test: basis-size selection on core.subdomain, stepdown.
 
-    Needs core.fully_observed_prefix: the interval observation pattern with
-    d_min > t_1, checked before J_max, alpha, R and the seed. A constant
+    The subdomain is checked before J_max, alpha, R and the seed. A constant
     endpoint vector (e.g. a fully observed sample) short-circuits to the
     Null outcome with the degenerate-response flag set, after those checks.
     """
-    fully_observed_prefix(sample)
+    _, d = subdomain(sample)
     check_J_max(J_max)
     check_alpha(alpha)
     check_R(R)
     check_seed(seed)
-    if np.ptp(sample.d_i) == 0.0:
+    if np.ptp(d) == 0.0:
         return TestReport(frozenset(), (), alpha, R, seed, degenerate_response=True)
     _, coefficients = select_J(sample, J_max)
-    return romano_wolf(sample.d_i, coefficients, alpha, R, seed)
+    return romano_wolf(d, coefficients, alpha, R, seed)

@@ -8,7 +8,7 @@ from ftcfd.basis import (
     eval_basis,
     select_J,
 )
-from ftcfd.core import FunctionalSample, Grid, fully_observed_prefix, make_grid
+from ftcfd.core import FunctionalSample, Grid, fully_observed_block, make_grid, subdomain
 from ftcfd.dgp import draw_sample
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.estimators import fpca_scores
@@ -150,7 +150,7 @@ def _cut_first_curve(sample, m):
 def test_select_j_invariant_to_curve_order():
     drawn, _, _ = draw_sample("IndCon", n=30, p=101, seed=5)
     sample = _cut_first_curve(drawn, 51)
-    assert fully_observed_prefix(sample) == 51
+    assert fully_observed_block(sample) == (0, 50)
     j1, c1 = select_J(sample, 21)
     perm = np.random.default_rng(0).permutation(sample.n)
     shuffled = FunctionalSample(sample.grid, sample.values[perm])
@@ -168,8 +168,8 @@ def test_select_j_validates_j_max():
     short = interval_sample(g, np.ones((2, 11)), [g.points[1], 1.0])
     with pytest.raises(ArgumentError, match="too few for J >= 3"):
         select_J(short, 5)
-    # Curve 2 misses t_1: no interval pattern, so no subdomain.
-    gapped = FunctionalSample(g, np.vstack([np.ones(11), np.r_[np.nan, np.ones(10)]]))
+    # Curve 2 misses t_1 and t_p: the block touches neither, so no subdomain.
+    gapped = FunctionalSample(g, np.vstack([np.ones(11), np.r_[np.nan, np.ones(9), np.nan]]))
     for fit in (lambda: select_J(gapped, 5), lambda: fpca_scores(gapped)):
         with pytest.raises(ArgumentError, match="no fully observed subdomain"):
             fit()
@@ -213,8 +213,8 @@ def test_select_j_cold_and_warm_cache_agree():
 
 def _cached_factors(sample, J_max):
     """The cache entry select_J reads for the sample, with its key's parts."""
-    m = fully_observed_prefix(sample)
-    pts = sample.grid.points[:m]
+    pts = sample.grid.points[subdomain(sample)[0]]
+    m = pts.size
     domain = (float(sample.grid.points[0]), float(sample.grid.points[-1]))
     candidates = tuple(range(3, min(J_max, m) + 1, 2))
     return basis._factors(pts.tobytes(), domain, candidates), pts, domain, candidates
@@ -223,16 +223,19 @@ def _cached_factors(sample, J_max):
 def test_grids_with_equal_p_keep_their_own_cache_entries():
     sample, _, _ = draw_sample("DepDis", n=60, p=101, seed=2)
     moved = FunctionalSample(Grid(sample.grid.points * 3.0 + 0.5), sample.values)
+    # A suffix block as long as the sample's prefix block: the key is its points.
+    mirrored = FunctionalSample(sample.grid, sample.values[:, ::-1])
+    assert subdomain(mirrored)[0] != subdomain(sample)[0]
     basis._factors.cache_clear()
-    for s in (sample, moved):
+    for s in (sample, moved, mirrored):
         select_J(s, 21)
-    assert basis._factors.cache_info().currsize == 2
-    for s in (sample, moved):
+    assert basis._factors.cache_info().currsize == 3
+    for s in (sample, moved, mirrored):
         (q, r, kept), pts, domain, candidates = _cached_factors(s, 21)
         q_fresh, r_fresh = np.linalg.qr(eval_basis(candidates[-1], domain, pts))
         assert np.array_equal(q, q_fresh) and np.array_equal(r, r_fresh)
         assert kept == candidates
-    assert basis._factors.cache_info().currsize == 2
+    assert basis._factors.cache_info().currsize == 3
 
 
 def test_cached_factors_are_read_only_and_bounded():
@@ -263,7 +266,8 @@ def _select_j_reference(sample, J_max, basis_domain):
 
     Returns the selected J and the lstsq coefficients at that J.
     """
-    idx = np.arange(fully_observed_prefix(sample))
+    l, u = fully_observed_block(sample)
+    idx = np.arange(l, u + 1)
     m = idx.size
     candidates = [J for J in range(3, J_max + 1, 2) if J <= m]
     pts = sample.grid.points[idx]

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftcfd.core import (
     FunctionalSample,
     Grid,
     fully_observed_block,
-    fully_observed_prefix,
     make_grid,
+    subdomain,
 )
 from ftcfd.dgp import draw_sample
 from ftcfd.errors import ArgumentError
@@ -128,7 +128,7 @@ def test_summarize_fully_observed():
     assert np.array_equal(s.counts, [4, 4])
     assert np.array_equal(s.d_i, [1.0, 1.0])
     assert s.d_i.min() == 1.0
-    assert fully_observed_prefix(s) == 4
+    assert fully_observed_block(s) == (0, 3)
 
 
 def test_summarize_hand_checked_two_curves():
@@ -139,7 +139,7 @@ def test_summarize_hand_checked_two_curves():
     assert np.array_equal(s.counts, [3, 2])
     assert np.array_equal(s.d_i, [1.0, 0.5])
     assert s.d_i.min() == 0.5
-    assert fully_observed_prefix(s) == 2
+    assert fully_observed_block(s) == (0, 1)
 
 
 def test_summarize_endpoint_fraction_matches_sign_rule():
@@ -161,7 +161,7 @@ def test_summarize_non_interval_pattern():
     g = make_grid(4, 0.0, 1.0)
     s = FunctionalSample(g, np.array([[1.0, np.nan, 2.0, 3.0]]))
     with pytest.raises(ArgumentError, match=r"must be contiguous \(curve 1\)$"):
-        fully_observed_prefix(s)
+        subdomain(s)
     # The run 0..3 holds 3 points: it has a gap.
     assert (s.first[0], s.last[0], s.counts[0]) == (0, 3, 3)
 
@@ -198,10 +198,31 @@ def test_interval_pattern_runs_are_prefixes():
 @given(
     lasts=st.lists(st.integers(1, 11), min_size=1, max_size=8),
     p=st.integers(12, 20),
+    mirrored=st.booleans(),
 )
-def test_fully_observed_prefix_counts_the_leading_observed_columns(lasts, p):
+@example(lasts=[11], p=12, mirrored=True)
+def test_subdomain_is_the_run_of_columns_every_curve_observes(lasts, p, mirrored):
+    # Curves that all start at t_1, or mirrored, all end at t_p. Fully
+    # observed curves do both, and their endpoint is d_i.
     mask = np.arange(p) <= np.array(lasts)[:, None]
-    sample = FunctionalSample(make_grid(p, 0.0, 1.0), np.where(mask, 0.0, np.nan))
+    values = np.where(mask, 0.0, np.nan)
+    sample = FunctionalSample(make_grid(p, 0.0, 1.0), values[:, ::-1] if mirrored else values)
     leading = int(np.argmin(np.append(mask.all(axis=0), False)))
-    assert fully_observed_prefix(sample) == leading
-    assert fully_observed_block(sample) == (0, leading - 1)
+    cols, endpoint = subdomain(sample)
+    if mirrored and leading < p:
+        assert cols == slice(p - leading, p)
+        assert np.array_equal(endpoint, sample.grid.points[p - 1 - np.array(lasts)])
+    else:
+        assert cols == slice(0, leading)
+        assert np.array_equal(endpoint, sample.d_i)
+    assert fully_observed_block(sample) == (cols.start, cols.stop - 1)
+
+
+@pytest.mark.parametrize(
+    "runs, p",
+    [([(0, 5), (1, 6)], 7), ([(1, 5), (1, 6)], 7), ([(0, 6), (0, 0)], 7)],
+    ids=["starts_and_ends_vary", "block_touches_neither_end", "one_column_from_t_1"],
+)
+def test_subdomain_refuses_blocks_off_both_ends_or_of_one_column(runs, p):
+    with pytest.raises(ArgumentError, match="^no fully observed subdomain"):
+        subdomain(_runs_sample(runs, p))

@@ -383,6 +383,57 @@ def test_recursive_mean_removes_second_order_dependence():
     assert isb["k2"] <= 0.1
 
 
+@st.composite
+def _identified_draws(draw):
+    """Curves the order-K back-transform recovers exactly, complete and observed.
+
+    Curve i is c_i + g(t) at K=1, or c_i + b_i t + g(t) at K=2, with g one
+    quadratic on [0, 1]. Its contiguous run is ranked by c_i + b_i: the
+    larger it is, the earlier the run starts and the later it ends. The
+    lowest-ranked run is the block [l, u] every curve observes, with l > 0
+    and u < p - 1; the top-ranked one is the whole grid, so every pair of
+    grid points is observed together.
+    """
+    K = draw(st.sampled_from([1, 2]))
+    p = draw(st.integers(K + 10, 80))
+    n = draw(st.integers(3, 30))
+    l = draw(st.integers(1, p - K - 3))
+    u = draw(st.integers(l + K + 1, p - 2))
+    ends = lambda lo, hi: np.sort(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
+    first, last = ends(0, l)[::-1], ends(u, p - 1)
+    first[[0, -1]], last[[0, -1]] = (l, 0), (u, p - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = make_grid(p, 0.0, 1.0)
+    c = rng.standard_normal((n, 1))
+    b = rng.standard_normal((n, 1)) if K == 2 else np.zeros((n, 1))
+    complete = c + b * grid.points + np.polyval(rng.uniform(-3.0, 3.0, 3), grid.points)
+    rank = np.argsort(np.argsort((c + b)[:, 0]))
+    idx = np.arange(p)
+    observed = (idx >= first[rank, None]) & (idx <= last[rank, None])
+    return K, complete, FunctionalSample(grid, np.where(observed, complete, np.nan))
+
+
+@settings(deadline=None, max_examples=100)
+@given(draw=_identified_draws())
+def test_backtransform_recovers_the_complete_data_estimates_exactly(draw):
+    # The paper's identification claim, in finite samples: the stencils are
+    # exact on quadratics, the trapezoid rule on the linear integrands, and
+    # P reads only the block every curve observes. So the K-fold estimates
+    # are the complete-data mean and covariance (divisor n) up to rounding,
+    # however the runs depend on the coefficients.
+    K, complete, sample = draw
+    scale = np.abs(complete).max()
+    m = moments(sample, K)
+    assert 0 < m.l and m.u < sample.grid.p - 1
+    mean = complete.mean(axis=0)
+    centered = complete - mean
+    assert np.abs(ftc_mean(m) - mean).max() <= 1e-12 * scale
+    assert np.abs(cov_pair(m)[1] - centered.T @ centered / sample.n).max() <= 1e-10 * scale**2
+    # The masks carry information: at t_p the classical mean misses the
+    # lowest-ranked curve, whose value there is the lowest.
+    assert m.mu[0][-1] - mean[-1] > 1e-6 * scale
+
+
 def test_recursive_requires_enough_observed_points():
     g = make_grid(10, 0.0, 1.0)
     vals = np.tile(g.points, (2, 1))

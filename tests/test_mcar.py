@@ -371,9 +371,10 @@ def test_classify_fits_the_regression_once(monkeypatch):
 def test_classify_rejects_non_interval_pattern():
     from ftcfd.core import make_grid
 
+    # The curves' starts and ends both vary: the block touches neither t_1 nor t_p.
     g = make_grid(5, 0.0, 1.0)
-    s = FunctionalSample(g, np.array([[np.nan, 1.0, 2.0, 3.0, 4.0]]))
-    with pytest.raises(ArgumentError):
+    s = FunctionalSample(g, np.array([[np.nan, 1, 2, 3, 4], [0, 1, 2, 3, np.nan]]))
+    with pytest.raises(ArgumentError, match="^no fully observed subdomain"):
         classify_and_test(s, R=200, seed=0)
 
 
@@ -393,6 +394,22 @@ def test_prefix_results_do_not_depend_on_the_grid_unit(kind, move):
     _, explained_moved = fpca_scores(moved)
     assert explained_moved.size == explained.size
     assert np.allclose(explained_moved, explained, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", dgp.KINDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mirrored_sample_gives_the_same_report(kind, seed):
+    # Reversing the columns turns the curves' ends into their starts: the
+    # test regresses the first observed points on the coefficients of the
+    # suffix block. In exact arithmetic the reflection only flips the sine
+    # coefficients' signs and maps each endpoint d to t_1 + t_p - d.
+    sample, _, _ = dgp.draw_sample(kind, n=150, p=201, seed=seed)
+    mirrored = FunctionalSample(sample.grid, sample.values[:, ::-1])
+    assert classify_and_test(mirrored).serialize() == classify_and_test(sample).serialize()
+    _, explained = fpca_scores(sample)
+    _, explained_mirrored = fpca_scores(mirrored)
+    assert explained_mirrored.size == explained.size
+    assert np.allclose(explained_mirrored, explained, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["DepDis", "IndCon", "DepCon"])

@@ -63,3 +63,13 @@ def test_a_compare_run_reads_the_tables_directory(tmp_path, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "bias_variance: identical" in out
     assert f"test_selection: DIFFERS from {tmp_path / 'test_selection.csv'}" in out
+
+
+def test_a_run_prints_its_blas_thread_setting_first(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(check_tables, "table_bytes", lambda mode: _TABLE.encode())
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    check_tables.main(["--update", "--tables", str(tmp_path)])
+    assert capsys.readouterr().out.splitlines()[0] == "OPENBLAS_NUM_THREADS=2"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    check_tables.main(["--update", "--tables", str(tmp_path)])
+    assert capsys.readouterr().out.splitlines()[0] == "OPENBLAS_NUM_THREADS=unset"

@@ -14,9 +14,10 @@ fresh tables: run `--update --tables DIR` in a checkout of the parent, then
 `--tables DIR` in the change's.
 
 Set FTCFD_WORKERS to spread the replications over processes; the tables do
-not depend on it. Where a table's bytes differ, the largest relative move of
-each column is printed with the row it occurs in. Exits 1 if any table
-differs.
+not depend on it. They can depend on the BLAS thread count, so the first
+line printed is the run's OPENBLAS_NUM_THREADS setting (`unset` if absent).
+Where a table's bytes differ, the largest relative move of each column is
+printed with the row it occurs in. Exits 1 if any table differs.
 
 Not part of the test suite: the pinned last bits can depend on the BLAS
 kernels of the machine, and both tables take about two minutes at one worker.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -97,6 +99,7 @@ def main(argv=None) -> int:
         "--tables", type=Path, default=TABLES, help="directory of the pinned tables"
     )
     args = parser.parse_args(argv)
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     differs = False
     for mode in MODES:
         pinned_path, fresh = args.tables / f"{mode}.csv", table_bytes(mode)
