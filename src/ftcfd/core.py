@@ -129,7 +129,8 @@ class FunctionalSample:
 def reject_curves(bad: np.ndarray, message: str) -> None:
     """Raise `message` naming the first flagged curve by its 1-based row."""
     if bad.any():
-        raise ArgumentError(f"{message} (curve {int(np.argmax(bad)) + 1})")
+        curve = int(np.argmax(bad))
+        raise ArgumentError(f"{message} (curve {curve + 1})", curve=curve)
 
 
 def fully_observed_block(sample: FunctionalSample) -> tuple[int, int]:

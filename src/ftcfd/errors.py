@@ -6,7 +6,11 @@ class FtcfdError(Exception):
 
 
 class ArgumentError(FtcfdError, ValueError):
-    """Invalid argument or violated precondition."""
+    """Invalid argument or violated precondition; `curve` is the 0-based row it names."""
+
+    def __init__(self, message, curve=None):
+        super().__init__(message)
+        self.curve = curve
 
 
 class ParseError(FtcfdError, ValueError):

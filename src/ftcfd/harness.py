@@ -16,6 +16,7 @@ as one triangle, mirrored back before integrating.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +53,22 @@ _DEFINED_FRACTION = 0.5
 # receives and merges p x p arrays once per chunk, not once per replication.
 # At most 255, so that a chunk's counts fit in uint8.
 _CHUNK = 12
+
+# glibc's dynamic mmap threshold never rises above an array it has just
+# freed, so each replication would fault its large arrays in afresh.
+# mallopt(3) silently refuses an M_MMAP_THRESHOLD above 32 MiB on 64-bit.
+_MALLOPT = {-3: 32 << 20, -1: 64 << 20}  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _keep_heap():
+    """Fix glibc's malloc thresholds in this process; a no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT.items():
+        mallopt(param, value)
 
 
 @dataclass(frozen=True)
@@ -303,7 +320,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
     one ragged). With more than one worker, a single process pool serves
     every cell; its ordered map, over the same tasks as a sequential run,
     keeps the results independent of the worker count. The pool starts no
-    more workers than the run has tasks.
+    more workers than the run has tasks. Whichever processes run the
+    replications, this one or the workers, call ``_keep_heap`` first.
     """
     task_fn, cells_fn = _MODES[spec.mode]
     workers = _worker_count()
@@ -311,8 +329,10 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=min(workers, n_tasks))
+            pool = ProcessPoolExecutor(max_workers=min(workers, n_tasks), initializer=_keep_heap)
             mapper = stack.enter_context(pool).map
+        else:
+            _keep_heap()
         cells = []
         for kind in spec.kinds:
             for n in spec.n:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FunctionalSample, Grid
-from .errors import ParseError
+from .errors import ArgumentError, ParseError
 
 _FMT = "%.17g"
 
@@ -104,8 +104,9 @@ def parse_sample_csv(text: str) -> FunctionalSample:
         raise ParseError(f"non-finite value {row[j + 1]!r} in field {j + 2}", line=lineno)
     try:
         return FunctionalSample(grid, values)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except ArgumentError as exc:
+        line = None if exc.curve is None else rows[exc.curve + 1][0]
+        raise ParseError(str(exc), line=line) from None
 
 
 def write_coefficient_sidecar(path, d: np.ndarray, xi: np.ndarray) -> None:

@@ -1,4 +1,9 @@
 import multiprocessing
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -303,12 +308,16 @@ def test_one_pool_serves_every_cell(monkeypatch):
 
 
 class _RecordingPool:
-    """Stand-in executor: records its size and maps in the calling process."""
+    """Stand-in executor: records its size and initializer, runs the
+    initializer once, and maps in the calling process."""
 
     sizes = []
+    initializers = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
+        initializer()
 
     def __enter__(self):
         return self
@@ -333,11 +342,74 @@ class _RecordingPool:
 )
 def test_pool_starts_no_more_workers_than_tasks(monkeypatch, workers, kinds, n, reps, size):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "initializers", [])
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setenv(harness.WORKERS_ENV, workers)
     spec = _bv_spec(kinds=kinds, n=n, replications=reps)
     assert len(run_experiment(spec)) == 2 * len(kinds) * len(n)
     assert _RecordingPool.sizes == ([] if size is None else [size])
+    # Every pool worker fixes its malloc thresholds before its first task.
+    assert _RecordingPool.initializers == ([] if size is None else [harness._keep_heap])
+
+
+# Runs one mode's experiment twice in a fresh process and prints the minor
+# page faults of the second run.
+_SECOND_RUN_FAULTS = textwrap.dedent(
+    """
+    import resource
+    import sys
+
+    from ftcfd.harness import ExperimentSpec, run_experiment
+
+    mode, n, p = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+    spec = ExperimentSpec(mode=mode, kinds=("DepDis",), n=(n,), p=p, replications=2)
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_experiment(spec)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize(
+    "mode, n, p", [(MODE_TEST_SELECTION, 500, 501), (MODE_BIAS_VARIANCE, 150, 201)]
+)
+def test_repeated_replications_do_not_page_fault(mode, n, p):
+    # With glibc's dynamic thresholds each run returned its large arrays to
+    # the kernel and faulted them back in: about 1,900 faults (test_selection)
+    # and 2,200 (bias_variance) on the second run.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SECOND_RUN_FAULTS, mode, str(n), str(p)],
+        env={**os.environ, "PYTHONPATH": path, harness.WORKERS_ENV: "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    ).stdout
+    assert int(out) < 50
+
+
+class _NoMallopt:
+    """A C library without mallopt."""
+
+    def __init__(self, name):
+        pass
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, _NoMallopt], ids=["no_library", "no_mallopt"])
+def test_replications_run_where_mallopt_is_missing(monkeypatch, cdll):
+    monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+    spec = _bv_spec(kinds=("IndCon", "DepDis"), targets=("mean", "cov"))
+    expected = run_experiment(spec)
+    monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
+    assert run_experiment(spec) == expected
 
 
 def test_bias_is_scored_against_each_kinds_truth(monkeypatch):

@@ -103,6 +103,14 @@ def test_parse_counts_blank_lines_in_line_numbers():
     assert err.value.line == 5
 
 
+def test_parse_names_the_source_line_of_a_curve_the_sample_rejects():
+    # The blank line makes the curve's source line (4) differ from its row (2).
+    with pytest.raises(ParseError) as err:
+        parse_sample_csv("t,0,0.5,1\ncurve_1,1,2,3\n\ncurve_2,,,\n")
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: every curve needs at least one observed point (curve 2)"
+
+
 def test_parse_missing_cells_become_mask():
     s = parse_sample_csv("t,0,0.5,1\ncurve_1,1,,3\n")
     assert np.array_equal(s.mask, [[True, False, True]])

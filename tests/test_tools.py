@@ -4,6 +4,7 @@ No experiment runs: table_bytes is replaced by fixed bytes.
 """
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -73,3 +74,62 @@ def test_a_run_prints_its_blas_thread_setting_first(tmp_path, monkeypatch, capsy
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     check_tables.main(["--update", "--tables", str(tmp_path)])
     assert capsys.readouterr().out.splitlines()[0] == "OPENBLAS_NUM_THREADS=unset"
+
+
+_ENTRY_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_entry.py"
+_entry_spec = importlib.util.spec_from_file_location("bench_entry", _ENTRY_PATH)
+bench_entry = importlib.util.module_from_spec(_entry_spec)
+_entry_spec.loader.exec_module(bench_entry)
+
+
+def _write_result(directory, name, workload, seed, op_s, commit, trace=0, rss=50.0):
+    directory.mkdir(parents=True, exist_ok=True)
+    result = {
+        "workload": workload, "seed": seed, "seconds": 30.0, "trace": trace,
+        "env": {"numpy": "2.4.6", "OPENBLAS_NUM_THREADS": "1", "git_commit": commit},
+        "attempted": 10, "failed": 1 if seed == 2 else 0,
+        "metrics": {"setup_s": 0.1, "op_s_p50": op_s, "peak_rss_mb": rss},
+    }
+    (directory / name).write_text(json.dumps(result))
+
+
+def test_bench_entry_summarises_each_side_of_interleaved_runs(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, op_s in zip(range(1, 6), [1.0, 2.0, 3.0, 4.0, 5.0]):
+        _write_result(parent, f"mc-{seed}.json", "mc", seed, op_s, "aaa")
+        _write_result(change, f"mc-{seed}.json", "mc", seed, op_s / 2, "bbb")
+    _write_result(parent, "af-1.json", "af", 1, 3.0, "aaa")
+    _write_result(change, "af-1.json", "af", 1, 3.0, "bbb")
+    # A traced run holds per-layer metrics only, so it is left out.
+    _write_result(change, "mc-traced.json", "mc", 9, 100.0, "bbb", trace=1)
+    out = tmp_path / "BENCH_2.json"
+    assert bench_entry.main(["--parent", str(parent), "--change", str(change),
+                             "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())
+    assert entry["previous"] is None
+    mc = entry["workloads"]["mc"]
+    assert (mc["parent"]["runs"], mc["parent"]["seeds"]) == (5, [1, 2, 3, 4, 5])
+    assert (mc["parent"]["attempted"], mc["parent"]["failed"]) == (50, 1)
+    assert mc["parent"]["metrics"]["op_s_p50"] == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0, "n": 5
+    }
+    assert mc["change"]["metrics"]["op_s_p50"]["median"] == 1.5
+    assert mc["ratio"] == {"setup_s": 1.0, "op_s_p50": 0.5, "peak_rss_mb": 1.0}
+    assert [e["git_commit"] for e in mc["change"]["env"]] == ["bbb"]
+    assert mc["flags"] == [] and entry["workloads"]["af"]["ratio"]["op_s_p50"] == 1.0
+    assert "mc: 5 / 5 runs; change/parent setup_s 1.000, op_s_p50 0.500" in capsys.readouterr().out
+
+    # Against that entry, a change median above 1.5x its median is flagged;
+    # one at 1.5x is not.
+    later = tmp_path / "later"
+    for seed in range(1, 4):
+        _write_result(later, f"mc-{seed}.json", "mc", seed, 2.26, "ccc", rss=75.0)
+    out3 = tmp_path / "BENCH_3.json"
+    bench_entry.main(["--parent", str(change), "--change", str(later),
+                      "--previous", str(out), "--out", str(out3)])
+    entry = json.loads(out3.read_text())
+    assert entry["previous"] == "BENCH_2.json"
+    assert entry["workloads"]["mc"]["flags"] == [
+        "op_s_p50: median 2.26 is 1.51x the previous 1.5"
+    ]
+    assert "FLAG mc op_s_p50: median 2.26 is 1.51x" in capsys.readouterr().out
