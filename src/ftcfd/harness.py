@@ -329,7 +329,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=min(workers, n_tasks), initializer=_keep_heap)
+            size = min(workers, n_tasks)
+            pool = ProcessPoolExecutor(max_workers=size, initializer=_keep_heap)
             mapper = stack.enter_context(pool).map
         else:
             _keep_heap()

@@ -377,8 +377,8 @@ _SECOND_RUN_FAULTS = textwrap.dedent(
 )
 def test_repeated_replications_do_not_page_fault(mode, n, p):
     # With glibc's dynamic thresholds each run returned its large arrays to
-    # the kernel and faulted them back in: about 1,900 faults (test_selection)
-    # and 2,200 (bias_variance) on the second run.
+    # the kernel and faulted them back in: about 2,700 faults (test_selection)
+    # and 1,800 (bias_variance) on the second run.
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(

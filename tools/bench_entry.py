@@ -7,11 +7,12 @@ its run, one directory per side, alternating which side runs first:
     for seed in 1 2 3; do
       for side in parent change; do   # swap the order on every other seed
         (cd "$side" && python3 perfbench/run.py --workload mc_test_selection --seed "$seed")
-        cp "$side/.perfbench_work/mc_test_selection/result.json" "runs/$side/mc_test_selection-$seed.json"
+        cp "$side/.perfbench_work/mc_test_selection/result.json" \\
+           "runs/$side/mc_test_selection-$seed.json"
       done
     done
     python tools/bench_entry.py --parent runs/parent --change runs/change \\
-        --previous BENCH_26.json --out BENCH_27.json
+        --previous BENCH_<last>.json --out BENCH_<pr>.json
 
 For each workload and side the entry holds the number of runs, their
 seeds, failed and attempted operations, the median and quartiles of each
@@ -128,7 +129,8 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(entry, indent=1, sort_keys=True) + "\n")
     for name, row in entry["workloads"].items():
         ratios = ", ".join(f"{m} {r:.3f}" for m, r in row["ratio"].items())
-        print(f"{name}: {row['parent']['runs']} / {row['change']['runs']} runs; change/parent {ratios}")
+        runs = f"{row['parent']['runs']} / {row['change']['runs']} runs"
+        print(f"{name}: {runs}; change/parent {ratios}")
         for line in row["flags"]:
             print(f"FLAG {name} {line}")
     return 0
