@@ -11,7 +11,8 @@ task, not by replication (a chunk's replications are summed first, then the
 chunks in task order). So results, and the tables
 ``io.write_experiment_csv`` makes of them, are byte-identical across runs
 and across worker counts. Symmetric accumulators (both covariances) ship
-as one triangle, mirrored back before integrating.
+as one triangle and are reduced on it; only the two integrands of each
+are mirrored to the full square, one after the other, to be integrated.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ _DEFINED_FRACTION = 0.5
 # receives and merges p x p arrays once per chunk, not once per replication.
 # At most 255, so that a chunk's counts fit in uint8.
 _CHUNK = 12
+
+# Rows per block of _trapezoid's buffer: a row at a time took three times as
+# long at p = 501, and a block of 64 rows of doubles fits in a 256 KiB cache.
+_ROWS = 64
 
 # glibc's dynamic mmap threshold never rises above an array it has just
 # freed, so each replication would fault its large arrays in afresh.
@@ -219,30 +224,54 @@ class _Accumulator:
         self.sum += other.sum
         self.sumsq += other.sumsq
 
-    def unfold(self, p):
-        """Mirror upper triangles back to the symmetric p x p arrays."""
-        upper, tris = _upper(p), (self.cnt, self.sum, self.sumsq)
-        self.cnt, self.sum, self.sumsq = (np.empty((p, p), t.dtype) for t in tris)
-        for full, tri in zip((self.cnt, self.sum, self.sumsq), tris):
-            full[upper] = full.T[upper] = tri
+    def summarize(self, reps, truths):
+        """(included, variance, squared bias against each truth); consumes self.
 
-    def summarize(self, truth, reps, h):
+        Every step is elementwise, so it runs on the cells accumulated, a
+        covariance's upper triangle as well as a mean's grid, in place. A
+        cell is included when at least max(_DEFINED_FRACTION * reps, 1)
+        replications define it; variance and squared biases are 0 elsewhere.
+        At most two truths: the second squared bias overwrites the sum.
+        """
         included = self.cnt >= max(_DEFINED_FRACTION * reps, 1.0)
+        excluded = ~included
         # Every included cell has cnt >= 1, and there the variance is exactly
-        # 0 at cnt == 1; the excluded cells are zeroed below.
-        cnt = np.maximum(self.cnt, 1)
-        mean = self.sum / cnt
-        var = np.clip((self.sumsq - cnt * mean**2) / np.maximum(self.cnt - 1, 1), 0.0, None)
-        bias_sq = np.where(included, (mean - truth) ** 2, 0.0)
-        var = np.where(included, var, 0.0)
+        # 0 at cnt == 1. max(cnt, 1) - 1, clipped at 1, is max(cnt - 1, 1).
+        cnt = np.maximum(self.cnt, 1.0, out=self.cnt)
+        mean = np.divide(self.sum, cnt, out=self.sum)
+        tmp = mean**2
+        tmp *= cnt
+        var = np.subtract(self.sumsq, tmp, out=self.sumsq)
+        cnt -= 1.0
+        var /= np.maximum(cnt, 1.0, out=cnt)
+        np.clip(var, 0.0, None, out=var)
+        var[excluded] = 0.0
+        biases = []
+        for truth, out in zip(truths, (tmp, mean)):
+            bias = np.subtract(mean, truth, out=out)
+            bias **= 2
+            bias[excluded] = 0.0
+            biases.append(bias)
+        return included, var, biases
 
-        def integrate(a):
-            for _ in range(a.ndim):  # last axis first
-                a = np.trapezoid(a, dx=h)
-            return float(a)
 
-        excluded = 1.0 - included.mean()
-        return integrate(bias_sq), integrate(var), float(excluded)
+def _trapezoid(a, h):
+    """np.trapezoid(a, dx=h) over each axis of a 1-D or 2-D array, last first.
+
+    The same arithmetic, but a 2-D array's rows go through one buffer of
+    _ROWS rows instead of a full-size temporary.
+    """
+    if a.ndim == 2:
+        buf, rows = np.empty((_ROWS, a.shape[1] - 1)), np.empty(a.shape[0])
+        for start in range(0, a.shape[0], _ROWS):
+            block = a[start: start + _ROWS]
+            part = buf[: len(block)]
+            np.add(block[:, 1:], block[:, :-1], out=part)
+            part *= h
+            part /= 2.0
+            part.sum(axis=1, out=rows[start: start + _ROWS])
+        a = rows
+    return float(np.trapezoid(a, dx=h))
 
 
 def _bias_variance_chunk(task):
@@ -262,7 +291,9 @@ def _bias_variance_cells(spec, kind, n, chunks):
     """Integrated squared bias and variance per (target, estimator).
 
     The first chunk's accumulators become the cell's, counts widened to
-    float; every later chunk is added in task order, and then cov unfolded.
+    float; every later chunk is added in task order. A covariance is reduced
+    on its upper triangle; only its two integrands are mirrored, into one
+    p x p array, and the excluded fraction counts off-diagonal cells twice.
     """
     chunks = iter(chunks)
     accs = next(chunks)
@@ -271,17 +302,35 @@ def _bias_variance_cells(spec, kind, n, chunks):
     for chunk in chunks:
         for key, acc in accs.items():
             acc.merge(chunk[key])
-    for key, acc in accs.items():
-        if key.startswith("cov"):
-            acc.unfold(spec.p)
-    pts = np.linspace(0.0, 1.0, spec.p)
+    p = spec.p
+    pts = np.linspace(0.0, 1.0, p)
     h = pts[1] - pts[0]
     cells = []
     for t in spec.targets:
-        truth = true_mean(pts, kind) if t == "mean" else true_cov(pts, pts, kind)
+        if t == "mean":
+            truths = (true_mean(pts, kind),)
+        else:
+            upper = _upper(p)
+            diagonal = np.eye(p, dtype=bool)[upper]
+            truth = true_cov(pts, pts, kind)
+            # A matmul: its mirrored cells can differ in the last bit.
+            truths = (truth[upper], truth.T[upper])
+            del truth
+            square = np.empty((p, p))
         for est in ("classical", "ftc"):
+            included, var, bias = accs.pop(f"{t}_{est}").summarize(spec.replications, truths)
+            if t == "mean":
+                integrals = _trapezoid(bias[0], h), _trapezoid(var, h)
+                excluded = 1.0 - included.mean()
+            else:
+                square[upper], square.T[upper] = bias  # upper half, then lower
+                sq_bias = _trapezoid(square, h)
+                square[upper] = square.T[upper] = var
+                integrals = sq_bias, _trapezoid(square, h)
+                count = 2 * np.count_nonzero(included) - np.count_nonzero(included[diagonal])
+                excluded = 1.0 - count / p**2
             cells.append(BiasVarianceCell(
-                kind, n, est, t, *accs[f"{t}_{est}"].summarize(truth, spec.replications, h),
+                kind, n, est, t, *integrals, float(excluded),
                 degenerate=spec.replications == 1,
             ))
     return cells

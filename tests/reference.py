@@ -11,6 +11,9 @@ one_shot_bootstrap draws all R resamples as one R x n array, the route the
 library's blocked bootstrap must reproduce. cell_summary scores a stack of
 replicated estimates by a two-pass mean and variance, where the library's
 experiment harness streams counts, sums and sums of squares.
+full_square_summary scores those streamed sums on the full p x p square,
+after unfold mirrors a covariance's upper triangle back to it: the route the
+harness took before it reduced covariance cells on the triangle.
 """
 
 import numpy as np
@@ -167,3 +170,36 @@ def cell_summary(arrays, truth, reps, h):
 
     bias_sq = np.where(included, (mean - truth) ** 2, 0.0)
     return integrate(bias_sq), integrate(np.where(included, var, 0.0)), 1.0 - included.mean()
+
+
+def unfold(tri, p):
+    """The symmetric p x p array whose upper triangle, row by row, is tri."""
+    upper = np.triu(np.ones((p, p), dtype=bool))
+    full = np.empty((p, p), tri.dtype)
+    full[upper] = full.T[upper] = tri
+    return full
+
+
+def full_square_summary(cnt, total, sumsq, truth, reps, h):
+    """(integrated squared bias, integrated variance, excluded fraction).
+
+    From the float count, sum and sum of squares of the replicated estimates
+    at every cell, each of the mean's grid or of the full covariance square,
+    with the arithmetic of the harness before it reduced on the triangle.
+    """
+    included = cnt >= max(0.5 * reps, 1.0)
+    # Every included cell has cnt >= 1, and there the variance is exactly
+    # 0 at cnt == 1; the excluded cells are zeroed below.
+    cnt1 = np.maximum(cnt, 1)
+    mean = total / cnt1
+    var = np.clip((sumsq - cnt1 * mean**2) / np.maximum(cnt - 1, 1), 0.0, None)
+    bias_sq = np.where(included, (mean - truth) ** 2, 0.0)
+    var = np.where(included, var, 0.0)
+
+    def integrate(a):
+        for _ in range(a.ndim):  # last axis first
+            a = np.trapezoid(a, dx=h)
+        return float(a)
+
+    excluded = 1.0 - included.mean()
+    return integrate(bias_sq), integrate(var), float(excluded)

@@ -1,9 +1,11 @@
+import copy
 import multiprocessing
 import os
 import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from ftcfd.harness import (
 )
 from ftcfd.io import write_experiment_csv
 
-from reference import cell_summary
+from reference import cell_summary, full_square_summary, unfold
 
 
 def _bv_spec(**kw):
@@ -159,17 +161,17 @@ def test_workers_do_not_change_results(tmp_path, monkeypatch, targets):
 def test_chunked_accumulation_matches_one_replication_at_a_time(kind, seed, reps):
     spec = _bv_spec(kinds=(kind,), n=(30,), p=31, replications=reps, seed=seed,
                     targets=("mean", "cov"))
-    merged = []
+    counts = []
     original = harness._Accumulator.summarize
 
-    def recording(acc, truth, reps, h):
-        merged.append((acc.cnt.copy(), original(acc, truth, reps, h)))
-        return merged[-1][1]
+    def recording(acc, reps, truths):
+        counts.append(acc.cnt.copy())
+        return original(acc, reps, truths)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(harness.WORKERS_ENV, raising=False)
         mp.setattr(harness._Accumulator, "summarize", recording)
-        run_experiment(spec)
+        cells = run_experiment(spec)
 
     pts = np.linspace(0.0, 1.0, spec.p)
     truth = {"mean": true_mean(pts, kind), "cov": true_cov(pts, pts, kind)}
@@ -181,10 +183,13 @@ def test_chunked_accumulation_matches_one_replication_at_a_time(kind, seed, reps
         out = harness._bias_variance_rep(spec, _rep_sample(spec, kind, 30, rep), rep)
         for (t, est), acc in accs.items():
             acc.add(out[f"{t}_{est}"])
-    assert len(merged) == len(keys)
-    for (t, _), (cnt, got), acc in zip(keys, merged, accs.values()):
-        np.testing.assert_array_equal(cnt, acc.cnt)
-        want = acc.summarize(truth[t], reps, pts[1] - pts[0])
+    assert len(counts) == len(cells) == len(keys)
+    upper = harness._upper(spec.p)
+    for (t, _), cnt, acc, cell in zip(keys, counts, accs.values(), cells):
+        # The cell reduces a covariance on its upper triangle.
+        np.testing.assert_array_equal(cnt, acc.cnt if t == "mean" else acc.cnt[upper])
+        want = full_square_summary(acc.cnt, acc.sum, acc.sumsq, truth[t], reps, pts[1] - pts[0])
+        got = (cell.int_sq_bias, cell.int_variance, cell.excluded_fraction)
         assert got[2] == want[2]
         np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, atol=0.0)
 
@@ -217,8 +222,9 @@ def test_cells_match_the_reference_summary(monkeypatch, reps):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_chunks_ship_covariance_triangles(kind):
-    # Each chunk sends p(p + 1)/2 cells per covariance accumulator; the cell
-    # mirrored from them is byte-identical to one merged from full squares.
+    # Each chunk sends p(p + 1)/2 cells per covariance accumulator. The cell
+    # reduced on them is byte-identical to the full-square reduction, both of
+    # the same triangles mirrored back and of accumulators of full squares.
     spec = _bv_spec(kinds=(kind,), n=(30,), p=31, replications=2 * harness._CHUNK + 1,
                     targets=("mean", "cov"))
     reps = [range(s, min(s + harness._CHUNK, spec.replications))
@@ -229,6 +235,15 @@ def test_chunks_ship_covariance_triangles(kind):
             acc = chunk[key]
             assert acc.cnt.dtype == np.uint8
             assert [x.shape for x in (acc.cnt, acc.sum, acc.sumsq)] == [(31 * 32 // 2,)] * 3
+    mirrored = copy.deepcopy(chunks[0])
+    for acc in mirrored.values():
+        acc.cnt = acc.cnt.astype(float)
+    for chunk in chunks[1:]:
+        for key, acc in mirrored.items():
+            acc.merge(chunk[key])
+    for key, acc in mirrored.items():
+        if key.startswith("cov"):
+            acc.cnt, acc.sum, acc.sumsq = (unfold(a, spec.p) for a in (acc.cnt, acc.sum, acc.sumsq))
     got = harness._bias_variance_cells(spec, kind, 30, chunks)
 
     merged = {}
@@ -246,12 +261,61 @@ def test_chunks_ship_covariance_triangles(kind):
                 merged[key] = acc
     pts = np.linspace(0.0, 1.0, spec.p)
     truth = {"mean": true_mean(pts, kind), "cov": true_cov(pts, pts, kind)}
-    want = [
-        merged[f"{c.target}_{c.estimator}"].summarize(truth[c.target], spec.replications,
-                                                       pts[1] - pts[0])
-        for c in got
-    ]
-    assert [(c.int_sq_bias, c.int_variance, c.excluded_fraction) for c in got] == want
+    got = [(c.int_sq_bias, c.int_variance, c.excluded_fraction) for c in got]
+    for accs in (mirrored, merged):
+        want = [
+            full_square_summary(acc.cnt, acc.sum, acc.sumsq, truth[t], spec.replications,
+                                pts[1] - pts[0])
+            for t in spec.targets
+            for acc in (accs[f"{t}_classical"], accs[f"{t}_ftc"])
+        ]
+        assert got == want
+
+
+@settings(deadline=None, max_examples=30)
+@given(kind=st.sampled_from(KINDS), p=st.integers(3, 40), data=st.data())
+def test_each_half_of_a_covariance_is_scored_against_its_own_truth(kind, p, data):
+    # The truth is a matmul, so a cell and its mirror can differ in the last
+    # bit. Here it is symmetric but for one cell below the diagonal, moved by
+    # one ulp, and the estimates are the symmetric truth: that cell alone has
+    # a squared bias, which scoring the lower half against the upper truth
+    # would miss.
+    i = data.draw(st.integers(1, p - 1))
+    j = data.draw(st.integers(0, i - 1))
+    pts = np.linspace(0.0, 1.0, p)
+    upper = harness._upper(p)
+    estimate = true_cov(pts, pts, kind)[upper]
+    truth = unfold(estimate, p)
+    truth[i, j] = np.nextafter(truth[i, j], data.draw(st.sampled_from([-np.inf, np.inf])))
+    chunk = {}
+    for est in ("classical", "ftc"):
+        chunk[f"cov_{est}"] = harness._Accumulator(estimate.shape)
+        chunk[f"cov_{est}"].add(estimate.copy())
+    spec = _bv_spec(kinds=(kind,), p=p, replications=1, targets=("cov",))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "true_cov", lambda s, t, kind: truth.copy())
+        cells = harness._bias_variance_cells(spec, kind, 20, [chunk])
+    full = unfold(estimate, p)
+    want = full_square_summary(np.ones((p, p)), full, full * full, truth, 1, pts[1] - pts[0])
+    assert want[0] > 0.0
+    for cell in cells:
+        assert (cell.int_sq_bias, cell.int_variance, cell.excluded_fraction) == want
+
+
+def test_cell_reduction_holds_at_most_eight_square_arrays():
+    # Two chunks at p = 501, both targets. Mirroring count, sum and sum of
+    # squares to full squares before reducing peaked at 13.1 p x p arrays.
+    spec = _bv_spec(kinds=("DepDis",), p=501, replications=2 * harness._CHUNK,
+                    targets=("mean", "cov"))
+    chunks = [harness._bias_variance_chunk((spec, "DepDis", 20, range(s, s + harness._CHUNK)))
+              for s in (0, harness._CHUNK)]
+    tracemalloc.start()
+    try:
+        harness._bias_variance_cells(spec, "DepDis", 20, chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * np.zeros((501, 501)).nbytes
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -8,6 +8,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "check_tables.py"
 _spec = importlib.util.spec_from_file_location("check_tables", _PATH)
 check_tables = importlib.util.module_from_spec(_spec)
@@ -133,3 +135,43 @@ def test_bench_entry_summarises_each_side_of_interleaved_runs(tmp_path, capsys):
         "op_s_p50: median 2.26 is 1.51x the previous 1.5"
     ]
     assert "FLAG mc op_s_p50: median 2.26 is 1.51x" in capsys.readouterr().out
+
+
+_TIER1 = """\
+........................................................................ [100%]
+============================= slowest 6 durations ==============================
+9.72s setup    tests/test_acceptance.py::test_criterion_1
+8.04s call     tests/test_acceptance.py::test_criterion_5
+2.78s call     tests/test_harness.py::test_pool[64-kinds4-n4-25-12]
+1.86s setup    tests/test_acceptance.py::test_criterion_3
+1.48s call     tests/test_mcar.py::test_fwer
+0.90s teardown tests/test_cli.py::test_x
+
+(12 durations < 0.005s hidden.  Use -vv to show these durations.)
+406 passed in 40.84s
+"""
+
+
+def test_bench_entry_stores_the_five_slowest_tier1_phases(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    _write_result(runs, "mc-1.json", "mc", 1, 1.0, "aaa")
+    tier1 = tmp_path / "tier1.txt"
+    tier1.write_text(_TIER1)
+    out = tmp_path / "BENCH_2.json"
+    args = ["--parent", str(runs), "--change", str(runs), "--out", str(out)]
+    assert bench_entry.main(args + ["--durations", str(tier1)]) == 0
+    durations = json.loads(out.read_text())["tier1_durations"]
+    assert [(d["seconds"], d["phase"]) for d in durations] == [
+        (9.72, "setup"), (8.04, "call"), (2.78, "call"), (1.86, "setup"), (1.48, "call")
+    ]
+    assert durations[2]["test"] == "tests/test_harness.py::test_pool[64-kinds4-n4-25-12]"
+    # Without the flag the entry has no such key; a file without the report
+    # is refused and nothing is written.
+    bench_entry.main(args)
+    assert "tier1_durations" not in json.loads(out.read_text())
+    out.unlink()
+    tier1.write_text("406 passed in 40.84s\n")
+    with pytest.raises(SystemExit) as exit_info:
+        bench_entry.main(args + ["--durations", str(tier1)])
+    assert exit_info.value.code == 2 and not out.exists()
+    assert "holds no --durations report" in capsys.readouterr().err

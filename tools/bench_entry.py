@@ -12,7 +12,10 @@ its run, one directory per side, alternating which side runs first:
       done
     done
     python tools/bench_entry.py --parent runs/parent --change runs/change \\
-        --previous BENCH_<last>.json --out BENCH_<pr>.json
+        --previous BENCH_<last>.json --durations tier1.txt --out BENCH_<pr>.json
+
+where tier1.txt is the saved output of the change's Tier-1 run with
+``--durations=5`` (any count of at least five).
 
 For each workload and side the entry holds the number of runs, their
 seeds, failed and attempted operations, the median and quartiles of each
@@ -20,8 +23,11 @@ end-to-end metric of BENCHMARK.json, and the distinct environments the runs
 recorded (python, numpy, BLAS, thread settings, nproc, git commit). Per
 workload it adds the change/parent ratio of each median. Host speed drifts
 between sessions, so entries are compared as ratios within one session.
+With ``--durations`` the entry also holds the five slowest Tier-1 test
+phases, with their seconds.
 
-The script only reads result files; it is not a gate and always exits 0.
+The script only reads its input files; it is not a gate. It exits 0, or 2
+when the ``--durations`` file holds no durations report.
 It prints a flag where a change median is worse than the ``--previous``
 entry's change median by more than a factor of 1.5.
 """
@@ -30,11 +36,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 FLAG_FACTOR = 1.5
+# One line of pytest's --durations report: "8.04s call     tests/x.py::test_y".
+DURATION = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S.*)$")
 
 
 def end_to_end() -> dict:
@@ -100,6 +109,21 @@ def build_entry(parent_dir, change_dir, metrics, previous=None) -> dict:
     return {"workloads": workloads}
 
 
+def slowest_tests(text: str, top: int = 5) -> list[dict]:
+    """The `top` slowest phases of a pytest output's --durations report, slowest first."""
+    lines = iter(text.splitlines())
+    for line in lines:
+        if re.search(r" slowest( \d+)? durations ", line):
+            break
+    rows = []
+    for line in lines:
+        match = DURATION.match(line)
+        if not match:
+            break
+        rows.append({"seconds": float(match[1]), "phase": match[2], "test": match[3]})
+    return sorted(rows, key=lambda row: -row["seconds"])[:top]
+
+
 def flags(workload, medians, previous, metrics) -> list[str]:
     """Metrics whose change median is worse than the previous entry's by FLAG_FACTOR."""
     if previous is None:
@@ -121,11 +145,16 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="directory of the parent's result.json copies")
     ap.add_argument("--change", required=True, help="directory of the change's result.json copies")
     ap.add_argument("--previous", help="the last BENCH_<pr>.json entry, to flag outliers against")
+    ap.add_argument("--durations", help="saved output of a Tier-1 run with --durations=5")
     ap.add_argument("--out", required=True, help="the BENCH_<pr>.json file to write")
     args = ap.parse_args(argv)
     previous = json.loads(Path(args.previous).read_text()) if args.previous else None
     entry = build_entry(args.parent, args.change, end_to_end(), previous)
     entry["previous"] = Path(args.previous).name if args.previous else None
+    if args.durations:
+        entry["tier1_durations"] = slowest_tests(Path(args.durations).read_text())
+        if not entry["tier1_durations"]:
+            ap.error(f"{args.durations} holds no --durations report")
     Path(args.out).write_text(json.dumps(entry, indent=1, sort_keys=True) + "\n")
     for name, row in entry["workloads"].items():
         ratios = ", ".join(f"{m} {r:.3f}" for m, r in row["ratio"].items())
