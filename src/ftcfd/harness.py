@@ -11,8 +11,8 @@ task, not by replication (a chunk's replications are summed first, then the
 chunks in task order). So results, and the tables
 ``io.write_experiment_csv`` makes of them, are byte-identical across runs
 and across worker counts. Symmetric accumulators (both covariances) ship
-as one triangle and are reduced on it; only the two integrands of each
-are mirrored to the full square, one after the other, to be integrated.
+as one triangle; their mean and variance are computed on it and mirrored
+to the full square, where both targets are scored and integrated alike.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ _DEFINED_FRACTION = 0.5
 # receives and merges p x p arrays once per chunk, not once per replication.
 # At most 255, so that a chunk's counts fit in uint8.
 _CHUNK = 12
-
-# Rows per block of _trapezoid's buffer: a row at a time took three times as
-# long at p = 501, and a block of 64 rows of doubles fits in a 256 KiB cache.
-_ROWS = 64
 
 # glibc's dynamic mmap threshold never rises above an array it has just
 # freed, so each replication would fault its large arrays in afresh.
@@ -224,17 +220,15 @@ class _Accumulator:
         self.sum += other.sum
         self.sumsq += other.sumsq
 
-    def summarize(self, reps, truths):
-        """(included, variance, squared bias against each truth); consumes self.
+    def summarize(self, reps):
+        """(included, mean, variance) of the accumulated cells; consumes self.
 
         Every step is elementwise, so it runs on the cells accumulated, a
         covariance's upper triangle as well as a mean's grid, in place. A
         cell is included when at least max(_DEFINED_FRACTION * reps, 1)
-        replications define it; variance and squared biases are 0 elsewhere.
-        At most two truths: the second squared bias overwrites the sum.
+        replications define it; the variance is 0 elsewhere.
         """
         included = self.cnt >= max(_DEFINED_FRACTION * reps, 1.0)
-        excluded = ~included
         # Every included cell has cnt >= 1, and there the variance is exactly
         # 0 at cnt == 1. max(cnt, 1) - 1, clipped at 1, is max(cnt - 1, 1).
         cnt = np.maximum(self.cnt, 1.0, out=self.cnt)
@@ -245,33 +239,22 @@ class _Accumulator:
         cnt -= 1.0
         var /= np.maximum(cnt, 1.0, out=cnt)
         np.clip(var, 0.0, None, out=var)
-        var[excluded] = 0.0
-        biases = []
-        for truth, out in zip(truths, (tmp, mean)):
-            bias = np.subtract(mean, truth, out=out)
-            bias **= 2
-            bias[excluded] = 0.0
-            biases.append(bias)
-        return included, var, biases
+        var[~included] = 0.0
+        return included, mean, var
 
 
-def _trapezoid(a, h):
-    """np.trapezoid(a, dx=h) over each axis of a 1-D or 2-D array, last first.
+def _square(triangle, upper):
+    """The symmetric array whose upper triangle, row by row, is triangle."""
+    square = np.empty(upper.shape, triangle.dtype)
+    square[upper] = square.T[upper] = triangle
+    return square
 
-    The same arithmetic, but a 2-D array's rows go through one buffer of
-    _ROWS rows instead of a full-size temporary.
-    """
-    if a.ndim == 2:
-        buf, rows = np.empty((_ROWS, a.shape[1] - 1)), np.empty(a.shape[0])
-        for start in range(0, a.shape[0], _ROWS):
-            block = a[start: start + _ROWS]
-            part = buf[: len(block)]
-            np.add(block[:, 1:], block[:, :-1], out=part)
-            part *= h
-            part /= 2.0
-            part.sum(axis=1, out=rows[start: start + _ROWS])
-        a = rows
-    return float(np.trapezoid(a, dx=h))
+
+def _integral(a, h):
+    """np.trapezoid(a, dx=h) over every axis of a, last first."""
+    for _ in range(a.ndim):
+        a = np.trapezoid(a, dx=h)
+    return float(a)
 
 
 def _bias_variance_chunk(task):
@@ -291,9 +274,11 @@ def _bias_variance_cells(spec, kind, n, chunks):
     """Integrated squared bias and variance per (target, estimator).
 
     The first chunk's accumulators become the cell's, counts widened to
-    float; every later chunk is added in task order. A covariance is reduced
-    on its upper triangle; only its two integrands are mirrored, into one
-    p x p array, and the excluded fraction counts off-diagonal cells twice.
+    float; every later chunk is added in task order. A covariance's
+    inclusion, mean and variance are mirrored from its upper triangle to the
+    full square; from there both targets take one path: the squared bias
+    against the whole truth, 0 where excluded, and the trapezoid rule over
+    every axis.
     """
     chunks = iter(chunks)
     accs = next(chunks)
@@ -302,36 +287,23 @@ def _bias_variance_cells(spec, kind, n, chunks):
     for chunk in chunks:
         for key, acc in accs.items():
             acc.merge(chunk[key])
-    p = spec.p
-    pts = np.linspace(0.0, 1.0, p)
+    pts = np.linspace(0.0, 1.0, spec.p)
     h = pts[1] - pts[0]
-    cells = []
+    upper, cells = _upper(spec.p), []
     for t in spec.targets:
-        if t == "mean":
-            truths = (true_mean(pts, kind),)
-        else:
-            upper = _upper(p)
-            diagonal = np.eye(p, dtype=bool)[upper]
-            truth = true_cov(pts, pts, kind)
-            # A matmul: its mirrored cells can differ in the last bit.
-            truths = (truth[upper], truth.T[upper])
-            del truth
-            square = np.empty((p, p))
+        # The whole truth, not a mirrored triangle of it: true_cov is a
+        # matmul whose mirrored cells can differ in the last bit.
+        truth = true_mean(pts, kind) if t == "mean" else true_cov(pts, pts, kind)
         for est in ("classical", "ftc"):
-            included, var, bias = accs.pop(f"{t}_{est}").summarize(spec.replications, truths)
-            if t == "mean":
-                integrals = _trapezoid(bias[0], h), _trapezoid(var, h)
-                excluded = 1.0 - included.mean()
-            else:
-                square[upper], square.T[upper] = bias  # upper half, then lower
-                sq_bias = _trapezoid(square, h)
-                square[upper] = square.T[upper] = var
-                integrals = sq_bias, _trapezoid(square, h)
-                count = 2 * np.count_nonzero(included) - np.count_nonzero(included[diagonal])
-                excluded = 1.0 - count / p**2
+            included, mean, var = accs.pop(f"{t}_{est}").summarize(spec.replications)
+            if t == "cov":
+                included, mean, var = (_square(a, upper) for a in (included, mean, var))
+            bias = np.subtract(mean, truth, out=mean)
+            bias **= 2
+            bias[~included] = 0.0
             cells.append(BiasVarianceCell(
-                kind, n, est, t, *integrals, float(excluded),
-                degenerate=spec.replications == 1,
+                kind, n, est, t, _integral(bias, h), _integral(var, h),
+                float(1.0 - included.mean()), degenerate=spec.replications == 1,
             ))
     return cells
 

@@ -164,9 +164,9 @@ def test_chunked_accumulation_matches_one_replication_at_a_time(kind, seed, reps
     counts = []
     original = harness._Accumulator.summarize
 
-    def recording(acc, reps, truths):
+    def recording(acc, reps):
         counts.append(acc.cnt.copy())
-        return original(acc, reps, truths)
+        return original(acc, reps)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(harness.WORKERS_ENV, raising=False)
@@ -218,6 +218,23 @@ def test_cells_match_the_reference_summary(monkeypatch, reps):
                     got = (cell.int_sq_bias, cell.int_variance, cell.excluded_fraction)
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert next(cells, None) is None
+
+
+def test_a_targets_cells_do_not_depend_on_the_other_targets(monkeypatch):
+    # Both targets go through one reduction, whatever else the spec asks
+    # for and in whichever order. Three chunks per cell; IndCon leaves some
+    # cells excluded.
+    monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+    runs = {}
+    for targets in [("mean",), ("cov",), ("mean", "cov"), ("cov", "mean")]:
+        spec = _bv_spec(kinds=("IndCon", "DepDis"), n=(20,), p=31,
+                        replications=2 * harness._CHUNK + 1, targets=targets)
+        runs[targets] = {(c.kind, c.target, c.estimator): c for c in run_experiment(spec)}
+    alone = {**runs[("mean",)], **runs[("cov",)]}
+    assert len(alone) == 8
+    assert any(0.0 < c.excluded_fraction for c in alone.values())
+    for targets in [("mean", "cov"), ("cov", "mean")]:
+        assert runs[targets] == alone
 
 
 @pytest.mark.parametrize("kind", KINDS)
