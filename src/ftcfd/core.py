@@ -120,11 +120,6 @@ class FunctionalSample:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def d_i(self) -> np.ndarray:
-        """Each curve's last observed grid point; the paper's d_min is d_i.min()."""
-        return self.grid.points[self.last]
-
 
 def reject_curves(bad: np.ndarray, message: str) -> None:
     """Raise `message` naming the first flagged curve by its 1-based row."""

@@ -142,7 +142,7 @@ def _cut_first_curve(sample, m):
 
     The values on those m points keep their bits.
     """
-    d = sample.d_i.copy()
+    d = sample.grid.points[sample.last]
     d[0] = sample.grid.points[m - 1]
     return interval_sample(sample.grid, sample.values, d)
 

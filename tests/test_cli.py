@@ -565,9 +565,9 @@ def test_test_j_max_does_not_change_clear_outcome(capsys, dep_dis_path):
     assert "outcome=V" in capsys.readouterr().out
 
 
-def test_scipy_stays_unloaded_without_depcon_draws(tmp_path):
-    # scipy.special alone adds ~0.3 s to every command's start; only DepCon
-    # draws import it, so neither the CLI nor other designs may load scipy.
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is ftcfd's only dependency. Every command runs in one fresh
+    # interpreter, DepCon draws included, and no step may load scipy.
     src = os.path.dirname(os.path.dirname(os.path.abspath(ftcfd.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = textwrap.dedent(
@@ -578,19 +578,27 @@ def test_scipy_stays_unloaded_without_depcon_draws(tmp_path):
         def loaded():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-        print(loaded())
-        argv = ["experiment", "--dgp", "DepDis,IndCon", "--n", "20", "--reps", "2",
-                "--p", "21", "--out", sys.argv[1]]
-        assert ftcfd.cli.main(argv) == 0
-        print(loaded())
+        out = sys.argv[1]
+        commands = [
+            ["simulate", "--dgp", "DepCon", "--n", "40", "--p", "101", "--seed", "2",
+             "--out", out + "/dep_con.csv", "--sidecar", out + "/side.csv"],
+            ["estimate", out + "/dep_con.csv", "--out", out + "/est", "--fpc-scores"],
+            ["test", out + "/dep_con.csv", "--out", out + "/report.txt"],
+            ["experiment", "--mode", "bias_variance", "--dgp", "DepCon,IndCon",
+             "--n", "20", "--reps", "2", "--p", "21", "--out", out + "/bv.csv"],
+        ]
+        seen = [loaded()]
+        for argv in commands:
+            assert ftcfd.cli.main(argv) == 0, argv
+            seen.append(loaded())
+        print(seen)
         """
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "bv.csv")],
+        [sys.executable, "-c", code, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": path, harness.WORKERS_ENV: "1"},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    lines = out.splitlines()  # main also prints the table's path
-    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert out.splitlines()[-1] == repr([[]] * 5)  # main also prints paths

@@ -126,8 +126,8 @@ def test_summarize_fully_observed():
     assert np.array_equal(s.first, [0, 0])
     assert np.array_equal(s.last, [3, 3])
     assert np.array_equal(s.counts, [4, 4])
-    assert np.array_equal(s.d_i, [1.0, 1.0])
-    assert s.d_i.min() == 1.0
+    assert np.array_equal(s.grid.points[s.last], [1.0, 1.0])
+    assert s.grid.points[s.last].min() == 1.0
     assert fully_observed_block(s) == (0, 3)
 
 
@@ -137,15 +137,15 @@ def test_summarize_hand_checked_two_curves():
     assert np.array_equal(s.first, [0, 0])
     assert np.array_equal(s.last, [2, 1])
     assert np.array_equal(s.counts, [3, 2])
-    assert np.array_equal(s.d_i, [1.0, 0.5])
-    assert s.d_i.min() == 0.5
+    assert np.array_equal(s.grid.points[s.last], [1.0, 0.5])
+    assert s.grid.points[s.last].min() == 0.5
     assert fully_observed_block(s) == (0, 1)
 
 
 def test_summarize_endpoint_fraction_matches_sign_rule():
     sample, d, xi = draw_sample("DepDis", n=500, p=101, seed=4)
-    assert np.array_equal(sample.d_i, d)
-    assert abs(np.mean(sample.d_i == 1.0) - 0.5) < 0.07
+    assert np.array_equal(sample.grid.points[sample.last], d)
+    assert abs(np.mean(d == 1.0) - 0.5) < 0.07
 
 
 def test_summarize_is_pure_function_of_mask():
@@ -153,7 +153,7 @@ def test_summarize_is_pure_function_of_mask():
     missing = np.array([[False, False, False, True, True]])
     a = FunctionalSample(g, np.where(missing, np.nan, 1.0))
     b = FunctionalSample(g, np.where(missing, np.nan, 7.5))
-    for field in ("first", "last", "counts", "d_i"):
+    for field in ("first", "last", "counts"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -191,7 +191,6 @@ def test_interval_pattern_runs_are_prefixes():
     sample, _, _ = draw_sample("IndCon", n=60, p=51, seed=2)
     assert np.array_equal(sample.first, np.zeros(60))
     assert np.array_equal(sample.counts, sample.last + 1)
-    assert np.array_equal(sample.d_i, sample.grid.points[sample.last])
 
 
 @settings(deadline=None, max_examples=100)
@@ -203,7 +202,7 @@ def test_interval_pattern_runs_are_prefixes():
 @example(lasts=[11], p=12, mirrored=True)
 def test_subdomain_is_the_run_of_columns_every_curve_observes(lasts, p, mirrored):
     # Curves that all start at t_1, or mirrored, all end at t_p. Fully
-    # observed curves do both, and their endpoint is d_i.
+    # observed curves do both, and their endpoint is their last observed point.
     mask = np.arange(p) <= np.array(lasts)[:, None]
     values = np.where(mask, 0.0, np.nan)
     sample = FunctionalSample(make_grid(p, 0.0, 1.0), values[:, ::-1] if mirrored else values)
@@ -214,7 +213,7 @@ def test_subdomain_is_the_run_of_columns_every_curve_observes(lasts, p, mirrored
         assert np.array_equal(endpoint, sample.grid.points[p - 1 - np.array(lasts)])
     else:
         assert cols == slice(0, leading)
-        assert np.array_equal(endpoint, sample.d_i)
+        assert np.array_equal(endpoint, sample.grid.points[sample.last])
     assert fully_observed_block(sample) == (cols.start, cols.stop - 1)
 
 

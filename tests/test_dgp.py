@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftcfd import dgp
 from ftcfd.basis import eval_basis, select_J
@@ -66,6 +68,25 @@ def test_dep_con_exact_mass_small_n():
     for n in (49, 50, 51, 150):
         _, d, _ = dgp.draw_sample("DepCon", n=n, p=11, seed=3)
         assert np.sum(d == 1.0) == math.ceil(0.02 * n)
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_dep_con_endpoints_follow_the_level_coefficient(n, seed):
+    # d is the normal CDF of the standardised xi_1, floored at 0.5, with its
+    # top ceil(0.02 n) values moved to 1: monotone in xi_1, whatever CDF code.
+    _, d, xi = dgp.draw_sample("DepCon", n=n, p=11, seed=seed)
+    xi1 = xi[:, 0]
+    order = np.argsort(xi1)
+    assert np.all(np.diff(d[order]) >= 0.0)
+    k = math.ceil(0.02 * n)
+    top = np.zeros(n, dtype=bool)
+    top[order[n - k :]] = True
+    assert np.array_equal(d == 1.0, top)
+    below = xi1 < dgp.DEFAULT_MU[0]
+    assert np.all(d[~top & below] == 0.5)
+    rest = d[~top & ~below]
+    assert np.all((rest >= 0.5) & (rest < 1.0))
 
 
 def test_lower_half_always_observed():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ftcfd import dgp, mcar
 from ftcfd.basis import select_J
-from ftcfd.core import FunctionalSample, Grid
+from ftcfd.core import FunctionalSample, Grid, subdomain
 from ftcfd.errors import ArgumentError, NumericalError
 from ftcfd.estimators import fpca_scores
 from ftcfd.harness import _rep_seed
@@ -156,7 +156,7 @@ def _assert_close(a, b):
 def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
     sample, _, _ = dgp.draw_sample(kind, n=n, p=501, seed=(61, n))
     _, Xi = select_J(sample, 51)
-    d = sample.d_i
+    d = subdomain(sample)[1]
     _, beta, se, t_sq, _, _, _ = _reference_fit(d, Xi)
     fit = fit_regression(d, Xi)
     _assert_close(fit.beta_hat, beta)
@@ -169,7 +169,7 @@ def test_fit_and_bootstrap_match_normal_equations_on_dgp_draws(kind, n):
 def _dgp_fit(n):
     sample, _, _ = dgp.draw_sample("DepDis", n=n, p=501, seed=(63, n))
     _, Xi = select_J(sample, 51)
-    return fit_regression(sample.d_i, Xi)
+    return fit_regression(subdomain(sample)[1], Xi)
 
 
 # R = 100 is the smallest bootstrap allowed; 101 and 250 end in a short block.
